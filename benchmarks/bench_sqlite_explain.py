@@ -15,7 +15,25 @@ Two gated metrics:
 * ``sqlite_vs_memory_ratio`` — SQLite's throughput as a fraction of the
   in-memory engine's on the same data (portable across machines; a
   compiler/pushdown regression drags it down even when the box is
-  faster).  A conservative floor is asserted inline.
+  faster).  A floor is asserted inline.
+
+Measured ratios (2-core container, CPython 3.11, SQLite 3.40; best of
+three cold ``explain_all`` passes per backend, same data on both):
+
+=============================  ========  =====  ==========
+world                          accesses  ratio  PR 11
+=============================  ========  =====  ==========
+smoke (``tiny``)                    926   0.50  0.25-0.33
+full (``small``)                   2149   0.40  0.24
+``benchmark`` (not run here)      28581   0.30  0.05
+=============================  ========  =====  ==========
+
+The PR 11 column is the lowering that wrapped every tuple variable in a
+``SELECT DISTINCT`` subselect, which SQLite re-materialised once per
+statement.  Its cost grows with log size, so the two worlds this bench
+runs barely see it and the floor alone cannot catch it — ``perfbench``
+(``audit_sqlite``, the 28.5k world) and the plan-shape test in
+``tests/test_sql_backend.py`` do.
 """
 
 from __future__ import annotations
@@ -31,8 +49,10 @@ _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 #: SQLite must stay within this factor of the in-memory engine.  The
 #: columnar engine's vectorized joins are expected to win; the floor
 #: exists to catch pathological compilations (cartesian fallbacks,
-#: lost index pushdown), not to demand parity.
-MIN_RATIO = 0.02
+#: lost index pushdown), not to demand parity.  Half the smoke run's
+#: measured ratio (0.50): the old 0.02 sat 5x *under* a compilation that
+#: re-scanned the whole log per statement.
+MIN_RATIO = 0.25
 #: Timed repetitions per backend; the fastest is kept (engine caches are
 #: cold every rep — fresh service each time).
 REPS = 3

@@ -124,7 +124,11 @@ class Driver(Protocol):
         ...
 
     def create_table(self, schema: TableSchema, *, reset: bool = False) -> None:
-        """Create one table (and its indexes); ``reset`` drops it first."""
+        """Create one bare table; ``reset`` drops it first."""
+        ...
+
+    def create_indexes(self, schema: TableSchema) -> None:
+        """Build the table's per-column indexes (after the bulk ingest)."""
         ...
 
     def ingest_many(
@@ -151,8 +155,9 @@ def make_executor(
 
     A :class:`SqlDatabase` gets a :class:`SqlExecutor` (SQL pushdown);
     anything else gets the in-memory :class:`Executor`.  Both accept the
-    same configuration knobs — ``predicate_pushdown`` and ``vectorized``
-    are inherent/meaningless under SQL and are simply recorded there.
+    same configuration knobs — ``distinct_reduction``,
+    ``predicate_pushdown`` and ``vectorized`` are inherent/meaningless
+    under SQL and are simply recorded there.
     """
     if isinstance(db, SqlDatabase):
         return SqlExecutor(

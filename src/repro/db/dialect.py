@@ -8,10 +8,10 @@ relational backend can run, so audits push down to SQLite (and, via new
 without touching the template language.
 
 Compilation is dialect-light on purpose: only `?`-style positional
-placeholders, double-quoted identifiers, and ``SELECT``/``JOIN``-free
-comma FROM lists are emitted — the common denominator of SQLite,
-Postgres (via a trivial placeholder rewrite), and DuckDB.  Four query
-forms cover the executor's public surface:
+placeholders, double-quoted identifiers, ``SELECT``/``JOIN``-free comma
+FROM lists and correlated ``EXISTS`` are emitted — the common
+denominator of SQLite, Postgres (via a trivial placeholder rewrite), and
+DuckDB.  Four query forms cover the executor's public surface:
 
 * :func:`compile_execute` — ``SELECT [DISTINCT] projection`` (the
   ``execute`` path);
@@ -27,17 +27,31 @@ forms cover the executor's public surface:
   binding-set values always bind after the query's own literals; the
   driver substitutes the marker per chunk (host-parameter limits).
 
+One rule shapes every distinct form (:func:`_from_where`): a tuple
+variable that contributes nothing to the output is *existentially
+quantified*.  The aliases named by the projection (``attr`` /
+``in_attr``) stay in ``FROM`` as plain base tables; all other aliases,
+and every condition that mentions one of them, move into one correlated
+``EXISTS (SELECT 1 FROM … WHERE …)`` that the backend probes through the
+per-column indexes, stopping at the first witness.  That *is* the
+paper's *Reducing Result Multiplicity* rewrite (Section 3.2.1) — each
+output row is produced once however many join partners it has — without
+building anything: the literal ``(SELECT DISTINCT needed-attrs FROM
+table)`` subselects the paper prints must be materialised (and
+auto-indexed) once per statement, which on SQLite cost a scan of every
+joined table per point query and per IN chunk.  A non-distinct
+``execute`` keeps every alias in ``FROM`` — the flat join whose raw
+multiplicity the differential suite pins.
+
+Parameters bind in *compiled* order, not condition order: the outer
+``WHERE``'s literals first, then the ``EXISTS`` body's, then the binding
+set.  :attr:`CompiledQuery.param_order` records it and
+:func:`condition_params` applies it.
+
 NULL semantics match the differential oracle end to end: every
 comparison is SQL three-valued, so a condition touching a NULL (stored
 value *or* a NULL literal bound as a parameter) excludes the row —
 exactly the in-memory ``_compare`` rule.
-
-The paper's *Reducing Result Multiplicity* rewrite (Section 3.2.1) is
-honored: with ``distinct_reduction`` on, each tuple variable whose final
-output is distinct is replaced by a ``(SELECT DISTINCT needed-attrs FROM
-table)`` subquery.  Non-distinct projections are never reduced — the
-rewrite would change result multiplicity, which the differential suite
-pins.
 
 Values cross the wire through :func:`encode_value`/:func:`decode_value`:
 booleans ride as 0/1 integers, datetimes as ISO-8601 text (``isoformat``
@@ -48,8 +62,8 @@ range conditions on DATE columns stay correct).
 from __future__ import annotations
 
 import datetime as dt
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
-from collections.abc import Mapping
 from typing import Any
 
 from .errors import QueryError
@@ -58,6 +72,7 @@ from .query import (
     Condition,
     ConjunctiveQuery,
     Literal,
+    TupleVar,
     cond_attr_refs,
 )
 from .schema import ColumnType, TableSchema
@@ -162,33 +177,20 @@ class CompiledQuery:
 
     ``sql`` may contain :data:`IN_MARKER` (when ``has_in_marker`` is
     True); the driver replaces it with ``?`` placeholders per binding
-    chunk.  ``param_count`` counts the query's own literal parameters —
-    binding-set values always bind *after* them.  ``decoders`` carries
-    the declared column type of each output column so result rows can be
-    decoded back to the Python domain.
+    chunk.  ``param_order`` lists, in placeholder order, the positions in
+    ``query.conditions`` of the conditions whose literal binds there —
+    splitting conditions between the outer ``WHERE`` and the ``EXISTS``
+    body reorders them, so only the compiler knows it
+    (:func:`condition_params` applies it); binding-set values always bind
+    *after* them.  ``decoders`` carries the declared column type of each
+    output column so result rows can be decoded back to the Python
+    domain.
     """
 
     sql: str
-    param_count: int
+    param_order: tuple[int, ...]
     decoders: tuple[ColumnType, ...]
     has_in_marker: bool = False
-
-
-def _alias_tables(query: ConjunctiveQuery) -> dict[str, str]:
-    return {v.alias: v.table for v in query.tuple_vars}
-
-
-def _needed_attrs(
-    query: ConjunctiveQuery, extra: tuple[AttrRef, ...]
-) -> dict[str, set[str]]:
-    """Attributes each alias must expose (conditions + projection + extras)."""
-    needed: dict[str, set[str]] = {v.alias: set() for v in query.tuple_vars}
-    for cond in query.conditions:
-        for ref in cond_attr_refs(cond):
-            needed[ref.alias].add(ref.attr)
-    for ref in list(query.projection) + list(extra):
-        needed[ref.alias].add(ref.attr)
-    return needed
 
 
 def check_connected(query: ConjunctiveQuery, allow_cartesian: bool) -> None:
@@ -222,59 +224,77 @@ def check_connected(query: ConjunctiveQuery, allow_cartesian: bool) -> None:
         )
 
 
-def _from_clause(
-    query: ConjunctiveQuery,
-    schemas: Mapping[str, TableSchema],
-    *,
-    reduce_tables: bool,
-    extra: tuple[AttrRef, ...],
-) -> str:
-    """The FROM list, optionally with per-variable DISTINCT subselects
-    (the paper's multiplicity-reduction rewrite)."""
-    parts = []
-    needed = _needed_attrs(query, extra) if reduce_tables else {}
-    for var in query.tuple_vars:
-        table = quote_ident(var.table)
-        alias = quote_ident(var.alias)
-        attrs = sorted(needed.get(var.alias, ()))
-        if reduce_tables and attrs:
-            cols = ", ".join(quote_ident(a) for a in attrs)
-            parts.append(f"(SELECT DISTINCT {cols} FROM {table}) {alias}")
-        else:
-            parts.append(f"{table} {alias}")
-    return "FROM " + ", ".join(parts)
+def _column(ref: AttrRef) -> str:
+    return f"{quote_ident(ref.alias)}.{quote_ident(ref.attr)}"
+
+
+def _table_list(tuple_vars: Iterable[TupleVar]) -> str:
+    return ", ".join(
+        f"{quote_ident(v.table)} {quote_ident(v.alias)}" for v in tuple_vars
+    )
 
 
 def _render_condition(cond: Condition) -> str:
     """One WHERE term; literal operands become ``?`` placeholders."""
-    left = f"{quote_ident(cond.left.alias)}.{quote_ident(cond.left.attr)}"
-    if isinstance(cond.right, Literal):
-        right = "?"
+    right = "?" if isinstance(cond.right, Literal) else _column(cond.right)
+    return f"{_column(cond.left)} {cond.op} {right}"
+
+
+def _from_where(
+    query: ConjunctiveQuery,
+    output: Iterable[AttrRef] | None,
+    in_attr: AttrRef | None = None,
+) -> tuple[str, tuple[int, ...]]:
+    """The ``FROM … WHERE …`` text of one query and its bind order.
+
+    ``output`` names the attributes the statement returns (or restricts
+    through the IN marker): their aliases stay in ``FROM``; every other
+    alias, and every condition that mentions one, moves into a single
+    correlated ``EXISTS``.  ``None`` keeps every alias in ``FROM`` — the
+    flat join whose raw multiplicity a non-distinct query must preserve.
+    """
+    if output is None:
+        outer = {v.alias for v in query.tuple_vars}
     else:
-        right = f"{quote_ident(cond.right.alias)}.{quote_ident(cond.right.attr)}"
-    return f"{left} {cond.op} {right}"
-
-
-def condition_params(query: ConjunctiveQuery) -> tuple[Any, ...]:
-    """The encoded literal parameters of a query, in condition order —
-    exactly the order :func:`_render_condition` emits placeholders."""
-    return tuple(
-        encode_value(cond.right.value)
-        for cond in query.conditions
-        if isinstance(cond.right, Literal)
-    )
-
-
-def _where_clause(query: ConjunctiveQuery, in_attr: AttrRef | None) -> str:
-    terms = [_render_condition(c) for c in query.conditions]
+        outer = {ref.alias for ref in output}
+    outer_terms: list[str] = []
+    inner_terms: list[str] = []
+    outer_params: list[int] = []
+    inner_params: list[int] = []
+    for position, cond in enumerate(query.conditions):
+        if all(ref.alias in outer for ref in cond_attr_refs(cond)):
+            terms, params = outer_terms, outer_params
+        else:
+            terms, params = inner_terms, inner_params
+        terms.append(_render_condition(cond))
+        if isinstance(cond.right, Literal):
+            params.append(position)
+    inner_vars = [v for v in query.tuple_vars if v.alias not in outer]
+    if inner_vars:
+        body = f"SELECT 1 FROM {_table_list(inner_vars)}"
+        if inner_terms:
+            body += " WHERE " + " AND ".join(inner_terms)
+        outer_terms.append(f"EXISTS ({body})")
     if in_attr is not None:
-        terms.append(
-            f"{quote_ident(in_attr.alias)}.{quote_ident(in_attr.attr)} "
-            f"IN ({IN_MARKER})"
-        )
-    if not terms:
-        return ""
-    return " WHERE " + " AND ".join(terms)
+        outer_terms.append(f"{_column(in_attr)} IN ({IN_MARKER})")
+    sql = "FROM " + _table_list(v for v in query.tuple_vars if v.alias in outer)
+    if outer_terms:
+        sql += " WHERE " + " AND ".join(outer_terms)
+    return sql, tuple(outer_params + inner_params)
+
+
+def condition_params(
+    compiled: CompiledQuery, query: ConjunctiveQuery
+) -> tuple[Any, ...]:
+    """The encoded literal parameters of ``query`` in the order
+    ``compiled`` binds them (``query`` may be any query of the shape
+    ``compiled`` was lowered from — literal values are not compiled in)."""
+    params = []
+    for position in compiled.param_order:
+        right = query.conditions[position].right
+        assert isinstance(right, Literal)
+        params.append(encode_value(right.value))
+    return tuple(params)
 
 
 def _decoder_for(
@@ -282,41 +302,27 @@ def _decoder_for(
     query: ConjunctiveQuery,
     schemas: Mapping[str, TableSchema],
 ) -> ColumnType:
-    table = _alias_tables(query)[ref.alias]
+    table = next(v.table for v in query.tuple_vars if v.alias == ref.alias)
     return schemas[table].column(ref.attr).ctype
 
 
-def _param_count(query: ConjunctiveQuery) -> int:
-    return sum(1 for c in query.conditions if isinstance(c.right, Literal))
-
-
 def compile_execute(
-    query: ConjunctiveQuery,
-    schemas: Mapping[str, TableSchema],
-    *,
-    distinct_reduction: bool = True,
+    query: ConjunctiveQuery, schemas: Mapping[str, TableSchema]
 ) -> CompiledQuery:
     """Lower the ``execute`` form: ``SELECT [DISTINCT] projection``.
 
-    Multiplicity reduction applies only to distinct projections (see the
-    module docstring); non-distinct queries must preserve the join's raw
-    multiplicity to stay oracle-identical.
+    Only a distinct projection may quantify the unprojected aliases away
+    (see the module docstring); a non-distinct query keeps the flat join
+    and its raw multiplicity to stay oracle-identical.
     """
     head = "SELECT DISTINCT" if query.distinct else "SELECT"
-    cols = ", ".join(
-        f"{quote_ident(r.alias)}.{quote_ident(r.attr)}"
-        for r in query.projection
+    cols = ", ".join(_column(r) for r in query.projection)
+    tail, param_order = _from_where(
+        query, query.projection if query.distinct else None
     )
-    frm = _from_clause(
-        query,
-        schemas,
-        reduce_tables=distinct_reduction and query.distinct,
-        extra=(),
-    )
-    sql = f"{head} {cols} {frm}{_where_clause(query, None)}"
     return CompiledQuery(
-        sql=sql,
-        param_count=_param_count(query),
+        sql=f"{head} {cols} {tail}",
+        param_order=param_order,
         decoders=tuple(
             _decoder_for(r, query, schemas) for r in query.projection
         ),
@@ -327,22 +333,16 @@ def compile_distinct_values(
     query: ConjunctiveQuery,
     schemas: Mapping[str, TableSchema],
     attr: AttrRef,
-    *,
-    distinct_reduction: bool = True,
 ) -> CompiledQuery:
     """Lower the ``distinct_values`` form: ``SELECT DISTINCT attr``.
 
     NULL is included when present (SQL DISTINCT keeps one NULL row),
     matching the in-memory executor's value-set semantics.
     """
-    col = f"{quote_ident(attr.alias)}.{quote_ident(attr.attr)}"
-    frm = _from_clause(
-        query, schemas, reduce_tables=distinct_reduction, extra=(attr,)
-    )
-    sql = f"SELECT DISTINCT {col} {frm}{_where_clause(query, None)}"
+    tail, param_order = _from_where(query, (attr,))
     return CompiledQuery(
-        sql=sql,
-        param_count=_param_count(query),
+        sql=f"SELECT DISTINCT {_column(attr)} {tail}",
+        param_order=param_order,
         decoders=(_decoder_for(attr, query, schemas),),
     )
 
@@ -351,8 +351,6 @@ def compile_count_distinct(
     query: ConjunctiveQuery,
     schemas: Mapping[str, TableSchema],
     attr: AttrRef,
-    *,
-    distinct_reduction: bool = True,
 ) -> CompiledQuery:
     """Lower the ``count_distinct`` form.
 
@@ -360,12 +358,10 @@ def compile_count_distinct(
     NULL counts as one distinct value — ``COUNT(DISTINCT attr)`` would
     silently drop it and disagree with the in-memory executor.
     """
-    inner = compile_distinct_values(
-        query, schemas, attr, distinct_reduction=distinct_reduction
-    )
+    inner = compile_distinct_values(query, schemas, attr)
     return CompiledQuery(
         sql=f"SELECT COUNT(*) FROM ({inner.sql})",
-        param_count=inner.param_count,
+        param_order=inner.param_order,
         decoders=(ColumnType.INT,),
     )
 
@@ -375,26 +371,21 @@ def compile_distinct_values_in(
     schemas: Mapping[str, TableSchema],
     attr: AttrRef,
     in_attr: AttrRef,
-    *,
-    distinct_reduction: bool = True,
 ) -> CompiledQuery:
     """Lower the batch-semijoin form: ``distinct_values`` restricted by
     ``in_attr IN ({binding set})``.
 
-    The IN term is appended *last*, so the driver binds the query's own
-    literal parameters first and the (chunked) binding values after —
+    The IN term is the *last* term of the outer ``WHERE`` (after the
+    ``EXISTS``), so the driver binds the query's own literal parameters
+    first and the (chunked) binding values after —
     :meth:`repro.db.backend.Driver.execute_batch` fills the marker.  A
     stored NULL never matches IN, and NULL binding values are stripped by
     the executor before compilation, matching the in-memory semantics.
     """
-    col = f"{quote_ident(attr.alias)}.{quote_ident(attr.attr)}"
-    frm = _from_clause(
-        query, schemas, reduce_tables=distinct_reduction, extra=(attr, in_attr)
-    )
-    sql = f"SELECT DISTINCT {col} {frm}{_where_clause(query, in_attr)}"
+    tail, param_order = _from_where(query, (attr, in_attr), in_attr)
     return CompiledQuery(
-        sql=sql,
-        param_count=_param_count(query),
+        sql=f"SELECT DISTINCT {_column(attr)} {tail}",
+        param_order=param_order,
         decoders=(_decoder_for(attr, query, schemas),),
         has_in_marker=True,
     )

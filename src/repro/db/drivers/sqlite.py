@@ -26,10 +26,14 @@ contract.  Design points that matter for the audit workload:
   the in-memory executor's "a batch semijoin counts as one query" rule.
 * **Schema catalog table** — every ingested table's
   :class:`~repro.db.schema.TableSchema` is stored as JSON in
-  ``_repro_schema``, written only after its rows are fully ingested, so
-  reopening a database file can rebuild the typed catalog (and a crash
-  mid-ingest leaves no catalog row, which the opener treats as "rebuild
-  from source").
+  ``_repro_schema``, written only after its rows are fully ingested and
+  indexed, so reopening a database file can rebuild the typed catalog
+  (and a crash mid-ingest leaves no catalog row, which the opener treats
+  as "rebuild from source").
+* **Bulk-load, then index** — :meth:`create_table` makes a bare table
+  and :meth:`create_indexes` builds the per-column indexes afterwards:
+  one sorted build per index instead of a B-tree update per column per
+  inserted row.
 """
 
 from __future__ import annotations
@@ -150,7 +154,9 @@ class SqliteDriver:
         )
 
     def create_table(self, schema: TableSchema, *, reset: bool = False) -> None:
-        """Create one table (and its per-column indexes).
+        """Create one bare table — no indexes, so a bulk ingest appends
+        rows without updating a B-tree per column; :meth:`create_indexes`
+        builds them once the rows are in.
 
         With ``reset`` the table and its catalog row are dropped first —
         the opener uses this when a database file exists but its catalog
@@ -164,12 +170,16 @@ class SqliteDriver:
                 (schema.name,),
             )
         self.execute(create_table_sql(schema))
+
+    def create_indexes(self, schema: TableSchema) -> None:
+        """Build the per-column indexes of one table (idempotent)."""
         for statement in index_sql(schema):
             self.execute(statement)
 
     def register_schema(self, schema: TableSchema, schema_json: dict[str, Any]) -> None:
-        """Record a table's schema in the catalog (call *after* ingest —
-        the catalog row is the backend's "table is complete" marker)."""
+        """Record a table's schema in the catalog (call *after* ingest
+        and indexing — the catalog row is the backend's "table is
+        complete" marker)."""
         self.execute(
             f"INSERT OR REPLACE INTO {quote_ident(SCHEMA_TABLE)} "
             "(name, schema_json) VALUES (?, ?)",

@@ -95,6 +95,22 @@ def _encoded_rows(
         yield [encode_value(v) for v in tup]
 
 
+def _build_table(
+    driver: SqliteDriver,
+    schema: TableSchema,
+    rows: Iterable[Sequence[Any] | Mapping[str, Any]],
+) -> None:
+    """Create one table and fill it, in the order that keeps both the
+    load cheap and a crash detectable: bare table, bulk ingest, *then*
+    the per-column indexes (one sorted build each instead of a B-tree
+    update per column per row), and the catalog row last — it is the
+    "table is complete" marker :func:`open_sql_database` trusts."""
+    driver.create_table(schema, reset=True)
+    driver.ingest_many(schema, _encoded_rows(schema, rows))
+    driver.create_indexes(schema)
+    driver.register_schema(schema, _schema_to_json(schema))
+
+
 class SqlTable:
     """A SQL-backed relation presenting the :class:`~repro.db.table.Table`
     read/write surface the audit tiers use.
@@ -253,8 +269,7 @@ class SqlDatabase:
                     f"table {schema.name!r} declares FK to missing table "
                     f"{fk.ref_table!r}"
                 )
-        self.driver.create_table(schema, reset=True)
-        self.driver.register_schema(schema, _schema_to_json(schema))
+        _build_table(self.driver, schema, ())
         table = SqlTable(self.driver, schema)
         self._tables[schema.name] = table
         return table
@@ -347,12 +362,13 @@ class SqlExecutor:
     """Evaluates :class:`ConjunctiveQuery` objects by SQL pushdown.
 
     Signature-compatible with the in-memory
-    :class:`~repro.db.executor.Executor`: ``predicate_pushdown`` and
-    ``vectorized`` are accepted for parity but have no effect (predicate
-    pushdown is inherent to SQL evaluation; there is no separate
-    vectorized path).  ``distinct_reduction`` still selects the paper's
-    multiplicity-reduction rewrite — with it, each tuple variable of a
-    distinct query becomes a ``SELECT DISTINCT`` subselect.
+    :class:`~repro.db.executor.Executor`: ``distinct_reduction``,
+    ``predicate_pushdown`` and ``vectorized`` are accepted for parity but
+    have no effect.  Predicate pushdown is inherent to SQL evaluation,
+    there is no separate vectorized path, and the SQL path has one
+    lowering: unprojected tuple variables of a distinct query are probed
+    through a correlated ``EXISTS``, which is the paper's multiplicity
+    reduction (see :mod:`repro.db.dialect`).
 
     Compiled SQL is memoized in ``plan_cache`` (shared process-wide by
     default, like in-memory plans) keyed on query shape, so the
@@ -386,7 +402,7 @@ class SqlExecutor:
         self.queries_executed += 1
         self._validate(query)
         compiled = self._compiled("execute", query)
-        rows = self.db.driver.execute(compiled.sql, condition_params(query))
+        rows = self._run(compiled, query)
         return QueryResult(
             tuple(query.projection), _decode_rows(rows, compiled.decoders)
         )
@@ -400,7 +416,7 @@ class SqlExecutor:
         self.queries_executed += 1
         self._validate(query)
         compiled = self._compiled("count", query, attr=target)
-        rows = self.db.driver.execute(compiled.sql, condition_params(query))
+        rows = self._run(compiled, query)
         return int(rows[0][0])
 
     def distinct_values(
@@ -411,7 +427,7 @@ class SqlExecutor:
         self.queries_executed += 1
         self._validate(query)
         compiled = self._compiled("values", query, attr=target)
-        rows = self.db.driver.execute(compiled.sql, condition_params(query))
+        rows = self._run(compiled, query)
         ctype = compiled.decoders[0]
         return {decode_value(r[0], ctype) for r in rows}
 
@@ -438,7 +454,7 @@ class SqlExecutor:
         compiled = self._compiled("semijoin", query, attr=attr, in_attr=in_attr)
         rows = self.db.driver.execute_batch(
             compiled.sql,
-            condition_params(query),
+            condition_params(compiled, query),
             [encode_value(v) for v in values],
         )
         ctype = compiled.decoders[0]
@@ -458,6 +474,14 @@ class SqlExecutor:
             for ref in query.projection:
                 if ref.alias == var.alias and not schema.has_column(ref.attr):
                     raise QueryError(f"no column {ref.attr!r} in {var.table!r}")
+
+    def _run(
+        self, compiled: CompiledQuery, query: ConjunctiveQuery
+    ) -> list[tuple[Any, ...]]:
+        """Run a compiled statement with ``query``'s literals bound."""
+        return self.db.driver.execute(
+            compiled.sql, condition_params(compiled, query)
+        )
 
     def _compiled(
         self,
@@ -479,7 +503,6 @@ class SqlExecutor:
             form,
             (attr.alias, attr.attr) if attr is not None else None,
             (in_attr.alias, in_attr.attr) if in_attr is not None else None,
-            self.distinct_reduction,
         )
         cached = self.plan_cache.lookup(key)
         if isinstance(cached, CompiledQuery):
@@ -487,28 +510,16 @@ class SqlExecutor:
         check_connected(query, self.allow_cartesian)
         schemas = {v.table: self.db.table(v.table).schema for v in query.tuple_vars}
         if form == "execute":
-            compiled = compile_execute(
-                query, schemas, distinct_reduction=self.distinct_reduction
-            )
+            compiled = compile_execute(query, schemas)
         elif form == "count":
             assert attr is not None
-            compiled = compile_count_distinct(
-                query, schemas, attr, distinct_reduction=self.distinct_reduction
-            )
+            compiled = compile_count_distinct(query, schemas, attr)
         elif form == "values":
             assert attr is not None
-            compiled = compile_distinct_values(
-                query, schemas, attr, distinct_reduction=self.distinct_reduction
-            )
+            compiled = compile_distinct_values(query, schemas, attr)
         else:
             assert attr is not None and in_attr is not None
-            compiled = compile_distinct_values_in(
-                query,
-                schemas,
-                attr,
-                in_attr,
-                distinct_reduction=self.distinct_reduction,
-            )
+            compiled = compile_distinct_values_in(query, schemas, attr, in_attr)
         self.plan_cache.store(key, compiled)
         return compiled
 
@@ -582,13 +593,8 @@ def open_sql_database(
         source_name, schemas = read_manifest(directory)
         db = SqlDatabase(driver, name=name or source_name, schemas=schemas)
         for schema in schemas:
-            driver.create_table(schema, reset=True)
-        for schema in schemas:
             csv_path = os.path.join(directory, f"{schema.name}.csv")
-            driver.ingest_many(
-                schema, _encoded_rows(schema, iter_table_csv(schema, csv_path))
-            )
-            driver.register_schema(schema, _schema_to_json(schema))
+            _build_table(driver, schema, iter_table_csv(schema, csv_path))
     else:
         db = SqlDatabase(
             driver,
@@ -596,10 +602,6 @@ def open_sql_database(
             schemas=[t.schema for t in source.tables()],
         )
         for table in source.tables():
-            driver.create_table(table.schema, reset=True)
-            driver.ingest_many(
-                table.schema, _encoded_rows(table.schema, table.rows())
-            )
-            driver.register_schema(table.schema, _schema_to_json(table.schema))
+            _build_table(driver, table.schema, table.rows())
     _register_name(driver, db.name)
     return db

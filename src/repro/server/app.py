@@ -641,9 +641,20 @@ class AuditServer:
                     return
         except (ConnectionError, asyncio.IncompleteReadError):
             pass
+        except asyncio.CancelledError:
+            # Only this server's own shutdown cancels a connection task
+            # (stop_async's drain, the background runner's final sweep)
+            # and nothing awaits its result, so the task ends normally:
+            # a task left *cancelled* makes start_server's done-callback
+            # (which calls task.exception()) log a traceback on 3.11.
+            pass
         finally:
             writer.close()
-            with contextlib.suppress(ConnectionError, OSError):
+            # (the same cancellation can land here instead, on a link the
+            # client closed a moment before the server did)
+            with contextlib.suppress(
+                ConnectionError, OSError, asyncio.CancelledError
+            ):
                 await writer.wait_closed()
 
     async def _dispatch(

@@ -16,6 +16,12 @@ both the brute-force reference restricted by membership and the union of
 one point query per binding value, across every executor configuration —
 including NULL join keys, NULLs inside the binding set, empty batches,
 and single-row batches.
+
+The last section aims at the SQL lowering's ``EXISTS`` form: literals
+whose bind order differs from their condition order (also under a
+multi-chunk binding set), NULL keys and NULL counts behind the
+``EXISTS``, and existential aliases that are disconnected or joined
+only through the projected alias.
 """
 
 from __future__ import annotations
@@ -468,3 +474,146 @@ def test_non_distinct_preserves_multiplicity(null_db):
     assert max(expected.values()) >= 2  # the duplicated (1, 10) row
     for label, executor in all_executors(null_db):
         assert Counter(executor.execute(query).rows) == expected, label
+
+
+# ----------------------------------------------------------------------
+# existential (non-projected) aliases: the SQL lowering moves them into a
+# correlated EXISTS, so its placeholder order differs from condition order
+# ----------------------------------------------------------------------
+def _star_query(conds, projection=(AttrRef("A", "x"),), distinct=True):
+    """``Left A`` joined to two ``Right`` aliases that touch only ``A``."""
+    tvars = [TupleVar("A", "Left"), TupleVar("B", "Right"), TupleVar("C", "Right")]
+    joins = [
+        Condition(AttrRef("A", "k"), "=", AttrRef("B", "k")),
+        Condition(AttrRef("C", "k"), "=", AttrRef("A", "k")),
+    ]
+    return ConjunctiveQuery.build(tvars, [*joins, *conds], projection, distinct=distinct)
+
+
+def param_order_conds(x):
+    """Literal placements whose bind order differs from their condition
+    order once the conditions on B / C move behind the outer ones (``x``
+    is the threshold on the projected ``A.x``)."""
+    return {
+        "inner_literal_before_outer": [
+            Condition(AttrRef("B", "y"), "=", Literal(300)),
+            Condition(AttrRef("A", "x"), "=", Literal(x)),
+        ],
+        "two_inner_aliases_around_outer": [
+            Condition(AttrRef("C", "y"), ">", Literal(100)),
+            Condition(AttrRef("A", "x"), "<=", Literal(x)),
+            Condition(AttrRef("B", "y"), "<=", Literal(300)),
+        ],
+        "null_literal_on_inner": [
+            Condition(AttrRef("B", "y"), "=", Literal(None)),
+            Condition(AttrRef("A", "x"), "=", Literal(x)),
+        ],
+        "null_literal_on_outer_after_inner": [
+            Condition(AttrRef("B", "y"), "=", Literal(300)),
+            Condition(AttrRef("A", "x"), "!=", Literal(None)),
+        ],
+    }
+
+
+PARAM_ORDER_CASES = sorted(param_order_conds(0))
+
+
+@pytest.mark.parametrize("case", PARAM_ORDER_CASES)
+def test_literals_bind_in_compiled_order(null_db, case):
+    query = _star_query(param_order_conds(40)[case])
+    assert_matches_reference(null_db, query)
+    expected = {row[0] for row in reference_evaluate(null_db, query)}
+    assert ("null" in case) == (not expected)  # non-NULL cases select rows
+    for label, executor in all_executors(null_db):
+        assert executor.distinct_values(query, AttrRef("A", "x")) == expected, label
+        assert executor.count_distinct(query, AttrRef("A", "x")) == len(expected), label
+
+
+@pytest.fixture(scope="module")
+def wide_db():
+    """More distinct ``Left.k`` values than one IN chunk holds."""
+    from repro.db.drivers.sqlite import MAX_BATCH_PARAMS
+
+    db = Database("wide")
+    left = db.create_table(
+        TableSchema.build("Left", [("k", ColumnType.INT), ("x", ColumnType.INT)])
+    )
+    right = db.create_table(
+        TableSchema.build("Right", [("k", ColumnType.INT), ("y", ColumnType.INT)])
+    )
+    n = MAX_BATCH_PARAMS + 100
+    left.insert_many([(k, k % 7) for k in range(n)])
+    left.insert((None, 3))
+    right.insert_many([(k, 100 * (k % 4)) for k in range(0, n, 15)])
+    right.insert((None, 300))
+    return db
+
+
+@pytest.mark.parametrize("case", PARAM_ORDER_CASES)
+def test_chunk_values_bind_after_query_literals(wide_db, case):
+    """A multi-chunk binding set still binds after the query's own
+    literals, whichever side of the EXISTS they landed on."""
+    query = _star_query(param_order_conds(4)[case])
+    attr, in_attr = AttrRef("A", "x"), AttrRef("A", "k")
+    values = set(wide_db.table("Left").distinct_values("k")) | {None, -1}
+    expected = reference_distinct_in(wide_db, query, attr, in_attr, values)
+    assert ("null" in case) == (not expected)
+    for label, executor in all_executors(wide_db):
+        got = executor.distinct_values_in(query, attr, in_attr, values)
+        assert got == expected, label
+    sql_executor = make_executor(sql_twin(wide_db))
+    before = sql_executor.db.driver.snapshot_stats()["batch_chunks"]
+    sql_executor.distinct_values_in(query, attr, in_attr, values)
+    assert sql_executor.db.driver.snapshot_stats()["batch_chunks"] - before >= 2
+
+
+def test_null_join_keys_inside_exists_body(null_db):
+    """B is existential here: its NULL key must not witness A's NULL key."""
+    query = ConjunctiveQuery.build(
+        [TupleVar("A", "Left"), TupleVar("B", "Right")],
+        [Condition(AttrRef("A", "k"), "=", AttrRef("B", "k"))],
+        [AttrRef("A", "x")],
+        distinct=True,
+    )
+    assert_matches_reference(null_db, query)
+    for label, executor in all_executors(null_db):
+        assert executor.distinct_values(query, AttrRef("A", "x")) == {10, None, 40}, label
+
+
+def test_count_distinct_counts_a_null_value_once(null_db):
+    """COUNT over the EXISTS form still counts NULL as one value."""
+    query = _star_query([])
+    for label, executor in all_executors(null_db):
+        # A.x over the joinable rows: 10 (twice), NULL, 40
+        assert executor.count_distinct(query, AttrRef("A", "x")) == 3, label
+
+
+def test_inner_aliases_connected_only_through_outer(null_db):
+    """B and C never join each other; both hang off the projected A."""
+    for conds in (
+        [],
+        [Condition(AttrRef("B", "y"), "<", AttrRef("C", "y"))],
+        [Condition(AttrRef("C", "y"), "=", Literal(300))],
+    ):
+        for distinct in (True, False):
+            assert_matches_reference(null_db, _star_query(conds, distinct=distinct))
+    # projecting from two of the three aliases leaves one existential
+    query = _star_query([], projection=(AttrRef("A", "x"), AttrRef("C", "y")))
+    assert_matches_reference(null_db, query)
+
+
+@pytest.mark.parametrize("other", ["Right", "Empty"])
+def test_disconnected_existential_alias(null_db, other):
+    """``allow_cartesian``: an unjoined alias only asks "is it non-empty?"."""
+    null_db.create_table(TableSchema.build("Empty", [("k", ColumnType.INT)]))
+    for conds in ([], [Condition(AttrRef("B", "k"), "=", Literal(2))]):
+        query = ConjunctiveQuery.build(
+            [TupleVar("A", "Left"), TupleVar("B", other)],
+            conds,
+            [AttrRef("A", "x")],
+            distinct=True,
+        )
+        assert_matches_reference(null_db, query, allow_cartesian=True)
+        expected = set() if other == "Empty" else {10, 20, None, 40}
+        for label, executor in all_executors(null_db, allow_cartesian=True):
+            assert executor.distinct_values(query, AttrRef("A", "x")) == expected, label

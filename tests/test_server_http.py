@@ -298,6 +298,23 @@ class TestProtocol:
         client.stats()
         assert client._conn is first
 
+    @pytest.mark.parametrize("drain", [False, True])
+    def test_close_with_live_connection_is_silent(self, drain, capfd, caplog):
+        """Shutdown cancels the task parked on an idle keep-alive link;
+        that must not surface as a CancelledError callback traceback."""
+        import asyncio
+
+        server = AuditServer(StubService(), port=0).start()
+        with AuditClient(server.host, server.port, timeout=10) as client:
+            client.healthz()  # the connection now idles in read_request()
+            if drain:
+                asyncio.run_coroutine_threadsafe(
+                    server.stop_async(drain=True, close_api=False), server._loop
+                ).result(timeout=10)
+            server.close()
+        assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []
+        assert capfd.readouterr().err == ""
+
     def test_unexplained_limit_is_clamped_not_rejected(self, stub_server):
         # a service whose queue works: reuse the real route shape
         class QueueService(StubService):

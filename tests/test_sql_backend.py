@@ -12,7 +12,10 @@ directed surfaces around that core:
   chunked batch-``IN`` pushdown beyond ``MAX_BATCH_PARAMS``, ingest
   accounting, idempotent close;
 * template-to-SQL compilation shapes (multiplicity-preserving counts,
-  the ``IN``-marker semijoin) and plan-cache memoization;
+  the ``IN``-marker semijoin, existential aliases behind ``EXISTS``) and
+  plan-cache memoization;
+* the plan-shape tripwire: every template form runs index-driven, with
+  nothing materialised per statement;
 * restart-reopen of file-backed databases — single-node and sharded
   (per-shard files, global log-id reconciliation);
 * the memory backend's explicit row cap (:class:`~repro.db.CapacityError`)
@@ -61,6 +64,8 @@ from repro.db.dialect import (
     IN_MARKER,
     compile_count_distinct,
     compile_distinct_values_in,
+    compile_execute,
+    condition_params,
 )
 from repro.db.drivers.sqlite import MAX_BATCH_PARAMS
 from repro.ehr import SimulationConfig, simulate
@@ -251,6 +256,55 @@ class TestCompilation:
         assert compiled.has_in_marker
         assert IN_MARKER in compiled.sql
 
+    def test_existential_alias_moves_into_exists(self):
+        """Only projected aliases stay in FROM; parameters bind in
+        compiled order (outer WHERE, then EXISTS body)."""
+        query = ConjunctiveQuery.build(
+            (TupleVar("A", "T"), TupleVar("B", "T")),
+            (
+                Condition(AttrRef("B", "b"), "=", Literal(True)),
+                Condition(AttrRef("A", "k"), "=", AttrRef("B", "k")),
+                Condition(AttrRef("A", "k"), ">", Literal(1)),
+            ),
+            (AttrRef("A", "k"),),
+            distinct=True,
+        )
+        compiled = compile_execute(query, {"T": MIXED_SCHEMA})
+        assert compiled.sql == (
+            'SELECT DISTINCT "A"."k" FROM "T" "A" WHERE "A"."k" > ? AND '
+            'EXISTS (SELECT 1 FROM "T" "B" WHERE "B"."b" = ? AND '
+            '"A"."k" = "B"."k")'
+        )
+        assert compiled.param_order == (2, 0)
+        assert condition_params(compiled, query) == (1, 1)
+        semijoin = compile_distinct_values_in(
+            query, {"T": MIXED_SCHEMA}, AttrRef("A", "k"), AttrRef("A", "d")
+        )
+        assert semijoin.sql.endswith(f') AND "A"."d" IN ({IN_MARKER})')
+        assert semijoin.param_order == (2, 0)
+
+    def test_non_distinct_execute_keeps_the_flat_join(self):
+        query = ConjunctiveQuery.build(
+            (TupleVar("A", "T"), TupleVar("B", "T")),
+            (Condition(AttrRef("A", "k"), "=", AttrRef("B", "k")),),
+            (AttrRef("A", "k"),),
+            distinct=False,
+        )
+        compiled = compile_execute(query, {"T": MIXED_SCHEMA})
+        assert compiled.sql == (
+            'SELECT "A"."k" FROM "T" "A", "T" "B" WHERE "A"."k" = "B"."k"'
+        )
+
+    def test_distinct_reduction_has_no_effect_on_sql(self):
+        db = SqlDatabase(SqliteDriver(None))
+        db.create_table(MIXED_SCHEMA).insert_many([(1, None, None)])
+        cache = PlanCache(max_size=8)
+        query = _single_table_query()
+        for flag in (True, False):
+            executor = SqlExecutor(db, plan_cache=cache, distinct_reduction=flag)
+            assert executor.execute(query).rows == [(1,)]
+        assert cache.stats()["misses"] == 1
+
     def test_plan_cache_memoizes_compiled_queries(self):
         db = SqlDatabase(SqliteDriver(None))
         db.create_table(MIXED_SCHEMA).insert_many([(1, None, None)])
@@ -294,6 +348,94 @@ class TestCompilation:
 
 
 # ----------------------------------------------------------------------
+# plan shape: every statement form is index-driven
+# ----------------------------------------------------------------------
+class TestPlanShape:
+    """No test that compares results can see a lowering that re-builds a
+    whole table per statement — the rows come out the same.  The query
+    plan shows it: a materialised subselect, a co-routine, an automatic
+    (per-statement) index, or a full scan of a base table."""
+
+    FORBIDDEN = ("MATERIALIZE", "CO-ROUTINE", "AUTOMATIC")
+
+    @pytest.fixture(scope="class")
+    def world(self):
+        from repro.api.service import standard_templates
+        from repro.audit.handcrafted import same_department_templates
+        from repro.ehr.schema import build_careweb_graph
+
+        sql_db = open_sql_database(_fresh_db(), None)
+        templates = standard_templates(sql_db)
+        # Log -> Appointments -> Users -> Users -> Log: a multi-hop path
+        templates += same_department_templates(build_careweb_graph(sql_db))[:1]
+        schemas = {t.schema.name: t.schema for t in sql_db.tables()}
+        return sql_db, schemas, templates
+
+    def assert_index_driven(self, sql_db, compiled, query, in_values=()):
+        sql = compiled.sql.replace(IN_MARKER, ", ".join("?" for _ in in_values))
+        params = condition_params(compiled, query) + tuple(in_values)
+        plan = [
+            row[-1]
+            for row in sql_db.driver.execute(f"EXPLAIN QUERY PLAN {sql}", params)
+        ]
+        assert any(line.startswith("SEARCH") for line in plan), plan
+        for line in plan:
+            assert not any(word in line for word in self.FORBIDDEN), (sql, plan)
+            assert not line.startswith("SCAN"), (sql, plan)
+
+    def extra_queries(self):
+        """Shapes the standard set lacks: a self-join whose inner alias
+        carries an inequality against a literal, and a two-hop path."""
+        log, lid = TupleVar("L", "Log"), AttrRef("L", "Lid")
+        self_join = ConjunctiveQuery.build(
+            (log, TupleVar("P", "Log")),
+            (
+                Condition(AttrRef("P", "Date"), "<", Literal(STAMP)),
+                Condition(AttrRef("L", "Patient"), "=", AttrRef("P", "Patient")),
+                Condition(AttrRef("P", "User"), "=", AttrRef("L", "User")),
+                Condition(AttrRef("P", "Lid"), "!=", AttrRef("L", "Lid")),
+            ),
+            (lid,),
+            distinct=True,
+        )
+        two_hop = ConjunctiveQuery.build(
+            (log, TupleVar("A", "Appointments"), TupleVar("U", "Users")),
+            (
+                Condition(AttrRef("L", "Patient"), "=", AttrRef("A", "Patient")),
+                Condition(AttrRef("A", "Doctor"), "=", AttrRef("U", "User")),
+                Condition(AttrRef("U", "Department"), "=", Literal("Pediatrics")),
+            ),
+            (lid,),
+            distinct=True,
+        )
+        return [self_join, two_hop]
+
+    def test_point_execute_form(self, world):
+        sql_db, schemas, templates = world
+        queries = [t.instance_query(lid=1) for t in templates]
+        for query in self.extra_queries():
+            pin = Condition(AttrRef("L", "Lid"), "=", Literal(1))
+            queries.append(
+                ConjunctiveQuery.build(
+                    query.tuple_vars,
+                    (*query.conditions, pin),
+                    query.projection,
+                    distinct=True,
+                )
+            )
+        for query in queries:
+            self.assert_index_driven(sql_db, compile_execute(query, schemas), query)
+
+    def test_semijoin_form(self, world):
+        sql_db, schemas, templates = world
+        lid = AttrRef("L", "Lid")
+        queries = [t.support_query() for t in templates] + self.extra_queries()
+        for query in queries:
+            compiled = compile_distinct_values_in(query, schemas, lid, lid)
+            self.assert_index_driven(sql_db, compiled, query, in_values=(1, 2, 3))
+
+
+# ----------------------------------------------------------------------
 # open_sql_database lifecycle and sharded file layout
 # ----------------------------------------------------------------------
 class TestOpenSqlDatabase:
@@ -309,6 +451,51 @@ class TestOpenSqlDatabase:
         assert reopened.table_names() == ["T"]
         assert reopened.table("T").rows() == [(1, STAMP, True), (None, None, None)]
         reopened.close()
+
+    @staticmethod
+    def _index_names(sql_db):
+        return {
+            row[0]
+            for row in sql_db.driver.execute(
+                "SELECT name FROM sqlite_master WHERE type = 'index'"
+            )
+        }
+
+    def test_every_build_path_ends_up_indexed(self, tmp_path):
+        """Tables are bulk-loaded bare and indexed afterwards; an empty
+        ``create_table`` must still come out with its indexes."""
+        wanted = {"idx_T_k", "idx_T_d", "idx_T_b"}
+        created = SqlDatabase(SqliteDriver(None))
+        created.create_table(MIXED_SCHEMA)
+        assert wanted <= self._index_names(created)
+        mem_db = Database("world")
+        mem_db.create_table(MIXED_SCHEMA).insert((1, STAMP, True))
+        assert wanted <= self._index_names(open_sql_database(mem_db, None))
+        save_database(mem_db, str(tmp_path / "csv"))
+        assert wanted <= self._index_names(
+            open_sql_database(str(tmp_path / "csv"), None)
+        )
+
+    def test_crash_before_indexing_leaves_no_catalog_row(self, tmp_path, monkeypatch):
+        """The catalog row is written after ingest *and* indexing, so a
+        build that dies in between is rebuilt from source on reopen."""
+        path = str(tmp_path / "world.db")
+        mem_db = Database("world")
+        mem_db.create_table(MIXED_SCHEMA).insert((1, STAMP, True))
+
+        def die(self, schema):
+            raise RuntimeError("killed while indexing")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(SqliteDriver, "create_indexes", die)
+            with pytest.raises(RuntimeError, match="killed"):
+                open_sql_database(mem_db, path)
+        with pytest.raises(SchemaError, match="no audited database"):
+            open_sql_database(None, path)
+        rebuilt = open_sql_database(mem_db, path)
+        assert rebuilt.table("T").rows() == [(1, STAMP, True)]
+        assert "idx_T_k" in self._index_names(rebuilt)
+        rebuilt.close()
 
     def test_missing_file_without_source_is_an_error(self, tmp_path):
         with pytest.raises(SchemaError, match="no audited database"):
