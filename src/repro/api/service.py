@@ -294,9 +294,10 @@ class AuditService:
     # internals
     # ------------------------------------------------------------------
     def _warm(self) -> None:
-        """Materialize the aggregate caches (explained set, unexplained
-        queue) so subsequent readers never mutate shared state."""
-        self.engine.unexplained_lids()
+        """Prepare the point probes and materialize the aggregate caches
+        (explained set, unexplained queue) so subsequent readers never
+        mutate shared state."""
+        self.engine.warm()
 
     def _monitor_instance(self) -> AccessMonitor:
         if self._monitor is None:

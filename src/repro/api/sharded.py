@@ -158,7 +158,7 @@ def build_shard_state(
         batch=config.batch_ingest,
     )
     if config.eager_warm:
-        engine.unexplained_lids()
+        engine.warm()
     return ShardState(
         index=index, db=db, config=config, engine=engine, monitor=monitor
     )
@@ -288,14 +288,14 @@ def _op_add_templates(
     for template in templates:
         state.engine.add_template(template)
     if state.config.eager_warm:
-        state.engine.unexplained_lids()
+        state.engine.warm()
     return len(templates)
 
 
 def _op_ingest_rows(state: ShardState, rows: Sequence[tuple]) -> list[StreamedAccess]:
     out = state.monitor.ingest_prepared(list(rows))
     if state.config.eager_warm:
-        state.engine.unexplained_lids()
+        state.engine.warm()
     return out
 
 

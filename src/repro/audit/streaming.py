@@ -9,7 +9,7 @@ ingest API and pluggable alert handlers.
 
 Because explanation templates are ordinary queries over current database
 state, streaming needs no new theory: each ingested access is appended to
-the log and explained by the engine's per-access path queries (repeat-
+the log and explained by the engine's prepared per-access probes (repeat-
 access templates automatically see earlier rows, including earlier
 streamed ones).
 
@@ -17,22 +17,27 @@ Incremental ingest path
 -----------------------
 With ``incremental=True`` (the default) each append rides the delta
 maintenance stack end to end: the log table patches its hash indexes and
-distinct projections in place (:meth:`repro.db.table.Table.insert`), the
-engine delta-evaluates every template against just the new row
-(:meth:`~repro.core.engine.ExplanationEngine.notify_appended`), and the
-per-access explanation itself is a point query the executor answers via
-index probes.  Total work per ingest is O(templates) point queries,
-independent of log size.  ``incremental=False`` restores the seed
-behavior — invalidate every cache and re-derive from scratch — and exists
-as the baseline for ``benchmarks/bench_streaming_ingest.py``.
+distinct projections in place (:meth:`repro.db.table.Table.insert`), and
+the engine delta-evaluates every template against just the new row
+(:meth:`~repro.core.engine.ExplanationEngine.notify_appended`) by calling
+that template's prepared point probes.  The maintenance pass and the
+verdict share one evaluation: the instance-probe rows that put the new
+row into a template's delta *are* its explanation instances, so the
+monitor explains and flags the access from what maintenance returned and
+issues no further query.  Total work per ingest is T + (extra
+log-ranging variables) probe calls for T templates — 12 for the 11
+standard templates — independent of log size.  ``incremental=False``
+restores the seed behavior — invalidate every cache and re-derive from
+scratch — and exists as the baseline for
+``benchmarks/bench_streaming_ingest.py``.
 
 Batch (set-at-a-time) ingest
 ----------------------------
 :meth:`AccessMonitor.ingest_many` maintains the engine in ONE pass for
 the whole batch.  The ``batch`` constructor toggle selects the strategy:
 ``True`` forces the batch-semijoin path (each template evaluated once
-against the whole appended set), ``False`` forces PR 1's per-row delta
-point queries, and ``None`` (default) lets the engine choose — semijoin
+against the whole appended set), ``False`` forces the per-row point
+probes, and ``None`` (default) lets the engine choose — semijoin
 for large batches, delta for small latency-sensitive appends.  Both
 strategies produce identical explained/unexplained sets.
 
@@ -52,6 +57,7 @@ from typing import Any
 
 from ..core.engine import ExplanationEngine
 from ..core.instance import ExplanationInstance
+from ..db.errors import DatabaseError
 
 
 @dataclass(frozen=True)
@@ -137,13 +143,15 @@ class AccessMonitor:
         (single access or whole batch)."""
         started = time.perf_counter()
         queries_before = self.engine.executor.queries_executed
-        yield
-        self.last_ingest_queries = (
-            self.engine.executor.queries_executed - queries_before
-        )
-        self.last_ingest_seconds = time.perf_counter() - started
-        self.total_queries += self.last_ingest_queries
-        self.total_seconds += self.last_ingest_seconds
+        try:
+            yield
+        finally:  # a failed ingest still spent its queries and its time
+            self.last_ingest_queries = (
+                self.engine.executor.queries_executed - queries_before
+            )
+            self.last_ingest_seconds = time.perf_counter() - started
+            self.total_queries += self.last_ingest_queries
+            self.total_seconds += self.last_ingest_seconds
 
     def _log_row(self, lid: Any, stamp: Any, user: Any, patient: Any) -> dict:
         """The one place an audit-log row dict is built (both ingest
@@ -217,6 +225,12 @@ class AccessMonitor:
         then each row is explained and alerted on in input order.  The
         monitor's own lid counter is advanced past every given integer id
         so later un-prepared :meth:`ingest` calls cannot collide.
+
+        If an append is rejected mid-batch (:class:`~repro.db.errors.
+        CapacityError`, :class:`~repro.db.errors.IntegrityError`) the
+        rows before it stay in the table; they are maintained, explained
+        and alerted on like any other before the error propagates, so
+        the engine never falls behind the log.
         """
         ints = [
             lid
@@ -245,21 +259,50 @@ class AccessMonitor:
             return out
         with self._measured():
             log = self.engine.db.table(self.engine.log_table)
-            log.insert_many(
-                self._log_row(lid, stamp, user, patient)
-                for lid, stamp, user, patient in rows
-            )
-            self.engine.notify_appended_many(
-                [lid for lid, _, _, _ in rows], use_semijoin=self.batch
-            )
-            out = [self._finish(*entry) for entry in rows]
-        return out
+            try:
+                log.insert_many(
+                    self._log_row(lid, stamp, user, patient)
+                    for lid, stamp, user, patient in rows
+                )
+            except DatabaseError:
+                # insert_many keeps the rows before the rejected one
+                landed = [
+                    row for row in rows if log.lookup(self.engine.log_id_attr, row[0])
+                ]
+                self._maintain(landed)
+                raise
+            return self._maintain(rows)
 
-    def _finish(self, lid: Any, stamp: Any, user: Any, patient: Any) -> StreamedAccess:
-        """Explain one appended row, update counters, fire alerts."""
-        instances = tuple(self.engine.explain(lid))
+    def _maintain(self, rows: list[tuple[Any, Any, Any, Any]]) -> list[StreamedAccess]:
+        """One engine maintenance pass over appended rows, then each row's
+        verdict — from the instances the pass already evaluated."""
+        delta = self.engine.notify_appended_many(
+            [lid for lid, _, _, _ in rows], use_semijoin=self.batch
+        )
+        return [
+            self._finish(*entry, instances=delta.instances.get(entry[0]))
+            for entry in rows
+        ]
+
+    def _finish(
+        self,
+        lid: Any,
+        stamp: Any,
+        user: Any,
+        patient: Any,
+        instances: list[ExplanationInstance] | None = None,
+    ) -> StreamedAccess:
+        """Give one appended row its verdict, update counters, fire
+        alerts.  ``instances`` are the maintenance pass's; a row it did
+        not probe individually is explained here."""
+        if instances is None:
+            instances = self.engine.explain(lid)
         access = StreamedAccess(
-            lid=lid, date=stamp, user=user, patient=patient, instances=instances
+            lid=lid,
+            date=stamp,
+            user=user,
+            patient=patient,
+            instances=tuple(instances),
         )
         self.seen += 1
         if access.suspicious:

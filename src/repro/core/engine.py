@@ -13,15 +13,24 @@ hand-crafted (Section 5.3.1) or mined (Section 3) — the engine answers:
   application (Section 1: "reduce the set of accesses that must be
   examined to those that are unexplained").
 
-Three evaluation paths
-----------------------
-* **point** — :meth:`ExplanationEngine.explain` pins one log id into each
-  template's query; the executor answers via index probes.  Right for
-  rendering the explanation *instances* of a single access.
-* **delta-streaming** — :meth:`ExplanationEngine.notify_appended` patches
-  the cached explained/unexplained sets with one point query per
-  (template, log-ranging tuple variable) after an append.  Right for
-  small, latency-sensitive streams.
+Two evaluation paths
+--------------------
+* **point** — every per-access question is a template query with one
+  log-ranging variable pinned to one log id.  The engine holds, per
+  template, *prepared probes* (:meth:`~repro.db.backend.ExecutorProtocol.
+  prepare_point`): one **instance probe** pinned on ``L.Lid`` whose rows
+  are the explanation instances of that access, and one **support probe**
+  per *other* log-ranging variable (the ``L2`` of the repeat-access
+  self-join), whose rows are the older accesses the pinned row newly
+  explains.  Validation, planning and compilation happen once per
+  template set; a call binds the id and probes indexes.
+  :meth:`ExplanationEngine.explain` runs the instance probes (T calls for
+  T templates); :meth:`ExplanationEngine.notify_appended` runs instance
+  and support probes for the appended row (T + extra-log-variables calls)
+  and evaluates each **once**: a non-empty instance-probe result is both
+  the row's membership in that template's delta and its explanation
+  instances, which the returned :class:`AppendDelta` hands to the caller
+  so an ingest verdict costs no second evaluation.
 * **batch-semijoin** — :meth:`ExplanationEngine.explain_batch` evaluates
   each template ONCE as a semijoin against a whole set of pending
   accesses (``L.Lid IN batch``) and partitions explained/unexplained in
@@ -38,11 +47,12 @@ log-id universe).  Two maintenance paths exist after the log grows:
 
 * :meth:`ExplanationEngine.notify_appended` **delta-evaluates** each
   template against just the appended log row: for every tuple variable
-  ranging over the log table the support query is re-run with that
-  variable pinned to the new row (a point query the executor answers via
-  index probes), and the resulting newly-explained ids are unioned into
-  the caches.  Conjunctive queries are monotone under inserts, so the
-  patched caches equal a from-scratch evaluation — the invariant pinned by
+  ranging over the log table the template's prepared probe for that
+  variable is called with the new row's id (an explanation involving the
+  new row must bind it to at least one of them), and the resulting
+  newly-explained ids are unioned into the caches.  Conjunctive queries
+  are monotone under inserts, so the patched caches equal a from-scratch
+  evaluation — the invariant pinned by
   ``tests/test_property_incremental.py``.
 * :meth:`ExplanationEngine.invalidate_cache` drops everything, forcing a
   full rebuild on next read.  It remains the correct call after
@@ -53,11 +63,11 @@ log-id universe).  Two maintenance paths exist after the log grows:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from collections.abc import Iterable, Sequence
-from typing import Any
+from collections.abc import Callable, Iterable, Sequence
+from typing import Any, NamedTuple
 
 from ..db.backend import AnyDatabase, ExecutorProtocol, make_executor
-from ..db.query import AttrRef, Condition, ConjunctiveQuery, Literal
+from ..db.query import AttrRef
 from .instance import ExplanationInstance, rank_instances
 from .template import ExplanationTemplate, dedupe_templates
 
@@ -91,6 +101,49 @@ class BatchExplanation:
     def is_explained(self, lid: Any) -> bool:
         """Whether one batched access found an explanation."""
         return lid in self.explained
+
+
+class AppendDelta(set):
+    """What one maintenance pass learned.  The set itself is the newly
+    explained log ids; ``instances`` maps every appended row the point
+    strategy probed to its ranked explanation instances (an empty list
+    means unexplained).  Rows evaluated set-at-a-time (the semijoin
+    strategy) are absent from it — ask :meth:`ExplanationEngine.explain`.
+    """
+
+    __slots__ = ("instances",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.instances: dict[Any, list[ExplanationInstance]] = {}
+
+
+#: ``probe(value) -> rows``, as returned by ``ExecutorProtocol.prepare_point``.
+Probe = Callable[[Any], list[tuple]]
+
+
+class _TemplateProbes(NamedTuple):
+    """One template's prepared point probes (see the module docstring)."""
+
+    template: ExplanationTemplate
+    #: the template's signature — its key in the explained-id cache
+    key: tuple
+    #: ``"alias.attr"`` per instance-probe column, and the log id's column
+    names: tuple[str, ...]
+    lid_pos: int
+    #: pinned on ``L.<lid>``: rows are explanation instances
+    instance: Probe
+    #: pinned on every other log-ranging variable: rows are ``(lid,)``
+    support: tuple[Probe, ...]
+
+    def instances_of(self, rows: list[tuple]) -> list[ExplanationInstance]:
+        template, names, lid_pos = self.template, self.names, self.lid_pos
+        return [
+            ExplanationInstance(
+                template=template, lid=row[lid_pos], bindings=dict(zip(names, row))
+            )
+            for row in rows
+        ]
 
 
 class ExplanationEngine:
@@ -130,6 +183,7 @@ class ExplanationEngine:
         # place by notify_appended).
         self._signatures: dict[ExplanationTemplate, tuple] = {}
         self._deduped: tuple[ExplanationTemplate, ...] | None = None
+        self._prepared: tuple[_TemplateProbes, ...] | None = None
         # (row_count, keys, (key, row) pairs) — owned by
         # repro.core.scan.LogScanner, declared here so the strict scan
         # module may assign it.
@@ -154,6 +208,7 @@ class ExplanationEngine:
         """
         self._templates.append(template)
         self._deduped = None
+        self._prepared = None
         self._all_explained = None
         self._unexplained = None
 
@@ -171,6 +226,45 @@ class ExplanationEngine:
             sig = template.signature()
             self._signatures[template] = sig
         return sig
+
+    def _probes(self) -> tuple[_TemplateProbes, ...]:
+        """The prepared point probes of every registered (deduplicated)
+        template, compiled on first use after the template set changes.
+
+        Probes hold names, never tables or indexes, so they survive
+        :meth:`invalidate_cache` and any amount of log growth; preparing
+        them builds no index.  A service forces this from :meth:`warm`,
+        under its write lock, so readers only ever call them.
+        """
+        if self._prepared is None:
+            self._prepared = tuple(self._prepare(t) for t in self.templates)
+        return self._prepared
+
+    def _prepare(self, template: ExplanationTemplate) -> _TemplateProbes:
+        prepare = self.executor.prepare_point
+        instance_query = template.instance_query()
+        support_query = template.support_query()
+        lid = AttrRef("L", self.log_id_attr)
+        return _TemplateProbes(
+            template=template,
+            key=self._sig(template),
+            names=tuple(str(c) for c in instance_query.projection),
+            lid_pos=instance_query.projection.index(lid),
+            instance=prepare(instance_query, lid),
+            support=tuple(
+                prepare(support_query, AttrRef(var.alias, self.log_id_attr))
+                for var in support_query.tuple_vars
+                if var.table == self.log_table and var.alias != lid.alias
+            ),
+        )
+
+    def warm(self) -> None:
+        """Build everything a reader would otherwise build on first use:
+        the prepared probes and the aggregate caches (explained set,
+        unexplained queue).  Writers call this before releasing their
+        lock, so concurrent readers never mutate shared state."""
+        self._probes()
+        self.unexplained_lids()
 
     # ------------------------------------------------------------------
     # whole-log queries
@@ -252,20 +346,11 @@ class ExplanationEngine:
     # ------------------------------------------------------------------
     def explain(self, lid: Any) -> list[ExplanationInstance]:
         """Every explanation instance for one log record, ranked in
-        ascending order of path length (paper Section 2.1)."""
+        ascending order of path length (paper Section 2.1) — one
+        instance-probe call per template."""
         instances: list[ExplanationInstance] = []
-        for template in self.templates:
-            query = template.instance_query(lid=lid)
-            result = self.executor.execute(query)
-            lid_pos = result.column_position(AttrRef("L", self.log_id_attr))
-            names = [str(c) for c in result.columns]
-            for row in result.rows:
-                bindings = dict(zip(names, row))
-                instances.append(
-                    ExplanationInstance(
-                        template=template, lid=row[lid_pos], bindings=bindings
-                    )
-                )
+        for probes in self._probes():
+            instances.extend(probes.instances_of(probes.instance(lid)))
         return rank_instances(instances)
 
     def explain_or_flag(self, lid: Any) -> tuple[list[ExplanationInstance], bool]:
@@ -335,7 +420,7 @@ class ExplanationEngine:
     # ------------------------------------------------------------------
     # incremental maintenance
     # ------------------------------------------------------------------
-    def notify_appended(self, lid: Any) -> set:
+    def notify_appended(self, lid: Any) -> AppendDelta:
         """Delta-maintain every cache after appending one log row.
 
         Re-evaluates each template against just the new row and patches the
@@ -355,14 +440,16 @@ class ExplanationEngine:
 
     def notify_appended_many(
         self, lids: Sequence[Any], use_semijoin: bool | None = None
-    ) -> set:
+    ) -> AppendDelta:
         """Delta-maintain every cache after a batch of log appends.
 
         One maintenance pass for the whole batch, with two strategies:
 
-        * **point** (``use_semijoin=False``): per (template, appended row,
-          log-ranging tuple variable) the executor answers one point
-          query — O(templates × len(lids)) total;
+        * **point** (``use_semijoin=False``): per (template, appended row)
+          the instance probe and every support probe are called once —
+          O(templates × len(lids)) probe calls total.  The instance-probe
+          rows double as the row's explanation instances, returned in
+          :attr:`AppendDelta.instances`;
         * **semijoin** (``use_semijoin=True``): per (template, log-ranging
           tuple variable) ONE batch semijoin restricts that variable to
           the whole appended set — O(templates) queries, independent of
@@ -371,7 +458,7 @@ class ExplanationEngine:
         ``use_semijoin=None`` (the default) picks semijoin for batches of
         at least ``SEMIJOIN_BATCH_MIN`` ids.  Both strategies compute the
         same delta (the semijoin is exactly the union of the point
-        queries; pinned by the property suite), including self-join
+        probes; pinned by the property suite), including self-join
         templates retroactively explaining *older* accesses.  The
         appended rows must already be in the log table.  Returns the
         union of newly explained log ids (cold-cache caveat of
@@ -385,35 +472,41 @@ class ExplanationEngine:
             self._all_lids.update(lids)
         batch = set(lids)
         target = AttrRef("L", self.log_id_attr)
-        newly: set = set()
-        for template in self.templates:
-            key = self._sig(template)
-            cached = self._lid_cache.get(key)
-            if cached is None:
-                # Never evaluated: warm over the full log (which already
-                # contains the new rows); one-time cost, delta thereafter.
-                self._lid_cache[key] = self.explained_lids(template)
-                newly |= self._lid_cache[key]
-                continue
-            delta: set = set()
-            if use_semijoin:
-                query = template.support_query()
+        newly = AppendDelta()
+        found = newly.instances
+        if not use_semijoin:
+            found.update((lid, []) for lid in lids)  # each distinct row once
+        for probes in self._probes():
+            cached = self._lid_cache.get(probes.key)
+            # Never evaluated: warm over the full log (which already
+            # contains the new rows); one-time cost, delta thereafter.
+            cold = cached is None
+            delta: set = set(self.explained_lids(probes.template)) if cold else set()
+            if not use_semijoin:
+                for lid in found:
+                    rows = probes.instance(lid)
+                    if rows:
+                        delta.add(lid)
+                        found[lid].extend(probes.instances_of(rows))
+                    if not cold:
+                        for probe in probes.support:
+                            delta.update(row[0] for row in probe(lid))
+            elif not cold:
+                query = probes.template.support_query()
                 for var in query.tuple_vars:
-                    if var.table != self.log_table:
-                        continue
-                    delta |= self.executor.distinct_values_in(
-                        query,
-                        target,
-                        AttrRef(var.alias, self.log_id_attr),
-                        batch,
-                    )
-            else:
-                for lid in lids:
-                    for restricted in self._point_queries(template, lid):
-                        delta |= self.executor.distinct_values(restricted, target)
-            delta -= cached
-            cached |= delta
+                    if var.table == self.log_table:
+                        delta |= self.executor.distinct_values_in(
+                            query,
+                            target,
+                            AttrRef(var.alias, self.log_id_attr),
+                            batch,
+                        )
+            if not cold:
+                delta -= cached
+                cached |= delta
             newly |= delta
+        for lid, instances in found.items():
+            found[lid] = rank_instances(instances)
         if self._all_explained is not None:
             self._all_explained |= newly
         if self._unexplained is not None:
@@ -422,32 +515,6 @@ class ExplanationEngine:
                 lid for lid in lids if lid not in self.all_explained_lids()
             )
         return newly
-
-    def _point_queries(
-        self, template: ExplanationTemplate, lid: Any
-    ) -> list[ConjunctiveQuery]:
-        """The template's support query pinned to one appended log row.
-
-        One restriction per tuple variable ranging over the log table: an
-        explanation involving the new row must bind it to at least one of
-        them, so the union of these point queries is exactly the append's
-        delta (conjunctive queries are monotone under inserts).
-        """
-        query = template.support_query()
-        out = []
-        for var in query.tuple_vars:
-            if var.table != self.log_table:
-                continue
-            pin = Condition(AttrRef(var.alias, self.log_id_attr), "=", Literal(lid))
-            out.append(
-                ConjunctiveQuery.build(
-                    query.tuple_vars,
-                    query.conditions + (pin,),
-                    query.projection,
-                    query.distinct,
-                )
-            )
-        return out
 
     def invalidate_cache(self) -> None:
         """Drop every cached set, forcing a full rebuild on next read.

@@ -22,7 +22,7 @@ the differential suites and the upper tiers may rely on either.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable, Sequence
 from typing import Any, Protocol, Union, runtime_checkable
 
 from .database import Database
@@ -57,7 +57,10 @@ class ExecutorProtocol(Protocol):
       in ``queries_executed`` regardless of internal chunking;
     * non-distinct ``execute`` results preserve full join multiplicity
       (the multiplicity-reduction rewrite applies only to distinct
-      output).
+      output);
+    * a ``prepare_point`` probe returns exactly the rows ``execute`` of
+      the pinned query returns, a NULL value matches nothing, and every
+      call counts as one query.
     """
 
     db: Any
@@ -89,6 +92,16 @@ class ExecutorProtocol(Protocol):
     ) -> set:
         """Batch semijoin: ``distinct_values`` with ``in_attr`` restricted
         to a binding set."""
+        ...
+
+    def prepare_point(
+        self, query: ConjunctiveQuery, pin: AttrRef
+    ) -> Callable[[Any], list[tuple[Any, ...]]]:
+        """Compile ``query AND pin = ?`` once: ``probe(value)`` returns
+        the rows of ``execute(query.pinned(pin, value))``, with
+        everything that does not depend on the value resolved up front
+        (the per-access ``L.Lid = ?`` question, asked per template per
+        access)."""
         ...
 
 

@@ -36,8 +36,17 @@ mining and streaming performance:
    pushdown split, greedy join order) is delegated to
    :func:`repro.db.optimizer.build_plan` and memoized in a shared
    :class:`repro.db.optimizer.PlanCache` keyed on *query shape*, so
-   repeated template evaluation (streamed point queries, batch semijoins,
-   mining support queries) never re-plans.
+   repeated template evaluation (batch semijoins, mining support queries)
+   never re-plans.
+6. **Prepared point probes** — the vectorized pipeline is split into
+   *compile stages from a plan* (:meth:`Executor._compile_pipeline`:
+   sources, row positions, join-key getters, filter closures, prune
+   projections — nothing that depends on a literal value or on table
+   contents) and *run stages* (:meth:`Executor._run_pipeline`).
+   :meth:`Executor.prepare_point` keeps the compiled half of ``query AND
+   pin = ?`` in a :class:`PointProbe`, so the per-access ``L.Lid = ?``
+   question costs one run per call; the generic entry points compile and
+   run back to back through the same body.
 
 Correctness of every pipeline configuration (with/without distinct
 reduction, with/without pushdown; point and batch paths) is pinned to a
@@ -48,7 +57,7 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
-from typing import Any
+from typing import Any, NamedTuple
 
 from .database import Database
 from .errors import QueryError
@@ -59,7 +68,10 @@ from .query import (
     ConjunctiveQuery,
     cond_attr_refs,
 )
-from .table import Table
+from .table import Table, tuple_getter
+
+#: One compiled residual condition: ``(rows, literals) -> kept rows``.
+Filter = Callable[[list[tuple], Sequence[Any]], list[tuple]]
 
 _OPS: dict[str, Callable[[Any, Any], bool]] = {
     "=": operator.eq,
@@ -86,35 +98,18 @@ INDEX_JOIN_RATIO = 4
 _EMPTY: tuple = ()
 
 
-def _tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
-    """A fast ``row -> (row[p] for p in positions)`` projector.
-
-    ``operator.itemgetter`` runs the extraction in C but returns a bare
-    scalar for a single position; wrap that case so callers always get
-    tuples.
-    """
-    if not positions:
-        return lambda row: ()
-    if len(positions) == 1:
-        p = positions[0]
-        return lambda row: (row[p],)
-    return operator.itemgetter(*positions)
-
-
 class _BaseRelation:
-    """One tuple variable's input to the join pipeline, materialized lazily.
+    """One tuple variable's input to the row-wise (reference) pipeline,
+    materialized lazily.
 
     When the variable carries point predicates, or a batch-semijoin
     ``IN``-restriction, they are resolved eagerly through the table's
-    (batch) index probes — small result.  Otherwise only the *size* is
-    computed up front (for join ordering) and rows are materialized on
-    demand — a join that takes the index-nested-loop path never
+    (batch) index probes — small result.  Otherwise rows are materialized
+    on demand — a join that takes the index-nested-loop path never
     materializes the build side at all.
     """
 
-    __slots__ = (
-        "table", "attrs", "cols", "reduce", "pristine", "vectorized", "_rows", "size"
-    )
+    __slots__ = ("table", "attrs", "cols", "reduce", "pristine", "_rows")
 
     def __init__(
         self,
@@ -124,13 +119,11 @@ class _BaseRelation:
         point_conds: list[Condition] | None,
         reduce_rows: bool,
         in_restrict: tuple[str, set] | None = None,
-        vectorized: bool = False,
     ) -> None:
         self.table = table
         self.attrs = attrs
         self.cols = [AttrRef(alias, a) for a in attrs]
         self.reduce = reduce_rows
-        self.vectorized = vectorized
         #: True when rows are exactly the table's (distinct) projection —
         #: the precondition for probing the table's projection index.
         self.pristine = not point_conds and in_restrict is None
@@ -148,24 +141,15 @@ class _BaseRelation:
                     if all(_compare(c.op, r[i], c.right.value) for i, c in rest_idx)
                 ]
             idxs = [table.schema.column_index(a) for a in attrs]
-            if vectorized:
-                rows = list(map(_tuple_getter(idxs), source))
-            else:
-                rows = [tuple(r[i] for i in idxs) for r in source]
+            rows = [tuple(r[i] for i in idxs) for r in source]
             if reduce_rows:
                 rows = list(dict.fromkeys(rows))
             if in_restrict is not None:
                 pos = attrs.index(in_restrict[0])
                 rows = [r for r in rows if r[pos] in in_restrict[1]]
             self._rows = rows
-            self.size = len(rows)
         elif in_restrict is not None:
             self._rows = self._restricted_rows(in_restrict)
-            self.size = len(self._rows)
-        elif reduce_rows:
-            self.size = len(table.project_distinct(attrs))
-        else:
-            self.size = len(table)
 
     def _restricted_rows(self, in_restrict: tuple[str, set]) -> list[tuple]:
         """Materialize ``attr IN values`` through the batch probe APIs.
@@ -173,15 +157,10 @@ class _BaseRelation:
         Small binding sets probe the delta-maintained (projection) index
         once per value; large ones scan and filter — the same adaptive
         switch as the index-nested-loop join.  ``values`` never contains
-        NULL (stripped by the caller: NULL never joins).  The vectorized
-        variant probes by set intersection (scalar-keyed projection index,
-        no per-value tuple allocation) and scans through the columnar
-        mirror — the typed ``array('q')`` one for clean int columns.
+        NULL (stripped by the caller: NULL never joins).
         """
         attr, values = in_restrict
         table, attrs = self.table, self.attrs
-        if self.vectorized:
-            return self._restricted_rows_vectorized(attr, values)
         if self.reduce:
             if len(values) * INDEX_JOIN_RATIO < max(1, len(table)):
                 probed = table.projection_probe_many(
@@ -201,8 +180,88 @@ class _BaseRelation:
             tuple(r[i] for i in idxs) for r in table.rows() if r[col] in values
         ]
 
-    def _restricted_rows_vectorized(self, attr: str, values: set) -> list[tuple]:
-        table, attrs = self.table, self.attrs
+    def rows(self) -> list[tuple]:
+        if self._rows is None:
+            if self.reduce:
+                self._rows = list(self.table.project_distinct(self.attrs))
+            else:
+                idxs = [self.table.schema.column_index(a) for a in self.attrs]
+                self._rows = [tuple(r[i] for i in idxs) for r in self.table.rows()]
+        return self._rows
+
+
+class _Source:
+    """One tuple variable's input to the vectorized pipeline, compiled.
+
+    Holds names only — table, needed attributes, pushed-down point
+    predicates, the semijoin-restricted attribute — so it is independent
+    of literal values and of table contents; :meth:`rows` materializes
+    it against the live table and one call's literals.  The table is
+    named, not held: a table replaced in the catalog is seen by the next
+    run.
+    """
+
+    __slots__ = ("table", "attrs", "cols", "reduce", "point", "in_attr", "indexed")
+
+    def __init__(
+        self,
+        table: str,
+        alias: str,
+        attrs: tuple[str, ...],
+        point: list[tuple[str, int]],
+        reduce_rows: bool,
+        in_attr: str | None,
+    ) -> None:
+        self.table = table
+        self.attrs = attrs
+        self.cols = [AttrRef(alias, a) for a in attrs]
+        self.reduce = reduce_rows
+        #: ``(attr, condition index)`` per point predicate; the literal is
+        #: read from the run's literals.
+        self.point = point
+        self.in_attr = in_attr
+        #: True when rows are exactly the table's distinct projection: a
+        #: join then probes the table's cached projection index.
+        self.indexed = reduce_rows and not point and in_attr is None
+
+    def rows(
+        self, table: Table, literals: Sequence[Any], in_values: set | None
+    ) -> list[tuple]:
+        """This run's rows: point predicates and the semijoin restriction
+        resolve through index probes (small result), anything else is the
+        table's (distinct) projection."""
+        attrs = self.attrs
+        if self.point:
+            first, index = self.point[0]
+            source = table.lookup(first, literals[index])
+            for attr, index in self.point[1:]:
+                col, value = table.schema.column_index(attr), literals[index]
+                source = [r for r in source if r[col] == value]
+            rows = list(map(table.row_getter(attrs), source))
+            if self.reduce:
+                rows = list(dict.fromkeys(rows))
+            if self.in_attr is not None:
+                pos = attrs.index(self.in_attr)
+                rows = [r for r in rows if r[pos] in in_values]
+            return rows
+        if self.in_attr is not None:
+            return self._restricted_rows(table, self.in_attr, in_values)
+        if self.reduce:
+            return list(table.project_distinct(attrs))
+        if attrs == table.schema.column_names:
+            return table.rows()  # identity projection: reuse storage
+        return list(map(table.row_getter(attrs), table.rows()))
+
+    def _restricted_rows(self, table: Table, attr: str, values: set) -> list[tuple]:
+        """Materialize ``attr IN values`` through the batch probe APIs.
+
+        Small binding sets probe by set intersection (scalar-keyed
+        projection index, no per-value tuple allocation); large ones scan
+        the columnar mirror — the typed ``array('q')`` one for clean int
+        columns.  ``values`` never contains NULL (stripped by the caller:
+        NULL never joins).
+        """
+        attrs = self.attrs
         small = len(values) * INDEX_JOIN_RATIO < max(1, len(table))
         if self.reduce:
             if small:
@@ -210,8 +269,7 @@ class _BaseRelation:
                 return [t for entries in probed.values() for t in entries]
             pos = attrs.index(attr)
             return [t for t in table.project_distinct(attrs) if t[pos] in values]
-        idxs = [table.schema.column_index(a) for a in attrs]
-        getter = _tuple_getter(idxs)
+        getter = table.row_getter(attrs)
         if small:
             return list(map(getter, table.lookup_many(attr, values)))
         col_vals = table.int_column_array(attr)
@@ -220,21 +278,79 @@ class _BaseRelation:
         rows = table.rows()
         return [getter(rows[i]) for i, v in enumerate(col_vals) if v in values]
 
-    def rows(self) -> list[tuple]:
-        if self._rows is None:
-            if self.reduce:
-                self._rows = list(self.table.project_distinct(self.attrs))
-            elif self.vectorized:
-                idxs = [self.table.schema.column_index(a) for a in self.attrs]
-                source = self.table.rows()
-                if idxs == list(range(self.table.schema.arity())):
-                    self._rows = source  # identity projection: reuse storage
-                else:
-                    self._rows = list(map(_tuple_getter(idxs), source))
-            else:
-                idxs = [self.table.schema.column_index(a) for a in self.attrs]
-                self._rows = [tuple(r[i] for i in idxs) for r in self.table.rows()]
-        return self._rows
+
+class _Stage(NamedTuple):
+    """One compiled pipeline step: bind ``source`` — the driving relation
+    when it is the first stage, else joined on ``key_attrs`` (empty for an
+    explicit cartesian product) — then apply the conditions that became
+    fully bound and drop the columns nothing downstream needs."""
+
+    source: _Source
+    key_attrs: tuple[str, ...]
+    #: Join-key extractors over a build-side row / a bound row: a bare
+    #: column position for single-attribute joins (scalar keys, no
+    #: per-row tuple allocation), else an ``itemgetter``.
+    build: Any
+    probe: Any
+    filters: list[Filter]
+    prune: Callable[[tuple], tuple] | None
+
+
+class _Pipeline(NamedTuple):
+    """A query shape compiled for the vectorized join body: the stages in
+    plan order, the output columns, and whether intermediates dedupe."""
+
+    stages: list[_Stage]
+    cols: list[AttrRef]
+    reduce: bool
+
+
+def _compile_filter(cond: Condition, index: int, pos: dict[AttrRef, int]) -> Filter:
+    """One residual condition as a specialized comprehension (SQL
+    three-valued semantics compiled into the ``is not None`` guards).  A
+    literal operand is read from ``literals[index]`` at run time, so one
+    compiled filter serves every query of the shape."""
+    op, li = cond.op, pos[cond.left]
+    if isinstance(cond.right, AttrRef):
+        ri = pos[cond.right]
+        if op == "=":
+            # x == None is False for every concrete x here, so one guard
+            # covers both NULL sides.
+            return lambda rows, literals: [
+                r for r in rows if r[li] is not None and r[li] == r[ri]
+            ]
+        cmp = _OPS[op]
+        return lambda rows, literals: [
+            r
+            for r in rows
+            if r[li] is not None and r[ri] is not None and cmp(r[li], r[ri])
+        ]
+    if op == "=":
+
+        def equals(rows: list[tuple], literals: Sequence[Any]) -> list[tuple]:
+            rv = literals[index]
+            if rv is None:
+                return []  # comparison with NULL is never true
+            return [r for r in rows if r[li] == rv]
+
+        return equals
+    cmp = _OPS[op]
+
+    def compares(rows: list[tuple], literals: Sequence[Any]) -> list[tuple]:
+        rv = literals[index]
+        if rv is None:
+            return []
+        return [r for r in rows if r[li] is not None and cmp(r[li], rv)]
+
+    return compares
+
+
+def _literals(query: ConjunctiveQuery) -> list[Any]:
+    """Per condition, its literal operand's value (None for attr-attr)."""
+    return [
+        None if isinstance(c.right, AttrRef) else c.right.value
+        for c in query.conditions
+    ]
 
 
 class QueryResult:
@@ -313,7 +429,7 @@ class Executor:
         rel_cols, rel_rows = self._join_all(query)
         pos = [rel_cols.index(ref) for ref in query.projection]
         if self.vectorized:
-            out = list(map(_tuple_getter(pos), rel_rows))
+            out = list(map(tuple_getter(pos), rel_rows))
         else:
             out = [tuple(row[p] for p in pos) for row in rel_rows]
         if query.distinct:
@@ -433,8 +549,8 @@ class Executor:
         needed_extra: Sequence[AttrRef],
         in_restrict: tuple[AttrRef, set] | None,
     ):
-        """Plan lookup + base-relation construction, shared by both the
-        row-wise and vectorized pipelines.
+        """Plan lookup + base-relation construction for the row-wise
+        pipeline.
 
         Base relations are projections of the needed attributes — distinct
         when multiplicity reduction is enabled (paper Section 3.2.1).
@@ -463,7 +579,6 @@ class Executor:
                 point_conds or None,
                 reduce_rows,
                 restrict,
-                vectorized=self.vectorized,
             )
         pending = [conditions[i] for i in plan.residual_idx]
         return plan, conditions, keep_always, reduce_rows, base, pending
@@ -615,8 +730,11 @@ class Executor:
     ) -> tuple[list[AttrRef], list[tuple]]:
         """The batch pipeline: same joins, same semantics, C-level loops.
 
-        Differences from :meth:`_join_all_rowwise`, none observable in the
-        result multiset (pinned by ``tests/test_executor_vectorized.py``):
+        Compiles the cached plan into stages (:meth:`_compile_pipeline`)
+        and runs them (:meth:`_run_pipeline`) — the same two halves a
+        prepared point probe keeps apart.  Differences from
+        :meth:`_join_all_rowwise`, none observable in the result multiset
+        (pinned by ``tests/test_executor_vectorized.py``):
 
         * probe keys come from one ``itemgetter`` per step (or a bare
           column read for single-attribute joins, probing a scalar-keyed
@@ -630,150 +748,261 @@ class Executor:
         * prune/projection dedup feed ``dict.fromkeys`` through
           ``map(itemgetter)``.
         """
-        plan, conditions, keep_always, reduce_rows, base, pending = self._prepare(
-            query, needed_extra, in_restrict
+        plan = self._plan_for(query, needed_extra, in_restrict)
+        pipeline = self._compile_pipeline(
+            query,
+            plan,
+            needed_extra,
+            in_restrict[0] if in_restrict else None,
+            self.distinct_reduction and query.distinct,
         )
+        rows = self._run_pipeline(
+            pipeline, _literals(query), in_restrict[1] if in_restrict else None
+        )
+        return pipeline.cols, rows
 
-        def applicable(cols: list[AttrRef]) -> list[Condition]:
-            """Pending conditions whose every attr ref is now bound."""
-            have = set(cols)
-            out = []
-            for cond in pending:
-                if all(ref in have for ref in cond_attr_refs(cond)):
-                    out.append(cond)
-            return out
+    def _compile_pipeline(
+        self,
+        query: ConjunctiveQuery,
+        plan: QueryPlan,
+        needed_extra: Sequence[AttrRef],
+        in_attr: AttrRef | None,
+        reduce_rows: bool,
+    ) -> _Pipeline:
+        """Resolve everything about a plan that no literal value and no
+        table content can change: per-variable sources, which conditions
+        become applicable after which step and at which row positions,
+        join-key extractors, and the prune projections."""
+        conditions = query.conditions
+        keep_always = set(query.projection) | set(needed_extra)
+        pending = list(plan.residual_idx)
+        table_names = {v.alias: v.table for v in query.tuple_vars}
 
-        def apply_filters(cols: list[AttrRef], rows: list[tuple]) -> list[tuple]:
-            conds = applicable(cols)
-            if not conds:
-                return rows
+        def source(alias: str) -> _Source:
+            name = table_names[alias]
+            return _Source(
+                name,
+                alias,
+                plan.needed[alias] or self.db.table(name).schema.column_names[:1],
+                [
+                    (conditions[i].left.attr, i)
+                    for i in plan.pushable_idx.get(alias, ())
+                ],
+                reduce_rows,
+                in_attr.attr if in_attr and in_attr.alias == alias else None,
+            )
+
+        def close_stage(
+            cols: list[AttrRef],
+            source: _Source,
+            key_attrs: tuple[str, ...] = (),
+            build: Any = None,
+            probe: Any = None,
+        ) -> tuple[_Stage, list[AttrRef]]:
+            """Compile the filters ``cols`` makes fully bound and the
+            prune that follows them; returns the stage and the columns
+            it leaves."""
             pos = {c: i for i, c in enumerate(cols)}
-            for cond in conds:
-                pending.remove(cond)
-                if not rows:
-                    continue
-                op, li = cond.op, pos[cond.left]
-                if isinstance(cond.right, AttrRef):
-                    ri = pos[cond.right]
-                    if op == "=":
-                        # x == None is False for every concrete x here, so
-                        # one guard covers both NULL sides.
-                        rows = [r for r in rows if r[li] is not None and r[li] == r[ri]]
-                    else:
-                        cmp = _OPS[op]
-                        rows = [
-                            r
-                            for r in rows
-                            if r[li] is not None
-                            and r[ri] is not None
-                            and cmp(r[li], r[ri])
-                        ]
-                else:
-                    rv = cond.right.value
-                    if rv is None:
-                        rows = []  # comparison with NULL is never true
-                    elif op == "=":
-                        rows = [r for r in rows if r[li] == rv]
-                    else:
-                        cmp = _OPS[op]
-                        rows = [
-                            r for r in rows if r[li] is not None and cmp(r[li], rv)
-                        ]
-            return rows
-
-        def prune(cols: list[AttrRef], rows: list[tuple]) -> tuple[list[AttrRef], list[tuple]]:
-            """Drop columns no pending condition / projection needs; dedup."""
+            filters = []
+            for i in list(pending):
+                if all(ref in pos for ref in cond_attr_refs(conditions[i])):
+                    pending.remove(i)
+                    filters.append(_compile_filter(conditions[i], i, pos))
             still_needed = set(keep_always)
-            for cond in pending:
-                still_needed.update(cond_attr_refs(cond))
+            for i in pending:
+                still_needed.update(cond_attr_refs(conditions[i]))
             keep_pos = [i for i, c in enumerate(cols) if c in still_needed]
-            if len(keep_pos) == len(cols):
-                return cols, rows
-            new_cols = [cols[i] for i in keep_pos]
-            projected = map(_tuple_getter(keep_pos), rows)
-            if reduce_rows:
-                new_rows = list(dict.fromkeys(projected))
-            else:
-                new_rows = list(projected)
-            return new_cols, new_rows
+            prune = None
+            if len(keep_pos) != len(cols):
+                prune = tuple_getter(keep_pos)
+                cols = [cols[i] for i in keep_pos]
+            return _Stage(source, key_attrs, build, probe, filters, prune), cols
 
-        start = plan.steps[0]
-        cols = list(base[start.alias].cols)
-        rows = base[start.alias].rows()
-        rows = apply_filters(cols, rows)
-        cols, rows = prune(cols, rows)
-
+        # The first step drives the pipeline: the planner ranks
+        # point-predicate and semijoin-restricted relations first.
+        start = source(plan.steps[0].alias)
+        stage, cols = close_stage(list(start.cols), start)
+        stages = [stage]
         for step in plan.steps[1:]:
-            join_conds = [conditions[i] for i in step.join_cond_idx]
-            vbase = base[step.alias]
-            vcols = vbase.cols
-            if join_conds:
-                probe_refs: list[AttrRef] = []
-                build_refs: list[AttrRef] = []
-                for cond in join_conds:
-                    if cond.left.alias == step.alias:
-                        build_refs.append(cond.left)
-                        probe_refs.append(cond.right)  # type: ignore[arg-type]
-                    else:
-                        build_refs.append(cond.right)  # type: ignore[arg-type]
-                        probe_refs.append(cond.left)
-                    pending.remove(cond)
-                single = len(probe_refs) == 1
-                if vbase.pristine and vbase.reduce:
+            joined = source(step.alias)
+            # split each join condition into (bound side, new side)
+            probe_refs: list[AttrRef] = []
+            build_refs: list[AttrRef] = []
+            for i in step.join_cond_idx:
+                cond = conditions[i]
+                if cond.left.alias == step.alias:
+                    build_refs.append(cond.left)
+                    probe_refs.append(cond.right)  # type: ignore[arg-type]
+                else:
+                    build_refs.append(cond.right)  # type: ignore[arg-type]
+                    probe_refs.append(cond.left)
+                pending.remove(i)
+            probe_pos = [cols.index(r) for r in probe_refs]
+            build_pos = [joined.cols.index(r) for r in build_refs]
+            build: Any = None  # explicit cartesian product (opt-in only)
+            probe: Any = None
+            if len(probe_refs) == 1:
+                build, probe = build_pos[0], probe_pos[0]
+            elif probe_refs:
+                build = operator.itemgetter(*build_pos)
+                probe = operator.itemgetter(*probe_pos)
+            stage, cols = close_stage(
+                cols + joined.cols,
+                joined,
+                tuple(r.attr for r in build_refs),
+                build,
+                probe,
+            )
+            stages.append(stage)
+        if pending:
+            raise QueryError(
+                f"unapplied conditions remain: {[conditions[i] for i in pending]}"
+            )
+        return _Pipeline(stages, cols, reduce_rows)
+
+    def _run_pipeline(
+        self, pipeline: _Pipeline, literals: Sequence[Any], in_values: set | None
+    ) -> list[tuple]:
+        """The one vectorized join body: run compiled stages against the
+        live tables with one call's literals (and semijoin binding set).
+
+        Tables and their indexes are fetched by name on every run, so a
+        compiled pipeline never outlives an index a
+        ``Table.invalidate_caches()``/``clear()`` dropped.
+        """
+        table_of = self.db.table
+        rows: list[tuple] | None = None
+        for stage in pipeline.stages:
+            source = stage.source
+            table = table_of(source.table)
+            if rows is None:
+                rows = source.rows(table, literals, in_values)
+            elif not rows:
+                return rows  # nothing left to join: the result is empty
+            elif not stage.key_attrs:
+                vrows = source.rows(table, literals, in_values)
+                rows = [row + vrow for row in rows for vrow in vrows]
+            else:
+                single = len(stage.key_attrs) == 1
+                if source.indexed:
                     # Probe the table's delta-maintained projection index —
                     # the cached hash map this join would otherwise build
                     # per call (scalar-keyed for single-attribute joins).
                     if single:
-                        hashmap: dict = vbase.table.projection_index_scalar(
-                            vbase.attrs, build_refs[0].attr
+                        hashmap: dict = table.projection_index_scalar(
+                            source.attrs, stage.key_attrs[0]
                         )
                     else:
-                        hashmap = vbase.table.projection_index(
-                            vbase.attrs, [r.attr for r in build_refs]
+                        hashmap = table.projection_index(
+                            source.attrs, stage.key_attrs
                         )
-                elif single:
-                    b0 = vcols.index(build_refs[0])
-                    hashmap = {}
-                    for vrow in vbase.rows():
-                        k = vrow[b0]
-                        if k is None:
-                            continue  # NULL never joins
-                        hashmap.setdefault(k, []).append(vrow)
                 else:
-                    bget = operator.itemgetter(
-                        *[vcols.index(r) for r in build_refs]
-                    )
                     hashmap = {}
-                    for vrow in vbase.rows():
-                        key = bget(vrow)
-                        if None in key:
-                            continue  # NULL never joins
-                        hashmap.setdefault(key, []).append(vrow)
-                get = hashmap.get
+                    build = stage.build
+                    vrows = source.rows(table, literals, in_values)
+                    if single:
+                        for vrow in vrows:
+                            key = vrow[build]
+                            if key is not None:  # NULL never joins
+                                hashmap.setdefault(key, []).append(vrow)
+                    else:
+                        for vrow in vrows:
+                            key = build(vrow)
+                            if None not in key:
+                                hashmap.setdefault(key, []).append(vrow)
+                get, probe = hashmap.get, stage.probe
                 if single:
-                    p0 = cols.index(probe_refs[0])
-                    joined = [
-                        row + vrow for row in rows for vrow in get(row[p0], _EMPTY)
+                    rows = [
+                        row + vrow for row in rows for vrow in get(row[probe], _EMPTY)
                     ]
                 else:
-                    pget = operator.itemgetter(
-                        *[cols.index(r) for r in probe_refs]
-                    )
-                    joined = [
-                        row + vrow for row in rows for vrow in get(pget(row), _EMPTY)
+                    rows = [
+                        row + vrow for row in rows for vrow in get(probe(row), _EMPTY)
                     ]
-            else:  # explicit cartesian product (opt-in only)
-                joined = [row + vrow for row in rows for vrow in vbase.rows()]
+            for apply in stage.filters:
+                if not rows:
+                    break
+                rows = apply(rows, literals)
+            if stage.prune is not None:
+                projected = map(stage.prune, rows)
+                if pipeline.reduce:
+                    rows = list(dict.fromkeys(projected))
+                else:
+                    rows = list(projected)
+        assert rows is not None  # a plan has at least one step
+        return rows
 
-            cols = cols + list(vcols)
-            joined = apply_filters(cols, joined)
-            cols, rows = prune(cols, joined)
+    # ------------------------------------------------------------------
+    # prepared point probes
+    # ------------------------------------------------------------------
+    def prepare_point(self, query: ConjunctiveQuery, pin: AttrRef) -> "PointProbe":
+        """Compile ``query AND pin = ?`` once; the returned probe binds
+        the value per call (see :class:`PointProbe`)."""
+        return PointProbe(self, query, pin)
 
-        if pending:  # only single-var conditions could remain; apply them
-            rows = apply_filters(cols, rows)
-        if pending:
-            raise QueryError(f"unapplied conditions remain: {pending}")
-        return cols, rows
+
+#: Stands in for the bound value while a probe's shape is validated and
+#: planned (any non-NULL literal makes the pin a pushable point predicate).
+_UNBOUND = object()
+
+
+class PointProbe:
+    """``probe(value)`` returns the rows of ``query AND pin = value`` in
+    ``query.projection`` order — :meth:`Executor.execute` of that pinned
+    query, with everything that does not depend on ``value`` done once.
+
+    Validation, the plan (the pinned variable is a point predicate, so it
+    drives the join order) and the compiled pipeline are resolved at
+    construction; a call binds the value and runs the stages.  Planning
+    ranks by raw row counts and compilation touches only schemas, so a
+    probe can be prepared at open time without building any index —
+    indexes still build lazily, on the first call that needs them.
+
+    The pipeline is compiled for the default executor configuration.  The
+    ablation toggles (``vectorized``, ``predicate_pushdown``,
+    ``distinct_reduction``) are checked per call — benchmarks flip them
+    after construction — and when any is off the probe evaluates through
+    the generic :meth:`Executor.execute`, so a reference configuration
+    keeps meaning what it says.  Every call counts as one query.
+    """
+
+    __slots__ = ("executor", "query", "pin", "_pipeline", "_literals", "_project")
+
+    def __init__(self, executor: Executor, query: ConjunctiveQuery, pin: AttrRef) -> None:
+        self.executor = executor
+        self.query = query
+        self.pin = pin
+        shape = query.pinned(pin, _UNBOUND)
+        executor._validate(shape)
+        plan = build_plan(
+            executor.db,
+            shape,
+            allow_cartesian=executor.allow_cartesian,
+            size_by_projection=False,
+        )
+        self._pipeline = executor._compile_pipeline(
+            shape, plan, (), None, query.distinct
+        )
+        self._literals = _literals(query)
+        cols = self._pipeline.cols
+        self._project = tuple_getter([cols.index(r) for r in query.projection])
+
+    def __call__(self, value: Any) -> list[tuple]:
+        executor = self.executor
+        if not (
+            executor.vectorized
+            and executor.predicate_pushdown
+            and executor.distinct_reduction
+        ):
+            return executor.execute(self.query.pinned(self.pin, value)).rows
+        executor.queries_executed += 1
+        if value is None:
+            return []  # comparison with NULL is never true
+        rows = executor._run_pipeline(self._pipeline, self._literals + [value], None)
+        out = map(self._project, rows)
+        if self.query.distinct:
+            return list(dict.fromkeys(out))
+        return list(out)
 
 
 def explain_query(db: Database, query: ConjunctiveQuery) -> str:

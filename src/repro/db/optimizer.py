@@ -220,6 +220,7 @@ def build_plan(
     predicate_pushdown: bool = True,
     allow_cartesian: bool = False,
     in_alias: str | None = None,
+    size_by_projection: bool = True,
 ) -> QueryPlan:
     """Plan one query: needed attributes, pushdown split, join order.
 
@@ -227,7 +228,10 @@ def build_plan(
     is ranked like a point-predicate relation (assumed small) so the
     binding set drives the pipeline.  Table sizes are consulted only to
     order joins — the resulting plan contains no data, so the caller may
-    cache and reuse it as tables grow.
+    cache and reuse it as tables grow.  ``size_by_projection=False``
+    ranks by raw row counts instead of distinct-projection sizes, so
+    planning builds nothing: prepared point probes are planned when a
+    service opens, and their projections must stay lazy.
     """
     conditions = query.conditions
 
@@ -266,8 +270,9 @@ def build_plan(
             return (0, 1)
         table = db.table(table_name)
         attrs = needed_attrs[alias] or (table.schema.column_names[0],)
-        size = len(table.project_distinct(attrs)) if reduce_rows else len(table)
-        return (1, size)
+        if reduce_rows and size_by_projection:
+            return (1, len(table.project_distinct(attrs)))
+        return (1, len(table))
 
     tuple_vars = list(query.tuple_vars)
     ranks = {v.alias: rank(v.alias, v.table) for v in tuple_vars}

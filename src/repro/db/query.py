@@ -175,6 +175,18 @@ class ConjunctiveQuery:
                 return v
         raise QueryError(f"unknown alias: {alias!r}")
 
+    def pinned(self, pin: AttrRef, value: Any) -> "ConjunctiveQuery":
+        """This query with ``pin = value`` appended as the *last*
+        condition — the per-access point restriction (``L.Lid = ?``)
+        that :meth:`~repro.db.backend.ExecutorProtocol.prepare_point`
+        compiles once and binds per call."""
+        return ConjunctiveQuery(
+            self.tuple_vars,
+            self.conditions + (Condition(pin, "=", Literal(value)),),
+            self.projection,
+            self.distinct,
+        )
+
     def join_conditions(self) -> list[Condition]:
         """The equality conditions that act as join edges."""
         return [c for c in self.conditions if c.is_join]

@@ -37,7 +37,7 @@ from __future__ import annotations
 
 import json
 import os
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from .csvio import _schema_from_json, _schema_to_json, iter_table_csv, read_manifest
@@ -459,6 +459,30 @@ class SqlExecutor:
         )
         ctype = compiled.decoders[0]
         return {decode_value(r[0], ctype) for r in rows}
+
+    def prepare_point(
+        self, query: ConjunctiveQuery, pin: AttrRef
+    ) -> Callable[[Any], list[tuple[Any, ...]]]:
+        """Compile ``query AND pin = ?`` once: validation, the SQL text,
+        the bind order and the row decoders are fixed here; a call
+        encodes the value into its slot and runs the statement (the SQL
+        twin of :class:`repro.db.executor.PointProbe`)."""
+        shape = query.pinned(pin, 0)
+        self._validate(shape)
+        compiled = self._compiled("execute", shape)
+        params = list(condition_params(compiled, shape))
+        slot = compiled.param_order.index(len(query.conditions))
+
+        def probe(value: Any) -> list[tuple[Any, ...]]:
+            self.queries_executed += 1
+            if value is None:
+                return []  # comparison with NULL is never true
+            bound = list(params)
+            bound[slot] = encode_value(value)
+            rows = self.db.driver.execute(compiled.sql, bound)
+            return _decode_rows(rows, compiled.decoders)
+
+        return probe
 
     # ------------------------------------------------------------------
     # internals

@@ -40,8 +40,9 @@ after arbitrary interleavings of inserts and reads.
 
 from __future__ import annotations
 
+import operator
 from array import array
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
 from .errors import CapacityError, IntegrityError, UnknownColumnError
@@ -50,6 +51,21 @@ from .schema import ColumnType, TableSchema
 #: Sentinel for "no typed mirror possible" in the int-array cache, so a
 #: column that once saw a NULL/overflow is not re-scanned on every call.
 _NO_TYPED_MIRROR = object()
+
+
+def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
+    """A fast ``row -> (row[p] for p in positions)`` projector.
+
+    ``operator.itemgetter`` runs the extraction in C but returns a bare
+    scalar for a single position; wrap that case so callers always get
+    tuples.
+    """
+    if not positions:
+        return lambda row: ()
+    if len(positions) == 1:
+        p = positions[0]
+        return lambda row: (row[p],)
+    return operator.itemgetter(*positions)
 
 
 def coerce_row(schema: TableSchema, row: Sequence[Any] | Mapping[str, Any]) -> tuple:
@@ -129,6 +145,8 @@ class Table:
         #: column -> array('q') mirror, or _NO_TYPED_MIRROR when the
         #: column is not cleanly int-typed (NULLs, non-INT type, overflow).
         self._int_arrays: dict[str, Any] = {}
+        #: column names -> row projector (schema-only, so never invalidated)
+        self._row_getters: dict[tuple[str, ...], Callable[[tuple], tuple]] = {}
 
     # ------------------------------------------------------------------
     # mutation
@@ -271,6 +289,20 @@ class Table:
     def row(self, position: int) -> tuple:
         """The row tuple at a storage position."""
         return self._rows[position]
+
+    def row_getter(self, columns: Sequence[str]) -> Callable[[tuple], tuple]:
+        """A cached ``row -> (row[c] for c in columns)`` projector.
+
+        Lets callers that hold only column *names* (cached plans, prepared
+        point probes) project stored rows without carrying schema offsets
+        of their own: the offsets live with the table they belong to.
+        """
+        key = tuple(columns)
+        getter = self._row_getters.get(key)
+        if getter is None:
+            getter = tuple_getter([self.schema.column_index(c) for c in key])
+            self._row_getters[key] = getter
+        return getter
 
     def column_array(self, column: str) -> list[Any]:
         """One column's values in row order (the live columnar array).

@@ -143,13 +143,15 @@ class TestConfigDrivesService:
 
         graph = SchemaGraph(hospital_db)
         template = event_user_template(graph, "Appointments", "Doctor")
-        service = AuditService.open(hospital_db, templates=[template])
-        service.explain(116)
-        service.explain(130)
+        service = AuditService.open(
+            hospital_db, templates=[template], config=AuditConfig(eager_warm=False)
+        )
+        service.explain_batch([116])
+        service.explain_batch([130])
         stats = service.stats()["plan_cache"]
         assert set(stats) == {"hits", "misses", "size"}
         assert stats["misses"] >= 1
-        assert stats["hits"] >= 1  # repeated point-query shape re-used
+        assert stats["hits"] >= 1  # repeated semijoin shape re-used
 
     def test_executor_toggles_from_config(self, hospital_db):
         service = AuditService.open(

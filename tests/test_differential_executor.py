@@ -22,6 +22,14 @@ whose bind order differs from their condition order (also under a
 multi-chunk binding set), NULL keys and NULL counts behind the
 ``EXISTS``, and existential aliases that are disconnected or joined
 only through the projected alias.
+
+The prepared-point-probe section holds ``prepare_point(query, pin)`` to
+the same two standards on both backends: ``probe(value)`` equals the
+brute-force reference of ``query.pinned(pin, value)`` and the generic
+``execute`` of it — present and absent values, NULL, duplicated rows,
+NULL join keys, literal and inequality conditions beside the pin,
+existential aliases over an empty table, and toggles flipped after the
+probe was prepared.
 """
 
 from __future__ import annotations
@@ -354,13 +362,7 @@ def point_union_distinct(executor, query, attr, in_attr, values) -> set:
     """The per-access path: one point query per binding value, unioned."""
     out: set = set()
     for value in values:
-        pinned = ConjunctiveQuery.build(
-            query.tuple_vars,
-            query.conditions + (Condition(in_attr, "=", Literal(value)),),
-            query.projection,
-            query.distinct,
-        )
-        out |= executor.distinct_values(pinned, attr)
+        out |= executor.distinct_values(query.pinned(in_attr, value), attr)
     return out
 
 
@@ -617,3 +619,128 @@ def test_disconnected_existential_alias(null_db, other):
         expected = set() if other == "Empty" else {10, 20, None, 40}
         for label, executor in all_executors(null_db, allow_cartesian=True):
             assert executor.distinct_values(query, AttrRef("A", "x")) == expected, label
+
+
+# ----------------------------------------------------------------------
+# prepared point probes: prepare_point(query, pin)(value) must equal the
+# brute-force reference and the generic execute of query.pinned(pin, value)
+# ----------------------------------------------------------------------
+def assert_probe_matches(db, query, pin, values, **kw):
+    for label, executor in all_executors(db, **kw):
+        probe = executor.prepare_point(query, pin)
+        for value in values:
+            pinned = query.pinned(pin, value)
+            expected = Counter(reference_evaluate(db, pinned))
+            before = executor.queries_executed
+            got = Counter(probe(value))
+            where = f"({label}, {pin} = {value!r}) for query:\n{query}"
+            assert executor.queries_executed == before + 1, where
+            assert got == expected, f"probe != reference {where}"
+            assert got == Counter(executor.execute(pinned).rows), where
+
+
+@pytest.mark.parametrize("seed", range(12))
+def test_random_point_probes_match_reference(seed):
+    """Seeded random queries pinned on a random attribute: present and
+    absent values, NULL, and values several rows share."""
+    rng = random.Random(9000 + seed)
+    db = random_database(rng)
+    for _ in range(8):
+        query = random_query(rng, db)
+        pin = random_attr(rng, list(query.tuple_vars), db)
+        assert_probe_matches(db, query, pin, VALUE_DOMAIN + [7])
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_cartesian_point_probes_match_reference(seed):
+    rng = random.Random(9500 + seed)
+    db = random_database(rng)
+    for _ in range(5):
+        query = random_query(rng, db, connected=False)
+        pin = random_attr(rng, list(query.tuple_vars), db)
+        assert_probe_matches(db, query, pin, VALUE_DOMAIN, allow_cartesian=True)
+
+
+@pytest.mark.parametrize("distinct", [True, False])
+def test_point_probe_null_keys_and_duplicates(null_db, distinct):
+    """NULL join keys never pair up behind a probe, a NULL value matches
+    nothing (not even stored NULLs), and the duplicated ``(1, 10)`` row
+    keeps its multiplicity when the query is not distinct."""
+    query = _join_query(distinct=distinct)
+    for pin in (AttrRef("A", "k"), AttrRef("A", "x"), AttrRef("B", "y")):
+        assert_probe_matches(null_db, query, pin, [1, 2, 10, 300, None, 99])
+    for label, executor in all_executors(null_db):
+        probe = executor.prepare_point(query, AttrRef("A", "k"))
+        assert probe(None) == [], label
+        assert len(probe(1)) == (1 if distinct else 2), label
+
+
+def test_point_probe_composes_with_literal_conditions(null_db):
+    """The pin shares its alias with (and joins against) literal point
+    predicates, a NULL literal, and an inequality filter."""
+    for extra in (
+        (Condition(AttrRef("A", "k"), "=", Literal(2)),),
+        (Condition(AttrRef("B", "y"), "=", Literal(300)),),
+        (Condition(AttrRef("B", "y"), "=", Literal(None)),),
+        (Condition(AttrRef("A", "x"), ">=", Literal(20)),),
+        (Condition(AttrRef("A", "x"), "<", AttrRef("B", "y")),),
+    ):
+        query = _join_query(extra=extra)
+        assert_probe_matches(null_db, query, AttrRef("A", "x"), [10, 40, None, 7])
+        assert_probe_matches(null_db, query, AttrRef("B", "k"), [1, 2, None])
+
+
+@pytest.mark.parametrize("other", ["Right", "Empty"])
+def test_point_probe_existential_alias_over_empty_table(null_db, other):
+    null_db.create_table(TableSchema.build("Empty", [("k", ColumnType.INT)]))
+    joined = ConjunctiveQuery.build(
+        [TupleVar("A", "Left"), TupleVar("B", other)],
+        [Condition(AttrRef("A", "k"), "=", AttrRef("B", "k"))],
+        [AttrRef("A", "x")],
+    )
+    assert_probe_matches(null_db, joined, AttrRef("A", "k"), [1, 2, None])
+    unjoined = ConjunctiveQuery.build(
+        [TupleVar("A", "Left"), TupleVar("B", other)], [], [AttrRef("A", "x")]
+    )
+    assert_probe_matches(
+        null_db, unjoined, AttrRef("A", "k"), [1, 2, None], allow_cartesian=True
+    )
+
+
+@pytest.mark.parametrize("toggle", ["vectorized", "predicate_pushdown", "distinct_reduction"])
+def test_point_probe_honours_toggles_flipped_after_prepare(null_db, toggle):
+    """Benches flip the ablation toggles on a live executor: a probe
+    prepared before the flip then evaluates through the generic path of
+    that configuration, and switches back with the toggle."""
+    executor = make_executor(null_db)
+    query = _join_query(distinct=False)
+    probe = executor.prepare_point(query, AttrRef("A", "k"))
+    expected = Counter(reference_evaluate(null_db, query.pinned(AttrRef("A", "k"), 1)))
+    lookups = executor.plan_cache.hits + executor.plan_cache.misses
+    assert Counter(probe(1)) == expected
+    assert executor.plan_cache.hits + executor.plan_cache.misses == lookups
+    setattr(executor, toggle, False)
+    assert Counter(probe(1)) == expected
+    # the generic path plans through the cache; the compiled one never does
+    assert executor.plan_cache.hits + executor.plan_cache.misses == lookups + 1
+    setattr(executor, toggle, True)
+    assert Counter(probe(1)) == expected
+    assert executor.plan_cache.hits + executor.plan_cache.misses == lookups + 1
+
+
+def test_prepare_point_validates_like_execute(null_db, backend):
+    from repro.db.errors import QueryError, UnknownTableError
+
+    executor = make_executor(backend_db(null_db, backend))
+    with pytest.raises(QueryError):
+        executor.prepare_point(_join_query(), AttrRef("A", "nope"))
+    missing = ConjunctiveQuery.build(
+        [TupleVar("A", "Nowhere")], [], [AttrRef("A", "k")]
+    )
+    with pytest.raises(UnknownTableError):
+        executor.prepare_point(missing, AttrRef("A", "k"))
+    disconnected = ConjunctiveQuery.build(
+        [TupleVar("A", "Left"), TupleVar("B", "Right")], [], [AttrRef("A", "x")]
+    )
+    with pytest.raises(QueryError, match="disconnected"):
+        executor.prepare_point(disconnected, AttrRef("A", "k"))

@@ -14,7 +14,10 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from repro.audit import AccessMonitor
 from repro.audit.handcrafted import (
     event_group_template,
     event_user_template,
@@ -324,3 +327,52 @@ def test_invalidate_cache_still_correct_after_external_mutation():
     assert engine.all_lids() == fresh.all_lids()
     assert engine.unexplained_lids() == fresh.unexplained_lids()
     assert engine.coverage() == pytest.approx(fresh.coverage())
+
+
+# ----------------------------------------------------------------------
+# shared evaluation: ingest's one probe pass == maintenance + explain
+# ----------------------------------------------------------------------
+_ACCESS = st.tuples(
+    st.sampled_from(USERS), st.sampled_from(PATIENTS), st.integers(0, 20)
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    batches=st.lists(st.lists(_ACCESS, min_size=1, max_size=10), min_size=1, max_size=4),
+    warm=st.booleans(),
+    strategy=st.sampled_from([None, False, True]),
+)
+def test_shared_evaluation_ingest_equals_separate_maintenance_and_explain(
+    batches, warm, strategy
+):
+    """The monitor takes each appended row's verdict from the maintenance
+    pass's own probe results.  That must leave the same explained sets,
+    the same unexplained queue and the same returned instances as
+    ``notify_appended_many`` followed by a separate ``explain`` per row —
+    under every maintenance strategy, back-dated rows included."""
+    shared_db, separate_db = _hospital(), _hospital()
+    shared = ExplanationEngine(shared_db, _templates(shared_db))
+    separate = ExplanationEngine(separate_db, _templates(separate_db))
+    if warm:
+        shared.unexplained_lids()
+        separate.unexplained_lids()
+    monitor = AccessMonitor(shared, batch=strategy)
+    for batch in batches:
+        results = monitor.ingest_many(batch)
+        lids = [r.lid for r in results]
+        for lid, (user, patient, date) in zip(lids, batch):
+            _append(separate_db, lid, date, user, patient)
+        separate.notify_appended_many(lids, use_semijoin=strategy)
+        for result in results:
+            expected = separate.explain(result.lid)
+            assert [(i.template.name, i.lid, dict(i.bindings)) for i in result.instances] == [
+                (i.template.name, i.lid, dict(i.bindings)) for i in expected
+            ]
+            assert result.suspicious == (not expected)
+        for ours, theirs in zip(shared.templates, separate.templates):
+            assert shared.explained_lids(ours) == separate.explained_lids(theirs)
+        assert shared.all_lids() == separate.all_lids()
+        assert shared.unexplained_lids() == separate.unexplained_lids()
+    fresh = _fresh_engine(shared_db)
+    assert shared.unexplained_lids() == fresh.unexplained_lids()

@@ -197,6 +197,65 @@ def test_sharded_batch_semijoin_ingest_identical(kind):
         assert sharded.coverage() == base.coverage()
 
 
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+@pytest.mark.parametrize(
+    "shards,kind", [(1, "thread"), (2, "thread"), (2, "process")]
+)
+def test_failed_mid_batch_ingest_keeps_engine_in_step_with_log(shards, kind, backend):
+    """Row 3 of 4 is rejected: rows 1-2 stay in the log table, so the
+    engine must hear of them — coverage, the lid universe and the
+    unexplained queue all count them — before the error propagates."""
+    from repro.db.errors import IntegrityError
+
+    config = AuditConfig(shards=shards, executor_kind=kind, backend=backend)
+    with open_service(_fresh_db(), config=config) as service:
+        before = service.stats()["log_rows"]
+        patient = _sample_patients(_fresh_db(), k=1)[0]  # one owning shard
+        when = dt.datetime(2026, 7, 1)
+        batch = [
+            ("u0001", patient, when),
+            ("intruder", patient, when + dt.timedelta(minutes=1)),
+            ("u0002", patient, "not-a-date"),
+            ("u0003", patient, when + dt.timedelta(minutes=2)),
+        ]
+        with pytest.raises(IntegrityError):
+            service.ingest_many(batch)
+        assert service.stats()["log_rows"] == before + 2
+        assert service.report().total == before + 2
+        partition = service.explain_all()
+        assert len(partition) == before + 2
+        assert before + 1 in partition.explained | partition.unexplained
+        assert before + 2 in service.unexplained_lids()  # the intruder
+        assert service.stats()["ingest"]["seen"] == 2
+        # the service keeps working, and the rejected ids are not reused
+        later = service.ingest("intruder", patient, when + dt.timedelta(minutes=3))
+        assert later.lid == before + 5
+        assert not later.suspicious  # a repeat of the landed intruder row
+        assert service.report().total == before + 3
+
+
+def test_capacity_error_mid_batch_keeps_engine_in_step_with_log():
+    """The memory backend's row cap fires between two rows of a batch."""
+    from repro.db.errors import CapacityError
+
+    db = _fresh_db()
+    log = db.table("Log")
+    before = len(log)
+    log.max_rows = before + 2
+    service = AuditService.open(db)
+    patient = _sample_patients(db, k=1)[0]
+    with pytest.raises(CapacityError):
+        service.ingest_many([("intruder", patient, None)] * 4)
+    assert len(log) == before + 2
+    assert len(service.engine.all_lids()) == service.report().total == before + 2
+    assert {before + 1, before + 2} & service.unexplained_lids() == {before + 1}
+    ingest = service.stats()["ingest"]
+    # the failed batch still spent its queries and its time
+    assert ingest["seen"] == 2
+    assert ingest["total_queries"] == 2 * 12
+    assert ingest["last_ingest_seconds"] > 0
+
+
 def test_sharded_alerts_fire_in_ingest_order():
     events = []
     config = AuditConfig(shards=3)
