@@ -6,13 +6,24 @@ it pushes the start/end constraints down; one-way beats two-way because
 two-way considers more initial edges; every algorithm returns the same
 template set.
 
-Substrate note (recorded in EXPERIMENTS.md): on our in-memory hash-join
-engine at the paper's T=3 the optimizer-skip optimization makes partial-
-path support queries nearly free, which flattens the inter-algorithm
-differences — so this benchmark measures the regime the paper's numbers
-come from: the candidate frontier large relative to the explanation set
-(T=4) with the skip optimization disabled.  The skip ablation itself is
-measured in bench_ablation_optimizations.
+Substrate note: support is counted by relation composition
+(``repro/core/support.py``), so a support query — for a partial path as
+for a closed one — costs one join step: the parent chain's relation
+joined with one edge, plus, for a partial path, one union over the
+relation to weigh the log rows it reaches.  Run time therefore tracks
+how many candidates an algorithm generates, deduplicates and counts, not
+how deep their joins are (the five miners take 0.25-0.7 s here where the
+per-candidate k-way join took 2.3-4.8 s).  At the paper's T=3 the
+optimizer-skip optimization removes nearly every partial-path query,
+which flattens the inter-algorithm differences — so this benchmark keeps
+measuring the regime the paper's numbers come from: the candidate
+frontier large relative to the explanation set (T=4) with the skip
+optimization disabled, where every partial path an algorithm generates
+is a support query.  The orderings asserted below rest on those query
+counts (bridge-2 < one-way < two-way); wall-clock time follows them,
+except that bridge-2 and one-way now finish within noise of each other
+(merging frontier pairs costs about what 1.1k fewer queries save).
+The skip ablation itself is measured in bench_ablation_optimizations.
 """
 
 import pytest

@@ -122,7 +122,8 @@ def cmd_mine(args: argparse.Namespace) -> int:
         print(
             f"{result.algorithm}: {len(result.templates)} templates "
             f"(support threshold {result.threshold:.1f} accesses); "
-            f"{result.support_stats['queries_run']} support queries, "
+            f"{result.support_stats['queries_run']} support queries "
+            f"({result.support_stats['join_steps']} join steps), "
             f"{result.support_stats['skipped']} skipped, "
             f"{result.support_stats['cache_hits']} cache hits"
         )

@@ -21,11 +21,32 @@ Every miner applies the Section 3.2.1 optimizations through
 :class:`~repro.core.support.SupportEvaluator`: support caching by
 canonical condition set, multiplicity reduction, and optimizer-estimate
 skipping (never applied to explanation candidates).
+
+**Mining by extension.**  A round's candidates are its frontier's paths
+plus one edge each, and everything about them is derived the same way —
+from the parent, never from a query rebuilt per candidate:
+
+* a candidate is admitted on structure before it is built (the *T*
+  budget is tested on the parent's tables plus the edge's, and on the
+  two halves of a bridge before they are merged), then deduplicated by
+  the signature its :class:`~repro.core.path.Path` computes once;
+* the round's unskipped candidates — closed, start-anchored and
+  end-anchored alike — are counted by one
+  :meth:`SupportEvaluator.support_many` call, which walks them depth
+  first in edge-sequence order so that a candidate's support is its
+  parent chain's relation joined with one edge (see
+  :mod:`repro.core.support`);
+* the skip estimate reads table sizes and join attributes off the steps.
+
+``support_stats["queries_run"]`` stays "one per uncached, unskipped
+support evaluation" (the unit the mining benchmark divides by);
+``join_steps`` counts the one-edge compositions behind them.
 """
 
 from __future__ import annotations
 
 import time
+from collections.abc import Iterable
 from dataclasses import dataclass, field, replace
 
 from ..db.database import Database
@@ -153,12 +174,9 @@ class _MinerBase:
             self._rounds[length] = RoundStats(length=length)
         return self._rounds[length]
 
-    def _admissible(self, path: Path | None) -> bool:
-        """Structural admission: valid extension within the T budget."""
-        return (
-            path is not None
-            and path.counted_tables(self.graph) <= self.config.max_tables
-        )
+    def _within_budget(self, tables: Iterable[str]) -> bool:
+        """Structural admission: do ``tables`` fit the *T* budget?"""
+        return self.graph.counted_tables(tables) <= self.config.max_tables
 
     def _fresh(self, path: Path) -> bool:
         """Candidate-level dedup by canonical condition-set signature."""
@@ -168,33 +186,74 @@ class _MinerBase:
         self._seen.add(sig)
         return True
 
+    def _seeds(self, forward: bool) -> list[Path]:
+        """The admissible, fresh length-1 paths at one log endpoint."""
+        if forward:
+            seeds = [Path.forward_seed(self.graph, e) for e in self.graph.start_edges()]
+        else:
+            seeds = [Path.backward_seed(self.graph, e) for e in self.graph.end_edges()]
+        return [
+            seed
+            for seed in seeds
+            if seed is not None
+            and self._within_budget(seed.var_tables)
+            and self._fresh(seed)
+        ]
+
+    def _grow(self, frontier: list[Path], forward: bool) -> list[Path]:
+        """Every admissible, fresh one-edge extension of ``frontier`` — at
+        the paths' right end when ``forward``, else at their left — in
+        frontier order.
+
+        A path that has used up the *T* budget is only offered edges into
+        tables that cost nothing more, so the over-budget extensions (most
+        of them, in the later rounds) are never built."""
+        grown: list[Path] = []
+        for path in frontier:
+            if forward:
+                edges = self.graph.edges_from_table(path.last_table())
+                extend = path.extend_forward
+            else:
+                edges = self.graph.edges_into_table(path.first_table())
+                extend = path.extend_backward
+            free = None  # tables the path may still enter; None = any
+            if path.counted_tables(self.graph) >= self.config.max_tables:
+                free = self.graph.uncounted_tables.union(path.var_tables)
+            for edge in edges:
+                entered = edge.dst.table if forward else edge.src.table
+                if free is None or entered in free:
+                    longer = extend(edge)
+                    if longer is not None and self._fresh(longer):
+                        grown.append(longer)
+        return grown
+
     def _consider_many(self, paths: list[Path], stats: RoundStats) -> list[Path]:
         """Support-test one round's candidates set-at-a-time.
 
-        Explanation candidates (never skipped) are support-counted through
-        one batched :meth:`SupportEvaluator.support_many` call — duplicates
-        by condition-set signature collapse in the support cache and every
-        query reuses the executor's memoized plan; partial paths keep the
-        per-path skip-non-selective logic (their optimizer estimates
-        differ path by path).  Returns the paths joining the next frontier
-        in input order; mined explanations are recorded internally.
-        Results are identical to considering each path on its own.
+        Partial paths the optimizer expects to be comfortably supported
+        are skipped (explanation candidates never are); everything else
+        is counted by one :meth:`SupportEvaluator.support_many` call, so
+        candidates sharing a prefix share its relation.  Returns the
+        paths joining the next frontier in input order; mined
+        explanations are recorded internally.  Results are identical to
+        considering each path on its own.
         """
-        explanations = [p for p in paths if p.is_explanation]
-        supports = self.evaluator.support_many(explanations)
-        for path, support in zip(explanations, supports):
-            stats.candidates += 1
-            if support >= self.threshold:
-                stats.explanations += 1
-                template = ExplanationTemplate(path=path, log_id_attr=self.log_id_attr)
-                self._templates.append(MinedTemplate(template, support))
+        stats.candidates += len(paths)
+        skipped = [self.evaluator.skips(path, self.threshold) for path in paths]
+        supports = iter(
+            self.evaluator.support_many(
+                [path for path, skip in zip(paths, skipped) if not skip]
+            )
+        )
         kept: list[Path] = []
-        for path in paths:
-            if path.is_explanation:
-                continue  # closed paths are never extended
-            stats.candidates += 1
-            support = self.evaluator.support_or_skip(path, self.threshold)
-            if support is None or support >= self.threshold:
+        for path, skip in zip(paths, skipped):
+            support = None if skip else next(supports)
+            if path.is_explanation:  # never skipped; closed paths are not extended
+                if support >= self.threshold:
+                    stats.explanations += 1
+                    template = ExplanationTemplate(path, log_id_attr=self.log_id_attr)
+                    self._templates.append(MinedTemplate(template, support))
+            elif support is None or support >= self.threshold:
                 stats.supported_paths += 1
                 kept.append(path)
         return kept
@@ -221,31 +280,18 @@ class OneWayMiner(_MinerBase):
     def mine(self) -> MiningResult:
         """Run the algorithm; returns the full MiningResult.
 
-        Each round gathers its admissible, fresh candidates first and
-        support-tests them as one :meth:`_consider_many` batch.
+        Each round grows the frontier by one edge (:meth:`_grow`) and
+        support-tests the candidates as one :meth:`_consider_many` batch.
         """
         stats = self._round(1)
         started = time.perf_counter()
-        seeds = [
-            seed
-            for edge in self.graph.start_edges()
-            for seed in [Path.forward_seed(self.graph, edge)]
-            if self._admissible(seed) and self._fresh(seed)
-        ]
-        frontier = self._consider_many(seeds, stats)
+        frontier = self._consider_many(self._seeds(forward=True), stats)
         stats.seconds += time.perf_counter() - started
 
         for length in range(2, self.config.max_length + 1):
             stats = self._round(length)
             started = time.perf_counter()
-            candidates = [
-                candidate
-                for path in frontier
-                for edge in self.graph.edges_from_table(path.last_table())
-                for candidate in [path.extend_forward(edge)]
-                if self._admissible(candidate) and self._fresh(candidate)
-            ]
-            frontier = self._consider_many(candidates, stats)
+            frontier = self._consider_many(self._grow(frontier, forward=True), stats)
             stats.seconds += time.perf_counter() - started
         return self._result()
 
@@ -272,20 +318,8 @@ class TwoWayMiner(_MinerBase):
         """
         stats = self._round(1)
         started = time.perf_counter()
-        fwd_seeds = [
-            seed
-            for edge in self.graph.start_edges()
-            for seed in [Path.forward_seed(self.graph, edge)]
-            if self._admissible(seed) and self._fresh(seed)
-        ]
-        fwd = self._consider_many(fwd_seeds, stats)
-        bwd_seeds = [
-            seed
-            for edge in self.graph.end_edges()
-            for seed in [Path.backward_seed(self.graph, edge)]
-            if self._admissible(seed) and self._fresh(seed)
-        ]
-        bwd = self._consider_many(bwd_seeds, stats)
+        fwd = self._consider_many(self._seeds(forward=True), stats)
+        bwd = self._consider_many(self._seeds(forward=False), stats)
         self.forward_by_length[1] = fwd
         self.backward_by_length[1] = bwd
         stats.seconds += time.perf_counter() - started
@@ -293,24 +327,10 @@ class TwoWayMiner(_MinerBase):
         for length in range(2, max_length + 1):
             stats = self._round(length)
             started = time.perf_counter()
-            fwd_candidates = [
-                candidate
-                for path in self.forward_by_length[length - 1]
-                for edge in self.graph.edges_from_table(path.last_table())
-                for candidate in [path.extend_forward(edge)]
-                if self._admissible(candidate) and self._fresh(candidate)
-            ]
-            new_fwd = self._consider_many(fwd_candidates, stats)
-            bwd_candidates = [
-                candidate
-                for path in self.backward_by_length[length - 1]
-                for edge in self.graph.edges_into_table(path.first_table())
-                for candidate in [path.extend_backward(edge)]
-                if self._admissible(candidate) and self._fresh(candidate)
-            ]
-            new_bwd = self._consider_many(bwd_candidates, stats)
-            self.forward_by_length[length] = new_fwd
-            self.backward_by_length[length] = new_bwd
+            fwd = self._consider_many(self._grow(fwd, forward=True), stats)
+            bwd = self._consider_many(self._grow(bwd, forward=False), stats)
+            self.forward_by_length[length] = fwd
+            self.backward_by_length[length] = bwd
             stats.seconds += time.perf_counter() - started
 
     def mine(self) -> MiningResult:
@@ -365,13 +385,14 @@ class BridgedMiner(_MinerBase):
             stats = self._round(n)
             started = time.perf_counter()
             blen = n - ell + 1
-            candidates = []
+            candidates: list[Path] = []
             for fwd in fwd_by_len.get(ell, ()):
                 key = (blen, fwd.steps[-1].edge)
                 for bwd in bwd_by_first_edge.get(key, ()):
-                    candidate = Path.bridge(fwd, bwd)
-                    if self._admissible(candidate) and self._fresh(candidate):
-                        candidates.append(candidate)
+                    if self._within_budget(fwd.var_tables + bwd.var_tables):
+                        candidate = Path.bridge(fwd, bwd)
+                        if candidate is not None and self._fresh(candidate):
+                            candidates.append(candidate)
             self._consider_many(candidates, stats)
             stats.seconds += time.perf_counter() - started
 
@@ -384,7 +405,7 @@ class BridgedMiner(_MinerBase):
             stats = self._round(n)
             started = time.perf_counter()
             middles = n - 2 * ell
-            candidates: list[Path] = []
+            candidates = []
             for fwd in fwd_by_len.get(ell, ()):
                 self._bridge_through_middles(
                     fwd, middles, bwd_by_first_table, candidates
@@ -403,16 +424,19 @@ class BridgedMiner(_MinerBase):
         """DFS over middle-edge combinations, closing with backward paths.
 
         Admissible, fresh closures are gathered into ``candidates`` for
-        one batched consideration per round."""
+        one batched consideration per round.  The *T* budget is tested on
+        the two halves' tables before they are merged: most pairings fail
+        it, and a merge validates the whole path."""
         if remaining == 0:
             for bwd in bwd_by_first_table.get(extended.last_table(), ()):
-                candidate = Path.bridge_with_middle(extended, (), bwd)
-                if self._admissible(candidate) and self._fresh(candidate):
-                    candidates.append(candidate)
+                if self._within_budget(extended.var_tables + bwd.var_tables):
+                    candidate = Path.bridge_with_middle(extended, (), bwd)
+                    if candidate is not None and self._fresh(candidate):
+                        candidates.append(candidate)
             return
         for edge in self.graph.edges_from_table(extended.last_table()):
             longer = extended.extend_forward(edge)
-            if not self._admissible(longer):
+            if longer is None or not self._within_budget(longer.var_tables):
                 continue
             self._bridge_through_middles(
                 longer, remaining - 1, bwd_by_first_table, candidates

@@ -23,14 +23,23 @@ Section 3.2):
 Paths are immutable; extension and bridging return new objects (or
 ``None`` when the result would violate an invariant), which lets the
 miners keep frontiers of shared-structure paths cheaply.
+
+A path is all the miners keep per candidate.  Its steps are what support
+counting walks (:mod:`repro.core.support` composes one relation per
+edge) and what the skip estimate reads; its dedup :meth:`Path.signature`
+is derived from the steps once and remembered.  No
+:class:`~repro.db.query.ConjunctiveQuery` is built or held while mining:
+:meth:`Path.to_query` is for templates, SQL rendering and the generic
+executor.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field
 from collections.abc import Iterable, Sequence
+from itertools import permutations, product
 
-from ..db.query import AttrRef, Condition, ConjunctiveQuery, TupleVar, canonical_query_signature
+from ..db.query import AttrRef, Condition, ConjunctiveQuery, TupleVar
 from .edges import EdgeKind, SchemaEdge
 from .graph import SchemaGraph
 
@@ -72,6 +81,10 @@ class Path:
     steps: tuple[PathStep, ...]
     anchored_start: bool
     anchored_end: bool
+    #: :meth:`signature`, computed on first use (not part of identity).
+    _signature: tuple | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     # ------------------------------------------------------------------
     # construction
@@ -82,25 +95,12 @@ class Path:
         (Algorithm 1, line 2)."""
         if edge.src != graph.start:
             return None
-        base = Path(
-            log_table=graph.log_table,
-            start_attr=graph.start.attr,
-            end_attr=graph.end.attr,
-            var_tables=(graph.log_table,),
-            steps=(),
-            anchored_start=True,
-            anchored_end=False,
-        )
+        log, start, end = graph.log_table, graph.start.attr, graph.end.attr
         if edge.dst == graph.end:
             # degenerate one-edge explanation Log.start = Log.end
-            step = PathStep(edge, 0, 0)
-            return replace(base, steps=(step,), anchored_end=True)
+            return Path(log, start, end, (log,), (PathStep(edge, 0, 0),), True, True)
         step = PathStep(edge, 0, 1)
-        return replace(
-            base,
-            var_tables=(graph.log_table, edge.dst.table),
-            steps=(step,),
-        )
+        return Path(log, start, end, (log, edge.dst.table), (step,), True, False)
 
     @staticmethod
     def backward_seed(graph: SchemaGraph, edge: SchemaEdge) -> "Path | None":
@@ -108,24 +108,11 @@ class Path:
         (two-way algorithm seeding)."""
         if edge.dst != graph.end:
             return None
-        base = Path(
-            log_table=graph.log_table,
-            start_attr=graph.start.attr,
-            end_attr=graph.end.attr,
-            var_tables=(graph.log_table,),
-            steps=(),
-            anchored_start=False,
-            anchored_end=True,
-        )
+        log, start, end = graph.log_table, graph.start.attr, graph.end.attr
         if edge.src == graph.start:
-            step = PathStep(edge, 0, 0)
-            return replace(base, steps=(step,), anchored_start=True)
+            return Path(log, start, end, (log,), (PathStep(edge, 0, 0),), True, True)
         step = PathStep(edge, 1, 0)
-        return replace(
-            base,
-            var_tables=(graph.log_table, edge.src.table),
-            steps=(step,),
-        )
+        return Path(log, start, end, (log, edge.src.table), (step,), False, True)
 
     # ------------------------------------------------------------------
     # basic properties
@@ -182,6 +169,11 @@ class Path:
             return True
         return edge.kind is EdgeKind.SELF_JOIN and occurrences < 2
 
+    def _with(self, *chain) -> "Path":
+        """A new chain — ``var_tables, steps, anchored_start, anchored_end``
+        — between this path's log endpoints."""
+        return Path(self.log_table, self.start_attr, self.end_attr, *chain)
+
     def extend_forward(self, edge: SchemaEdge) -> "Path | None":
         """Append ``edge`` at the right end (Algorithm 1, lines 7-9).
 
@@ -205,18 +197,17 @@ class Path:
         if edge.dst.table == self.log_table and edge.dst.attr == self.end_attr:
             if not self.anchored_start:
                 return None  # would close a chain that never left the log row
-            step = PathStep(edge, last, 0)
-            return replace(
-                self, steps=self.steps + (step,), anchored_end=True
+            return self._with(
+                self.var_tables, self.steps + (PathStep(edge, last, 0),), True, True
             )
         if not self._admit_new_var(edge, edge.dst.table):
             return None
-        new_index = len(self.var_tables)
-        step = PathStep(edge, last, new_index)
-        return replace(
-            self,
-            var_tables=self.var_tables + (edge.dst.table,),
-            steps=self.steps + (step,),
+        step = PathStep(edge, last, len(self.var_tables))
+        return self._with(
+            self.var_tables + (edge.dst.table,),
+            self.steps + (step,),
+            self.anchored_start,
+            False,
         )
 
     def extend_backward(self, edge: SchemaEdge) -> "Path | None":
@@ -235,18 +226,17 @@ class Path:
         if edge.src.table == self.log_table and edge.src.attr == self.start_attr:
             if not self.anchored_end:
                 return None
-            step = PathStep(edge, 0, first)
-            return replace(
-                self, steps=(step,) + self.steps, anchored_start=True
+            return self._with(
+                self.var_tables, (PathStep(edge, 0, first),) + self.steps, True, True
             )
         if not self._admit_new_var(edge, edge.src.table):
             return None
-        new_index = len(self.var_tables)
-        step = PathStep(edge, new_index, first)
-        return replace(
-            self,
-            var_tables=self.var_tables + (edge.src.table,),
-            steps=(step,) + self.steps,
+        step = PathStep(edge, len(self.var_tables), first)
+        return self._with(
+            self.var_tables + (edge.src.table,),
+            (step,) + self.steps,
+            False,
+            self.anchored_end,
         )
 
     # ------------------------------------------------------------------
@@ -317,7 +307,7 @@ class Path:
         shared_fwd_var: int,
     ) -> "Path | None":
         """Renumber ``backward_steps`` into ``forward``'s variable space and
-        validate the concatenation."""
+        validate the concatenation (both halves are valid paths)."""
         var_map: dict[int, int] = {0: 0, shared_bwd_var: shared_fwd_var}
         var_tables = list(forward.var_tables)
         for step in backward_steps:
@@ -325,19 +315,21 @@ class Path:
                 if var not in var_map:
                     var_map[var] = len(var_tables)
                     var_tables.append(backward.var_tables[var])
+        # A table hosted by a variable of each half alone can never be
+        # linked by a self-join step (every step lies within one half):
+        # reject the common failure before building the path.
+        own = {
+            table
+            for var, table in enumerate(forward.var_tables)
+            if var != 0 and var != shared_fwd_var
+        }
+        if not own.isdisjoint(var_tables[len(forward.var_tables):]):
+            return None
         merged_steps = forward.steps + tuple(
             PathStep(s.edge, var_map[s.src_var], var_map[s.dst_var])
             for s in backward_steps
         )
-        candidate = Path(
-            log_table=forward.log_table,
-            start_attr=forward.start_attr,
-            end_attr=forward.end_attr,
-            var_tables=tuple(var_tables),
-            steps=merged_steps,
-            anchored_start=True,
-            anchored_end=True,
-        )
+        candidate = forward._with(tuple(var_tables), merged_steps, True, True)
         return candidate if candidate.validate() == [] else None
 
     # ------------------------------------------------------------------
@@ -460,8 +452,37 @@ class Path:
 
     def signature(self) -> tuple:
         """Alias-permutation-invariant identity of the path's condition
-        set: the mining support-cache key and candidate dedup key."""
-        return canonical_query_signature(self.to_query())
+        set: the mining support-cache key and candidate dedup key.
+
+        Equal to ``canonical_query_signature(self.to_query())`` but read
+        straight off the steps, once per path: the smallest rendering of
+        the join conditions over every renumbering of the variables that
+        share a table.
+        """
+        if self._signature is None:
+            hosted: dict[str, list[int]] = {}
+            for var, table in enumerate(self.var_tables):
+                hosted.setdefault(table, []).append(var)
+            ends = [
+                (s.src_var, s.edge.src.attr, s.dst_var, s.edge.dst.attr)
+                for s in self.steps
+            ]
+            best: list | None = None
+            for orders in product(*map(permutations, hosted.values())):
+                alias = list(self.var_tables)
+                for table, order in zip(hosted, orders):
+                    for i, var in enumerate(order):
+                        alias[var] = f"{table}#{i}"
+                rendered = sorted(
+                    (a, "=", b) if a <= b else (b, "=", a)
+                    for src, src_attr, dst, dst_attr in ends
+                    for a, b in [((alias[src], src_attr), (alias[dst], dst_attr))]
+                )
+                if best is None or rendered < best:
+                    best = rendered
+            tables = tuple(sorted((t, len(v)) for t, v in hosted.items()))
+            object.__setattr__(self, "_signature", (tables, tuple(best or ())))
+        return self._signature
 
     def __str__(self) -> str:
         if not self.steps:

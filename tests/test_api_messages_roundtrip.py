@@ -107,7 +107,13 @@ SAMPLES = {
         algorithm="one-way",
         threshold=2.0,
         templates=(MinedTemplateView(sql="SELECT 1", support=4, length=2),),
-        support_stats={"queries_run": 7, "skipped": 1, "cache_hits": 2},
+        support_stats={
+            "queries_run": 7,
+            "skipped": 1,
+            "cache_hits": 2,
+            "query_time": 0.25,
+            "join_steps": 11,
+        },
         raw=None,
     ),
 }

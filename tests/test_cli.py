@@ -55,6 +55,7 @@ class TestMine:
         assert code == 0
         out = capsys.readouterr().out
         assert "templates" in out
+        assert "support queries (" in out and " join steps), " in out
         assert "SELECT DISTINCT L.Lid" in out
 
     def test_bridge(self, dbdir, capsys):
@@ -241,6 +242,9 @@ class TestJsonOutput:
         assert code == 0
         payload = json.loads(capsys.readouterr().out)
         assert payload["algorithm"] == "one-way"
+        assert set(payload["support_stats"]) == {
+            "queries_run", "cache_hits", "skipped", "query_time", "join_steps",
+        }
         assert all({"sql", "support", "length"} <= set(t)
                    for t in payload["templates"])
         from repro.api import TemplateLibrary

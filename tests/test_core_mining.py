@@ -192,6 +192,100 @@ class TestOptimizationInvariance:
         variant = OneWayMiner(fig3_db, fig3_graph, cfg).mine()
         assert variant.signatures() == baseline.signatures()
 
+    @pytest.mark.parametrize("distinct_reduction", [True, False])
+    @pytest.mark.parametrize("use_skip", [True, False])
+    @pytest.mark.parametrize("use_cache", [True, False])
+    def test_every_combination_mines_the_same_supports(
+        self, hospital_db, hospital_graph, use_cache, use_skip, distinct_reduction
+    ):
+        """Composition (``distinct_reduction=True``) and the generic
+        executor (``False``) under every cache/skip setting: same
+        templates, same support values, all three algorithms."""
+        base = dict(support_fraction=0.2, max_length=4, max_tables=3)
+        cfg = MiningConfig(
+            support=SupportConfig(
+                use_cache=use_cache,
+                use_skip=use_skip,
+                distinct_reduction=distinct_reduction,
+            ),
+            **base,
+        )
+        expected = {
+            m.template.signature(): m.support
+            for m in OneWayMiner(hospital_db, hospital_graph, MiningConfig(**base))
+            .mine()
+            .templates
+        }
+        assert expected
+        for miner in (OneWayMiner, TwoWayMiner, BridgedMiner):
+            mined = miner(hospital_db, hospital_graph, cfg).mine().templates
+            assert {m.template.signature(): m.support for m in mined} == expected
+
+
+class TestCountersPinned:
+    """The mining benchmark reports support queries per second, so
+    ``queries_run`` must stay "one per uncached, unskipped support
+    evaluation" however support is computed.  Exact values on the tiny
+    world (seed 7), recorded before support counting moved from the
+    generic executor to relation composition."""
+
+    #: (log self-joins, use_skip, algorithm) ->
+    #: (queries_run, skipped, cache_hits, templates)
+    PINS = {
+        (False, True, "one-way"): (273, 49, 0, 85),
+        (False, True, "two-way"): (372, 227, 0, 85),
+        (False, True, "bridge-2"): (325, 198, 0, 85),
+        (False, True, "bridge-3"): (372, 227, 0, 85),
+        (False, False, "one-way"): (266, 0, 0, 85),
+        (False, False, "two-way"): (519, 0, 0, 85),
+        (False, False, "bridge-2"): (467, 0, 0, 85),
+        (False, False, "bridge-3"): (519, 0, 0, 85),
+        (True, True, "one-way"): (274, 50, 0, 86),
+        (True, True, "two-way"): (373, 229, 0, 86),
+        (True, True, "bridge-2"): (326, 200, 0, 86),
+        (True, True, "bridge-3"): (373, 229, 0, 86),
+        (True, False, "one-way"): (268, 0, 0, 86),
+        (True, False, "two-way"): (522, 0, 0, 86),
+        (True, False, "bridge-2"): (470, 0, 0, 86),
+        (True, False, "bridge-3"): (522, 0, 0, 86),
+    }
+
+    @pytest.fixture(scope="class")
+    def tiny_world(self):
+        from repro.ehr import SimulationConfig, simulate
+
+        return simulate(SimulationConfig.tiny(seed=7)).db
+
+    @pytest.mark.parametrize("log_self_joins", [False, True])
+    @pytest.mark.parametrize("use_skip", [True, False])
+    def test_counters_repeat_exactly(self, tiny_world, use_skip, log_self_joins):
+        from repro.ehr.schema import build_careweb_graph
+
+        graph = build_careweb_graph(tiny_world, allow_log_self_joins=log_self_joins)
+        cfg = MiningConfig(
+            support_fraction=0.05,
+            max_length=4,
+            max_tables=3,
+            support=SupportConfig(use_skip=use_skip),
+        )
+        total_support = set()
+        for miner in (
+            OneWayMiner(tiny_world, graph, cfg),
+            TwoWayMiner(tiny_world, graph, cfg),
+            BridgedMiner(tiny_world, graph, cfg, bridge_length=2),
+            BridgedMiner(tiny_world, graph, cfg, bridge_length=3),
+        ):
+            result = miner.mine()
+            stats = result.support_stats
+            assert (
+                stats["queries_run"],
+                stats["skipped"],
+                stats["cache_hits"],
+                len(result.templates),
+            ) == self.PINS[log_self_joins, use_skip, result.algorithm], result.algorithm
+            total_support.add(sum(m.support for m in result.templates))
+        assert total_support == {12023 if log_self_joins else 11097}
+
 
 class TestMiningResult:
     def test_cumulative_time_monotone(self, fig3_db, fig3_graph):

@@ -161,6 +161,72 @@ class TestBridging:
         assert merged.signature() == direct.signature()
 
 
+    def test_merges_agree_with_wholesale_validation(self, hospital_graph):
+        """``_merge`` rejects a table hosted by both halves before it
+        builds anything; over every pairing of short forward and backward
+        paths (Groups and Log self-joins included) that must reject only
+        what ``validate()`` rejects — and every signature, read off the
+        steps, must be the rebuilt query's."""
+        from repro.db.query import canonical_query_signature
+
+        def closure(seeds, grow):
+            paths, frontier = [], [s for s in seeds if s is not None]
+            for _ in range(3):
+                paths += frontier
+                frontier = [q for p in frontier for q in grow(p) if q is not None]
+            return [p for p in paths if not p.is_explanation]
+
+        graph = hospital_graph
+        out_of, into = graph.edges_from_table, graph.edges_into_table
+        forwards = closure(
+            [Path.forward_seed(graph, e) for e in graph.start_edges()],
+            lambda p: [p.extend_forward(e) for e in out_of(p.last_table())],
+        )
+        backwards = closure(
+            [Path.backward_seed(graph, e) for e in graph.end_edges()],
+            lambda p: [p.extend_backward(e) for e in into(p.first_table())],
+        )
+
+        def reference(fwd, steps, shared_bwd, shared_fwd, bwd):
+            """The merge without the early rejection."""
+            var_map, var_tables = {0: 0, shared_bwd: shared_fwd}, list(fwd.var_tables)
+            for step in steps:
+                for var in (step.src_var, step.dst_var):
+                    if var not in var_map:
+                        var_map[var] = len(var_tables)
+                        var_tables.append(bwd.var_tables[var])
+            renumbered = tuple(
+                type(s)(s.edge, var_map[s.src_var], var_map[s.dst_var]) for s in steps
+            )
+            merged = fwd._with(tuple(var_tables), fwd.steps + renumbered, True, True)
+            return merged if merged.validate() == [] else None
+
+        merged_some = rejected_some = 0
+        for fwd in forwards:
+            for bwd in backwards:
+                if fwd.steps[-1].edge == bwd.steps[0].edge:
+                    expected = reference(
+                        fwd, bwd.steps[1:], bwd.steps[0].dst_var, fwd.last_var(), bwd
+                    )
+                    assert Path.bridge(fwd, bwd) == expected
+                if fwd.last_table() == bwd.first_table():
+                    expected = reference(
+                        fwd, bwd.steps, bwd.first_var(), fwd.last_var(), bwd
+                    )
+                    merged = Path.bridge_with_middle(fwd, (), bwd)
+                    assert merged == expected
+                    if merged is None:
+                        rejected_some += 1
+                    else:
+                        merged_some += 1
+                        assert merged.signature() == canonical_query_signature(
+                            merged.to_query()
+                        )
+        assert merged_some and rejected_some
+        for path in forwards + backwards:
+            assert path.signature() == canonical_query_signature(path.to_query())
+
+
 class TestValidationAndQuery:
     def test_validate_clean_path(self, hospital_graph):
         p = Path.forward_seed(hospital_graph, E_LP_AP).extend_forward(E_AD_LU)

@@ -15,6 +15,7 @@ from repro.core import (
     SupportConfig,
     SupportEvaluator,
 )
+from repro.db import ColumnType, Database, TableSchema
 
 
 def random_forward_walk(graph, choices, max_length):
@@ -159,3 +160,54 @@ def test_mining_output_invariant_under_optimizations(
     assert {m.template.signature(): m.support for m in variant.templates} == {
         m.template.signature(): m.support for m in baseline.templates
     }
+
+
+# ----------------------------------------------------------------------
+# support by composition on generated, NULL-bearing databases
+# ----------------------------------------------------------------------
+_NAMES = st.sampled_from(["a", "b", "c", None])
+
+
+@st.composite
+def null_bearing_databases(draw):
+    """A Figure-3-shaped database whose every column — lids included —
+    may repeat values and hold NULLs."""
+    db = Database("generated")
+    log = db.create_table(
+        TableSchema.build(
+            "Log",
+            [("Lid", ColumnType.INT), ("Date", ColumnType.INT), "User", "Patient"],
+            primary_key=["Lid"],
+        )
+    )
+    appts = db.create_table(TableSchema.build("Appointments", ["Patient", "Doctor"]))
+    info = db.create_table(TableSchema.build("Doctor_Info", ["Doctor", "Department"]))
+    lids = st.sampled_from([1, 2, 3, 4, None])
+    log.insert_many(
+        (lid, 1, user, patient)
+        for lid, user, patient in draw(
+            st.lists(st.tuples(lids, _NAMES, _NAMES), min_size=1, max_size=6)
+        )
+    )
+    appts.insert_many(draw(st.lists(st.tuples(_NAMES, _NAMES), max_size=5)))
+    info.insert_many(draw(st.lists(st.tuples(_NAMES, _NAMES), max_size=5)))
+    return db
+
+
+@settings(max_examples=60, deadline=None)
+@given(db=null_bearing_databases(), use_skip=st.booleans())
+def test_composed_support_matches_executor_and_brute_force(db, use_skip):
+    """Every candidate of every miner: relation composition ==
+    ``Executor.count_distinct`` == nested-loop enumeration, with duplicate
+    and NULL lids, NULL endpoints and NULL join keys in play."""
+    from test_differential_support import check_world, trap_graph
+
+    # the trap graph also routes through an (absent here) Visits table
+    db.create_table(TableSchema.build("Visits", ["Patient", "Doctor"]))
+    config = MiningConfig(
+        support_fraction=0.01,
+        max_length=4,
+        max_tables=3,
+        support=SupportConfig(use_skip=use_skip, skip_constant=0.5),
+    )
+    check_world(db, trap_graph(db), config, brute_force=True, all_kinds=False)
