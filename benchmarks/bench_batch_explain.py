@@ -28,7 +28,7 @@ import time
 
 from repro.audit import all_event_user_templates, repeat_access_template
 from repro.core import ExplanationEngine
-from repro.db import AttrRef, Condition, ConjunctiveQuery, Executor, Literal
+from repro.db import AttrRef, Condition, ConjunctiveQuery, Literal
 from repro.ehr import SimulationConfig, build_careweb_graph, simulate
 
 _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
@@ -39,8 +39,6 @@ N_ACCESSES = 2_000 if _SMOKE else 20_000
 POINT_N = 300 if _SMOKE else 1_500
 #: Required advantage of the batch semijoin path.
 MIN_SPEEDUP = 5.0
-#: Required advantage of the vectorized pipeline over the per-row one.
-MIN_VECTOR_SPEEDUP = 1.3
 
 
 def _world():
@@ -95,19 +93,7 @@ def bench_batch_explain_speedup(report):
     point_queries = engine_point.executor.queries_executed
     point_projected = point_measured * (len(lids) / len(prefix))
 
-    # --- per-row pipeline on the same batch (vectorization ablation) ---
-    # The vectorized leg above ran first on cold caches; the per-row leg
-    # inherits every warmed table cache, so the measured advantage is a
-    # conservative floor for the vectorized hot path.
-    engine_rowwise = ExplanationEngine(
-        db, templates, executor=Executor(db, vectorized=False)
-    )
-    started = time.perf_counter()
-    rowwise = engine_rowwise.explain_batch(lids)
-    rowwise_seconds = time.perf_counter() - started
-
     speedup = point_projected / batch_seconds
-    vector_speedup = rowwise_seconds / batch_seconds
     report.section(
         "Batch explanation — semijoin vs per-access point loop",
         [
@@ -121,9 +107,6 @@ def bench_batch_explain_speedup(report):
             f"  per-access projected      {point_projected:8.2f} s "
             f"for {len(lids)} accesses",
             f"  speedup                   {speedup:8.1f}x (floor {MIN_SPEEDUP}x)",
-            f"  per-row pipeline          {rowwise_seconds:8.2f} s "
-            f"(vectorized {vector_speedup:.2f}x faster, "
-            f"floor {MIN_VECTOR_SPEEDUP}x)",
         ],
     )
     report.json(
@@ -139,7 +122,6 @@ def bench_batch_explain_speedup(report):
                 "batch_seconds": batch_seconds,
                 "point_measured_seconds": point_measured,
                 "point_projected_seconds": point_projected,
-                "rowwise_seconds": rowwise_seconds,
             },
             "queries": {"batch": batch_queries, "point_prefix": point_queries},
             "explained": len(batch.explained),
@@ -147,28 +129,18 @@ def bench_batch_explain_speedup(report):
             "coverage": batch.coverage,
             "speedup": speedup,
             "min_speedup": MIN_SPEEDUP,
-            "vectorized_speedup": vector_speedup,
-            "min_vectorized_speedup": MIN_VECTOR_SPEEDUP,
         },
         throughput={
             "batch_vs_point_speedup": speedup,
-            "vectorized_vs_rowwise_speedup": vector_speedup,
             "explained_per_second": len(lids) / batch_seconds,
         },
     )
 
     # differential: identical explained sets on the measured prefix
     assert point_explained == batch.explained & set(prefix)
-    # differential: the per-row pipeline partitions the batch identically
-    assert rowwise.explained == batch.explained
-    assert rowwise.unexplained == batch.unexplained
     # partition sanity: explained/unexplained tile the batch exactly
     assert batch.explained | batch.unexplained == set(lids)
     assert not batch.explained & batch.unexplained
     assert speedup >= MIN_SPEEDUP, (
         f"batch path only {speedup:.1f}x faster (need {MIN_SPEEDUP}x)"
-    )
-    assert vector_speedup >= MIN_VECTOR_SPEEDUP, (
-        f"vectorized pipeline only {vector_speedup:.2f}x faster than the "
-        f"per-row pipeline (need {MIN_VECTOR_SPEEDUP}x)"
     )

@@ -1,20 +1,12 @@
-"""Streaming ingest benchmark: delta maintenance vs invalidate-everything.
+"""Streaming ingest benchmark: one batched ``ingest_many`` maintenance pass.
 
 Replays a slice of the synthetic hospital's own traffic through
 :class:`~repro.audit.streaming.AccessMonitor` on top of a pre-seeded log
-and compares the two maintenance strategies:
-
-* **incremental** (the default stack): table indexes/distinct projections
-  patched in place per append, engine explained-sets delta-evaluated via
-  point queries, per-access explanation answered by index probes;
-* **baseline** (the seed behavior): every cache invalidated per append,
-  per-access explanation re-joins the full log (``predicate_pushdown``
-  off).
-
-The baseline streams a shorter prefix and is extrapolated linearly to the
-full stream — conservative in the baseline's favor, since its per-access
-cost *grows* with the log while the projection is flat.  The incremental
-run also reports per-chunk times to show near-linear total ingest time.
+as ONE ``ingest_many`` batch: the log table patches its indexes and
+distinct projections in place, the engine maintains every template with
+one semijoin per (template, log variable), and each access is explained
+and alerted on.  Per-access ingest is measured end to end by perfbench's
+``ingest_stream`` workload.
 
 Set ``REPRO_BENCH_SMOKE=1`` for a CI-sized run (same assertions, smaller
 workload).
@@ -33,14 +25,8 @@ _SMOKE = os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 #: Rows pre-seeded into the log before streaming starts.
 SEED_ROWS = 2_000 if _SMOKE else 20_000
-#: Accesses streamed through the incremental monitor.
+#: Accesses streamed through the monitor.
 STREAM_N = 300 if _SMOKE else 5_000
-#: Accesses streamed through the baseline monitor (then extrapolated).
-BASELINE_N = 25 if _SMOKE else 150
-#: Required end-to-end advantage of the incremental path.
-MIN_SPEEDUP = 10.0
-#: Chunks the incremental stream is split into for the linearity report.
-CHUNKS = 5
 
 
 def _prepared(config):
@@ -76,95 +62,6 @@ def _config():
     if _SMOKE:
         return SimulationConfig.small(seed=7).scaled(daily_encounter_rate=0.12)
     return SimulationConfig.benchmark()
-
-
-def bench_streaming_ingest_speedup(report):
-    """Incremental delta maintenance must beat the baseline >= 10x."""
-    # --- incremental path: stream the full window ---------------------
-    db, templates, stream = _prepared(_config())
-    engine = ExplanationEngine(db, templates)
-    from repro.audit import AccessMonitor
-
-    monitor = AccessMonitor(engine)
-    chunk = max(1, len(stream) // CHUNKS)
-    chunk_times: list[float] = []
-    prefix_flags: list[bool] = []
-    started = time.perf_counter()
-    for i in range(0, len(stream), chunk):
-        t0 = time.perf_counter()
-        for j, (user, patient, date) in enumerate(stream[i : i + chunk], i):
-            access = monitor.ingest(user, patient, date)
-            if j < BASELINE_N:
-                prefix_flags.append(access.suspicious)
-        chunk_times.append(time.perf_counter() - t0)
-    incremental_total = time.perf_counter() - started
-    incremental_stats = monitor.stats()
-
-    # --- baseline: identical world, seed-era maintenance --------------
-    db_b, templates_b, stream_b = _prepared(_config())
-    engine_b = ExplanationEngine(db_b, templates_b)
-    engine_b.executor.predicate_pushdown = False
-    monitor_b = AccessMonitor(engine_b, incremental=False)
-    baseline_flags: list[bool] = []
-    started = time.perf_counter()
-    for user, patient, date in stream_b[:BASELINE_N]:
-        baseline_flags.append(monitor_b.ingest(user, patient, date).suspicious)
-    baseline_measured = time.perf_counter() - started
-    baseline_projected = baseline_measured * (len(stream) / BASELINE_N)
-
-    speedup = baseline_projected / incremental_total
-    per_access_ms = incremental_total / len(stream) * 1e3
-    lines = [
-        f"  seed log rows             {SEED_ROWS}",
-        f"  streamed accesses         {len(stream)}",
-        f"  templates                 {len(engine.templates)}",
-        f"  incremental total         {incremental_total:8.2f} s "
-        f"({per_access_ms:.2f} ms/access, {incremental_stats['total_queries']}"
-        f" queries, {monitor.alerts} alerts)",
-        f"  baseline measured         {baseline_measured:8.2f} s "
-        f"for {BASELINE_N} accesses",
-        f"  baseline projected        {baseline_projected:8.2f} s "
-        f"for {len(stream)} accesses",
-        f"  speedup                   {speedup:8.1f}x (floor {MIN_SPEEDUP}x)",
-        "  per-chunk seconds (near-linear => roughly flat):",
-    ]
-    for i, t in enumerate(chunk_times):
-        lines.append(f"    chunk {i}: {t:6.2f} s")
-    report.section("Streaming ingest — delta maintenance vs invalidate-all", lines)
-    report.json(
-        "streaming_ingest",
-        {
-            "config": {
-                "smoke": _SMOKE,
-                "seed_rows": SEED_ROWS,
-                "streamed": len(stream),
-                "baseline_measured_n": BASELINE_N,
-                "templates": len(engine.templates),
-            },
-            "timings": {
-                "incremental_seconds": incremental_total,
-                "baseline_measured_seconds": baseline_measured,
-                "baseline_projected_seconds": baseline_projected,
-                "chunk_seconds": chunk_times,
-            },
-            "queries": incremental_stats["total_queries"],
-            "alerts": monitor.alerts,
-            "speedup": speedup,
-            "min_speedup": MIN_SPEEDUP,
-        },
-        throughput={
-            "incremental_vs_baseline_speedup": speedup,
-            "accesses_per_second": len(stream) / incremental_total,
-        },
-    )
-
-    # alert parity: both strategies must agree access-by-access
-    assert prefix_flags == baseline_flags
-    assert speedup >= MIN_SPEEDUP, (
-        f"incremental path only {speedup:.1f}x faster (need {MIN_SPEEDUP}x)"
-    )
-    # near-linear: later chunks must not blow up over the first
-    assert chunk_times[-1] <= 5 * max(chunk_times[0], 1e-3)
 
 
 def bench_streaming_batch_ingest(report):

@@ -23,15 +23,10 @@ one :class:`~repro.api.AuditConfig` object::
     with AuditService.open("hospital/") as service:
         print(service.report(limit=10).summary())
 
-The pre-``repro.api`` entry points (``ExplanationEngine``,
-``AccessMonitor``, ``PatientPortal``, ``ComplianceAuditor``, the miners)
-remain importable from this module as deprecation shims: accessing them
-here emits a :class:`DeprecationWarning` pointing at the ``repro.api``
-replacement, while the classes themselves (identical objects, importable
-warning-free from their defining submodules) keep working.
+The engine-level classes (``ExplanationEngine``, ``AccessMonitor``,
+``PatientPortal``, ``ComplianceAuditor``, the miners) are imported from
+the subpackages that define them (:mod:`repro.core`, :mod:`repro.audit`).
 """
-
-import warnings as _warnings
 
 from .core import (
     DecorationMiner,
@@ -66,76 +61,15 @@ from .groups import GroupHierarchy, build_groups_table, hierarchy_from_log
 
 __version__ = "1.0.0"
 
-#: Deprecated top-level names -> (defining module, attribute, replacement).
-#: Resolved lazily via PEP 562 so access emits a DeprecationWarning while
-#: returning the *same* class object the submodule defines.
-_DEPRECATED_ENTRY_POINTS = {
-    "ExplanationEngine": (
-        "repro.core.engine",
-        "ExplanationEngine",
-        "repro.api.AuditService.open(...)",
-    ),
-    "AccessMonitor": (
-        "repro.audit.streaming",
-        "AccessMonitor",
-        "repro.api.AuditService.ingest/ingest_many",
-    ),
-    "PatientPortal": (
-        "repro.audit.portal",
-        "PatientPortal",
-        "repro.api.AuditService.patient_report",
-    ),
-    "ComplianceAuditor": (
-        "repro.audit.report",
-        "ComplianceAuditor",
-        "repro.api.AuditService.report",
-    ),
-    "OneWayMiner": (
-        "repro.core.mining",
-        "OneWayMiner",
-        "repro.api.AuditService.mine(MineRequest(algorithm='one-way'))",
-    ),
-    "TwoWayMiner": (
-        "repro.core.mining",
-        "TwoWayMiner",
-        "repro.api.AuditService.mine(MineRequest(algorithm='two-way'))",
-    ),
-    "BridgedMiner": (
-        "repro.core.mining",
-        "BridgedMiner",
-        "repro.api.AuditService.mine(MineRequest(algorithm='bridge'))",
-    ),
-}
-
-
-def __getattr__(name: str):
-    """Deprecation shims for the pre-``repro.api`` entry points."""
-    if name in _DEPRECATED_ENTRY_POINTS:
-        module_name, attr, replacement = _DEPRECATED_ENTRY_POINTS[name]
-        _warnings.warn(
-            f"repro.{name} is deprecated; use {replacement} "
-            f"(or import {module_name}.{attr} directly)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        import importlib
-
-        return getattr(importlib.import_module(module_name), attr)
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
-    "AccessMonitor",
     "AttrRef",
-    "BridgedMiner",
     "CareWebStudy",
-    "ComplianceAuditor",
     "Condition",
     "ConjunctiveQuery",
     "Database",
     "DecorationMiner",
     "EdgeKind",
     "Executor",
-    "ExplanationEngine",
     "ExplanationInstance",
     "ExplanationTemplate",
     "GroupHierarchy",
@@ -143,9 +77,7 @@ __all__ = [
     "MinedTemplate",
     "MiningConfig",
     "MiningResult",
-    "OneWayMiner",
     "Path",
-    "PatientPortal",
     "ReviewStatus",
     "SchemaAttr",
     "SchemaEdge",
@@ -157,7 +89,6 @@ __all__ = [
     "TableSchema",
     "TemplateLibrary",
     "TupleVar",
-    "TwoWayMiner",
     "__version__",
     "build_groups_table",
     "hierarchy_from_log",

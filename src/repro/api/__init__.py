@@ -5,9 +5,9 @@ importable from here:
 
 * :class:`AuditService` — the unified, thread-safe facade (explain,
   ingest, mine, report) with an explicit ``open(...)`` lifecycle;
-* :class:`AuditConfig` — the single frozen config object absorbing every
-  tuning knob (batch paths, semijoin threshold, pushdown, plan-cache
-  size, ingest and alert policy);
+* :class:`AuditConfig` — the single frozen config object (log table,
+  plan-cache size, alert policy, backend, shards, serving fleet, scan
+  budgets);
 * the typed request/response dataclasses of :mod:`repro.api.messages`,
   all JSON-ready via ``to_dict()``;
 * :class:`TemplateLibrary` with versioned JSON ``dump``/``load`` so
@@ -24,9 +24,9 @@ Quickstart::
         print(service.report(limit=10).summary())
         print(service.explain(17).to_dict())
 
-The pre-``repro.api`` entry points (``ExplanationEngine``,
+The engine-level classes underneath (``ExplanationEngine``,
 ``AccessMonitor``, ``PatientPortal``, ``ComplianceAuditor``, the miners)
-keep working via deprecation shims in :mod:`repro`.
+are imported from :mod:`repro.core` and :mod:`repro.audit`.
 """
 
 # the explanation-template toolchain

@@ -1,13 +1,10 @@
 """The one configuration object of the public API.
 
-Before ``repro.api``, every entry point grew its own tuning kwargs:
-``ExplanationEngine(use_batch_path=...)``, ``AccessMonitor(batch=...,
-incremental=...)``, ``Executor(predicate_pushdown=...,
-distinct_reduction=...)``, a module-level semijoin threshold, and an
-unbounded process-wide plan cache.  :class:`AuditConfig` absorbs all of
-them into a single frozen, serializable dataclass that
+:class:`AuditConfig` is a single frozen, serializable dataclass that
 :meth:`repro.api.AuditService.open` consumes — one place to read a
-deployment's tuning, one dict to put in a config file.
+deployment's layout (log table, backend, shards, serving fleet) and its
+bounds (plan cache, scan slices, table rows), one dict to put in a
+config file.
 """
 
 from __future__ import annotations
@@ -16,8 +13,6 @@ import dataclasses
 import warnings
 from dataclasses import dataclass
 from typing import Any
-
-from ..core.engine import SEMIJOIN_BATCH_MIN
 
 
 @dataclass(frozen=True)
@@ -32,27 +27,9 @@ class AuditConfig:
     log_table: str = "Log"
     log_id_attr: str = "Lid"
 
-    #: Whole-log evaluation strategy: True routes through the
-    #: set-at-a-time batch-semijoin path (one query per template), False
-    #: keeps the per-template point path (the differential baseline).
-    use_batch_path: bool = True
-    #: Appended batches at least this large take the semijoin delta
-    #: strategy when maintenance auto-selects.
-    semijoin_batch_min: int = SEMIJOIN_BATCH_MIN
-
-    #: Executor pipeline toggles (see :class:`repro.db.executor.Executor`).
-    predicate_pushdown: bool = True
-    distinct_reduction: bool = True
     #: Maximum number of memoized query plans; the service's LRU
     #: :class:`~repro.db.optimizer.PlanCache` evicts beyond this.
     plan_cache_size: int = 1024
-
-    #: Ingest maintenance: True delta-patches caches per append, False
-    #: restores the invalidate-everything baseline.
-    incremental_ingest: bool = True
-    #: Batched-ingest strategy: True forces batch semijoin, False forces
-    #: per-row delta point queries, None lets the engine choose by size.
-    batch_ingest: bool | None = None
 
     #: Alert policy: when False, registered alert handlers are never
     #: invoked (unexplained accesses are still counted and reported).
@@ -73,12 +50,6 @@ class AuditConfig:
     #: executor always runs one worker per shard).  None means one thread
     #: per shard.
     parallelism: int | None = None
-
-    #: Executor hot-path selection: True (the default) runs the
-    #: vectorized join pipeline (columnar set-intersection probes,
-    #: scalar-keyed hashmaps, C-level projections); False keeps the
-    #: original per-row loops — the differential reference.
-    vectorized: bool = True
 
     #: HTTP serving fleet width for ``repro-audit serve`` — number of
     #: worker processes sharing one listening port (SO_REUSEPORT, or a
@@ -127,12 +98,8 @@ class AuditConfig:
             raise ValueError("log_table must be non-empty")
         if not self.log_id_attr:
             raise ValueError("log_id_attr must be non-empty")
-        if self.semijoin_batch_min < 1:
-            raise ValueError("semijoin_batch_min must be >= 1")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
-        if self.batch_ingest not in (True, False, None):
-            raise ValueError("batch_ingest must be True, False, or None")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
         if self.executor_kind not in ("thread", "process"):

@@ -171,21 +171,12 @@ class AuditService:
         #: Per-service LRU plan cache (bounded by the config; hit/miss
         #: counters surface through :meth:`stats`).
         self.plan_cache = PlanCache(max_size=config.plan_cache_size)
-        executor = make_executor(
-            db,
-            distinct_reduction=config.distinct_reduction,
-            predicate_pushdown=config.predicate_pushdown,
-            plan_cache=self.plan_cache,
-            vectorized=config.vectorized,
-        )
         self.engine = ExplanationEngine(
             db,
             templates,
             log_table=config.log_table,
             log_id_attr=config.log_id_attr,
-            use_batch_path=config.use_batch_path,
-            executor=executor,
-            semijoin_batch_min=config.semijoin_batch_min,
+            executor=make_executor(db, plan_cache=self.plan_cache),
         )
         self._clock = clock
         self._monitor: AccessMonitor | None = None
@@ -247,7 +238,8 @@ class AuditService:
     def from_engine(
         cls, engine: ExplanationEngine, config: AuditConfig | None = None
     ) -> "AuditService":
-        """Wrap an existing engine (the compatibility-shim path).
+        """Wrap an existing engine (how the engine-level
+        ``PatientPortal`` and ``ComplianceAuditor`` reach the service).
 
         The engine's executor, caches, and template set are used as-is;
         nothing is eagerly warmed.
@@ -256,8 +248,6 @@ class AuditService:
             config = AuditConfig(
                 log_table=engine.log_table,
                 log_id_attr=engine.log_id_attr,
-                use_batch_path=engine.use_batch_path,
-                semijoin_batch_min=engine.semijoin_batch_min,
                 eager_warm=False,
             )
         service = cls.__new__(cls)
@@ -301,12 +291,7 @@ class AuditService:
 
     def _monitor_instance(self) -> AccessMonitor:
         if self._monitor is None:
-            self._monitor = AccessMonitor(
-                self.engine,
-                clock=self._clock,
-                incremental=self.config.incremental_ingest,
-                batch=self.config.batch_ingest,
-            )
+            self._monitor = AccessMonitor(self.engine, clock=self._clock)
         return self._monitor
 
     def _dispatch_alerts(self, results: Sequence[IngestResult]) -> None:
@@ -646,7 +631,7 @@ class AuditService:
         self, accesses: Sequence[tuple[Any, Any, dt.datetime | None]]
     ) -> list[IngestResult]:
         """Ingest a batch of ``(user, patient, date)`` accesses in one
-        maintenance pass (strategy per ``AuditConfig.batch_ingest``)."""
+        maintenance pass (strategy chosen by batch size)."""
         self._check_open()
         with self._lock.write_locked():
             streamed = self._monitor_instance().ingest_many(list(accesses))

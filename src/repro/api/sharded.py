@@ -123,8 +123,8 @@ def build_shard_state(
     config: AuditConfig,
 ) -> ShardState:
     """Construct one shard's engine stack exactly the way
-    :class:`~repro.api.AuditService` builds its single-node stack — same
-    executor toggles, a private LRU plan cache, optional eager warm.
+    :class:`~repro.api.AuditService` builds its single-node stack — a
+    private LRU plan cache, optional eager warm.
 
     Under ``config.backend == "sqlite"`` the in-memory shard partition is
     first converted to (or, on restart, reused from) the shard's private
@@ -136,27 +136,14 @@ def build_shard_state(
     if config.backend == "sqlite" and not isinstance(db, SqlDatabase):
         db = open_sql_database(db, shard_db_path(config.db_path, index))
     plan_cache = PlanCache(max_size=config.plan_cache_size)
-    executor = make_executor(
-        db,
-        distinct_reduction=config.distinct_reduction,
-        predicate_pushdown=config.predicate_pushdown,
-        plan_cache=plan_cache,
-        vectorized=config.vectorized,
-    )
     engine = ExplanationEngine(
         db,
         templates,
         log_table=config.log_table,
         log_id_attr=config.log_id_attr,
-        use_batch_path=config.use_batch_path,
-        executor=executor,
-        semijoin_batch_min=config.semijoin_batch_min,
+        executor=make_executor(db, plan_cache=plan_cache),
     )
-    monitor = AccessMonitor(
-        engine,
-        incremental=config.incremental_ingest,
-        batch=config.batch_ingest,
-    )
+    monitor = AccessMonitor(engine)
     if config.eager_warm:
         engine.warm()
     return ShardState(

@@ -15,10 +15,10 @@ streamed ones).
 
 Incremental ingest path
 -----------------------
-With ``incremental=True`` (the default) each append rides the delta
-maintenance stack end to end: the log table patches its hash indexes and
-distinct projections in place (:meth:`repro.db.table.Table.insert`), and
-the engine delta-evaluates every template against just the new row
+Each append rides the delta maintenance stack end to end: the log table
+patches its hash indexes and distinct projections in place
+(:meth:`repro.db.table.Table.insert`), and the engine delta-evaluates
+every template against just the new row
 (:meth:`~repro.core.engine.ExplanationEngine.notify_appended`) by calling
 that template's prepared point probes.  The maintenance pass and the
 verdict share one evaluation: the instance-probe rows that put the new
@@ -26,20 +26,16 @@ row into a template's delta *are* its explanation instances, so the
 monitor explains and flags the access from what maintenance returned and
 issues no further query.  Total work per ingest is T + (extra
 log-ranging variables) probe calls for T templates — 12 for the 11
-standard templates — independent of log size.  ``incremental=False``
-restores the seed behavior — invalidate every cache and re-derive from
-scratch — and exists as the baseline for
-``benchmarks/bench_streaming_ingest.py``.
+standard templates — independent of log size.
 
 Batch (set-at-a-time) ingest
 ----------------------------
 :meth:`AccessMonitor.ingest_many` maintains the engine in ONE pass for
-the whole batch.  The ``batch`` constructor toggle selects the strategy:
-``True`` forces the batch-semijoin path (each template evaluated once
-against the whole appended set), ``False`` forces the per-row point
-probes, and ``None`` (default) lets the engine choose — semijoin
-for large batches, delta for small latency-sensitive appends.  Both
-strategies produce identical explained/unexplained sets.
+the whole batch, and the engine picks the strategy by batch size:
+batches of at least :data:`~repro.core.engine.SEMIJOIN_BATCH_MIN` rows
+take the batch-semijoin path (each template evaluated once against the
+whole appended set), smaller latency-sensitive appends the per-row point
+probes.  Both strategies produce identical explained/unexplained sets.
 
 The monitor takes an injectable ``clock`` (no hidden ``datetime.now()``
 in the hot path) and exposes per-ingest query/latency counters via
@@ -93,20 +89,11 @@ class AccessMonitor:
         engine: ExplanationEngine,
         alert_handlers: tuple[AlertHandler, ...] = (),
         clock: Callable[[], Any] | None = None,
-        incremental: bool = True,
-        batch: bool | None = None,
     ) -> None:
         self.engine = engine
         self.alert_handlers = list(alert_handlers)
         #: Timestamp source for accesses ingested without an explicit date.
         self.clock = clock if clock is not None else dt.datetime.now
-        #: False restores the seed's invalidate-everything maintenance
-        #: (the streaming benchmark's baseline).
-        self.incremental = incremental
-        #: ingest_many maintenance strategy: True = always batch semijoin,
-        #: False = always per-row delta point queries, None = auto (the
-        #: engine picks semijoin for large batches).
-        self.batch = batch
         log = engine.db.table(engine.log_table)
         lid_values = log.distinct_values(engine.log_id_attr)
         self._next_lid = self._initial_next_lid(lid_values)
@@ -155,7 +142,7 @@ class AccessMonitor:
 
     def _log_row(self, lid: Any, stamp: Any, user: Any, patient: Any) -> dict:
         """The one place an audit-log row dict is built (both ingest
-        paths and both maintenance modes must append identical rows)."""
+        paths must append identical rows)."""
         return {
             self.engine.log_id_attr: lid,
             "Date": stamp,
@@ -170,9 +157,8 @@ class AccessMonitor:
 
         Returns the :class:`StreamedAccess`; alert handlers fire before it
         is returned when no explanation exists.  One-row case of
-        :meth:`ingest_prepared` (incremental mode delta-patches the
-        engine's caches with just this row; non-incremental restores the
-        seed's invalidate-everything behavior).
+        :meth:`ingest_prepared`: the engine's caches are delta-patched
+        with just this row.
         """
         lid = self._next_lid
         self._next_lid += 1
@@ -186,8 +172,8 @@ class AccessMonitor:
 
         The batch is applied atomically: all rows are appended (one table
         maintenance pass), the engine runs one maintenance pass over the
-        whole batch — routed to the batch-semijoin or per-row delta
-        strategy per the ``batch`` toggle — and only then is each access
+        whole batch — batch-semijoin or per-row delta, chosen by batch
+        size — and only then is each access
         explained and alerted on, in input order.  Results are identical
         to one-by-one :meth:`ingest` whenever explanations are insensitive
         to rows arriving later in the same batch, which holds for monotone
@@ -195,15 +181,6 @@ class AccessMonitor:
         may explain an access a strict one-by-one replay would have
         alerted on.
         """
-        if not self.incremental:
-            # per-item ingests instrument themselves; roll last_ingest_*
-            # up to batch scope afterwards so both modes report the batch
-            queries_before = self.total_queries
-            seconds_before = self.total_seconds
-            out = [self.ingest(u, p, d) for u, p, d in accesses]
-            self.last_ingest_queries = self.total_queries - queries_before
-            self.last_ingest_seconds = self.total_seconds - seconds_before
-            return out
         batch = []
         for user, patient, date in accesses:
             lid = self._next_lid
@@ -221,7 +198,7 @@ class AccessMonitor:
         appends only the rows it was dealt.
 
         Maintenance matches :meth:`ingest_many`: one table append pass,
-        one engine maintenance pass (strategy per the ``batch`` toggle),
+        one engine maintenance pass (strategy chosen by batch size),
         then each row is explained and alerted on in input order.  The
         monitor's own lid counter is advanced past every given integer id
         so later un-prepared :meth:`ingest` calls cannot collide.
@@ -241,22 +218,6 @@ class AccessMonitor:
             self._next_lid = max(self._next_lid, max(ints) + 1)
         if not rows:
             return []
-        if not self.incremental:
-            # mirror per-item ingest(): each row is appended, caches are
-            # dropped, and the row is explained before the next lands
-            queries_before = self.total_queries
-            seconds_before = self.total_seconds
-            out = []
-            log = self.engine.db.table(self.engine.log_table)
-            for lid, stamp, user, patient in rows:
-                with self._measured():
-                    log.insert(self._log_row(lid, stamp, user, patient))
-                    log.invalidate_caches()
-                    self.engine.invalidate_cache()
-                    out.append(self._finish(lid, stamp, user, patient))
-            self.last_ingest_queries = self.total_queries - queries_before
-            self.last_ingest_seconds = self.total_seconds - seconds_before
-            return out
         with self._measured():
             log = self.engine.db.table(self.engine.log_table)
             try:
@@ -276,9 +237,7 @@ class AccessMonitor:
     def _maintain(self, rows: list[tuple[Any, Any, Any, Any]]) -> list[StreamedAccess]:
         """One engine maintenance pass over appended rows, then each row's
         verdict — from the instances the pass already evaluated."""
-        delta = self.engine.notify_appended_many(
-            [lid for lid, _, _, _ in rows], use_semijoin=self.batch
-        )
+        delta = self.engine.notify_appended_many([lid for lid, _, _, _ in rows])
         return [
             self._finish(*entry, instances=delta.instances.get(entry[0]))
             for entry in rows

@@ -187,19 +187,14 @@ def cmd_explain(args: argparse.Namespace) -> int:
 def cmd_audit(args: argparse.Namespace) -> int:
     """``audit``: compliance summary plus the unexplained queue.
 
-    ``--batch`` (default) evaluates every template once as a set-at-a-time
-    semijoin over the whole log; ``--no-batch`` keeps the per-template
-    point path.  Both produce identical output — the toggle exists so
-    either path is selectable and testable end to end.
-
-    ``--resumable`` builds the identical report as a sequence of bounded
-    scan slices (``--page-rows`` per slice, optionally ``--quantum-ms``
-    of wall clock) instead of one monolithic evaluation — each slice its
-    own short lock hold, the preemptable path a busy deployment serves
-    over ``GET /v1/scan``.
+    Every template is evaluated once as a set-at-a-time semijoin over the
+    whole log.  ``--resumable`` builds the identical report as a sequence
+    of bounded scan slices (``--page-rows`` per slice, optionally
+    ``--quantum-ms`` of wall clock) instead of one monolithic evaluation
+    — each slice its own short lock hold, the preemptable path a busy
+    deployment serves over ``GET /v1/scan``.
     """
     config = AuditConfig(
-        use_batch_path=args.batch,
         shards=args.shards,
         executor_kind=args.executor_kind,
         **_backend_config(args),
@@ -450,13 +445,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--templates", help="reviewed SQL/JSON template library")
     _add_sharding_args(p)
     _add_backend_args(p)
-    p.add_argument(
-        "--batch",
-        action=argparse.BooleanOptionalAction,
-        default=True,
-        help="evaluate templates set-at-a-time via batch semijoins "
-        "(--no-batch keeps the per-template point path)",
-    )
     p.add_argument(
         "--json", action="store_true", help="print the AuditReport as JSON"
     )

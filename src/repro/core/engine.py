@@ -155,27 +155,16 @@ class ExplanationEngine:
         templates: Iterable[ExplanationTemplate] = (),
         log_table: str = "Log",
         log_id_attr: str = "Lid",
-        use_batch_path: bool = True,
         executor: ExecutorProtocol | None = None,
-        semijoin_batch_min: int = SEMIJOIN_BATCH_MIN,
     ) -> None:
         self.db = db
         self.log_table = log_table
         self.log_id_attr = log_id_attr
-        #: The executor carries the pipeline toggles (pushdown, distinct
-        #: reduction) and the plan cache; pass one in to control them —
-        #: ``repro.api.AuditService`` builds it from an AuditConfig.
-        #: Defaults to the right executor kind for the database backend.
+        #: The executor carries the plan cache; pass one in to share or
+        #: bound it — ``repro.api.AuditService`` builds it from an
+        #: AuditConfig.  Defaults to the right executor kind for the
+        #: database backend.
         self.executor = executor if executor is not None else make_executor(db)
-        #: Batches at least this large take the semijoin delta strategy
-        #: when :meth:`notify_appended_many` auto-selects (``AuditConfig.
-        #: semijoin_batch_min`` routes here).
-        self.semijoin_batch_min = semijoin_batch_min
-        #: When True (default), whole-log evaluation routes through the
-        #: set-at-a-time :meth:`explain_all` semijoin path; False keeps
-        #: the per-template point path (the CLI's ``--no-batch``, and the
-        #: reference side of the batch differential tests).
-        self.use_batch_path = use_batch_path
         self._templates: list[ExplanationTemplate] = []
         self._lid_cache: dict[tuple, set] = {}
         # Memoized derived state (template signatures are expensive to
@@ -283,19 +272,10 @@ class ExplanationEngine:
         """Union of explained ids over every registered template (cached,
         patched in place by :meth:`notify_appended`; treat as read-only).
 
-        The cold path is the set-at-a-time :meth:`explain_all` when
-        ``use_batch_path`` is on (the default), else one full per-template
-        evaluation — both warm the same caches and agree exactly (pinned
-        by the batch differential suite).
+        The cold path is the set-at-a-time :meth:`explain_all`.
         """
         if self._all_explained is None:
-            if self.use_batch_path:
-                self.explain_all()
-            else:
-                out: set = set()
-                for template in self.templates:
-                    out |= self.explained_lids(template)
-                self._all_explained = out
+            self.explain_all()
         return self._all_explained
 
     def all_lids(self) -> set:
@@ -467,7 +447,7 @@ class ExplanationEngine:
         """
         lids = list(lids)
         if use_semijoin is None:
-            use_semijoin = len(lids) >= self.semijoin_batch_min
+            use_semijoin = len(lids) >= SEMIJOIN_BATCH_MIN
         if self._all_lids is not None:
             self._all_lids.update(lids)
         batch = set(lids)

@@ -4,8 +4,8 @@ Every tier above the storage layer (engine, facade, sharded service,
 server) talks to storage through two small contracts defined here:
 
 * :class:`ExecutorProtocol` — the query surface.  Implemented by the
-  in-memory :class:`~repro.db.executor.Executor` (hash-join pipeline,
-  row-wise and vectorized paths) and by
+  in-memory :class:`~repro.db.executor.Executor` (compiled hash-join
+  pipeline) and by
   :class:`~repro.db.sqlbackend.SqlExecutor` (SQL pushdown via the
   dialect compiler).  :func:`make_executor` picks the right one for a
   database object, so callers never import a concrete executor.
@@ -159,33 +159,13 @@ def make_executor(
     db: AnyDatabase,
     *,
     allow_cartesian: bool = False,
-    distinct_reduction: bool = True,
-    predicate_pushdown: bool = True,
     plan_cache: PlanCache | None = None,
-    vectorized: bool = True,
 ) -> ExecutorProtocol:
     """The right executor for a database object.
 
     A :class:`SqlDatabase` gets a :class:`SqlExecutor` (SQL pushdown);
-    anything else gets the in-memory :class:`Executor`.  Both accept the
-    same configuration knobs — ``distinct_reduction``,
-    ``predicate_pushdown`` and ``vectorized`` are inherent/meaningless
-    under SQL and are simply recorded there.
+    anything else gets the in-memory :class:`Executor`.
     """
     if isinstance(db, SqlDatabase):
-        return SqlExecutor(
-            db,
-            allow_cartesian=allow_cartesian,
-            distinct_reduction=distinct_reduction,
-            predicate_pushdown=predicate_pushdown,
-            plan_cache=plan_cache,
-            vectorized=vectorized,
-        )
-    return Executor(
-        db,
-        allow_cartesian=allow_cartesian,
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=predicate_pushdown,
-        plan_cache=plan_cache,
-        vectorized=vectorized,
-    )
+        return SqlExecutor(db, allow_cartesian=allow_cartesian, plan_cache=plan_cache)
+    return Executor(db, allow_cartesian=allow_cartesian, plan_cache=plan_cache)

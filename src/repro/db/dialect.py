@@ -51,7 +51,7 @@ set.  :attr:`CompiledQuery.param_order` records it and
 NULL semantics match the differential oracle end to end: every
 comparison is SQL three-valued, so a condition touching a NULL (stored
 value *or* a NULL literal bound as a parameter) excludes the row —
-exactly the in-memory ``_compare`` rule.
+exactly the in-memory executor's compiled filters.
 
 Values cross the wire through :func:`encode_value`/:func:`decode_value`:
 booleans ride as 0/1 integers, datetimes as ISO-8601 text (``isoformat``

@@ -38,18 +38,18 @@ mining and streaming performance:
    :class:`repro.db.optimizer.PlanCache` keyed on *query shape*, so
    repeated template evaluation (batch semijoins, mining support queries)
    never re-plans.
-6. **Prepared point probes** — the vectorized pipeline is split into
-   *compile stages from a plan* (:meth:`Executor._compile_pipeline`:
-   sources, row positions, join-key getters, filter closures, prune
-   projections — nothing that depends on a literal value or on table
-   contents) and *run stages* (:meth:`Executor._run_pipeline`).
+6. **Prepared point probes** — the one join body is split into *compile
+   stages from a plan* (:meth:`Executor._compile_pipeline`: sources, row
+   positions, join-key getters, filter closures, prune projections —
+   nothing that depends on a literal value or on table contents) and
+   *run stages* (:meth:`Executor._run_pipeline`).
    :meth:`Executor.prepare_point` keeps the compiled half of ``query AND
    pin = ?`` in a :class:`PointProbe`, so the per-access ``L.Lid = ?``
    question costs one run per call; the generic entry points compile and
    run back to back through the same body.
 
-Correctness of every pipeline configuration (with/without distinct
-reduction, with/without pushdown; point and batch paths) is pinned to a
+Correctness of both multiplicity settings (``distinct_reduction`` on and
+off; point, probe and batch entry points) is pinned to a nested-loop
 brute-force reference evaluator by ``tests/test_differential_executor.py``.
 """
 
@@ -82,116 +82,16 @@ _OPS: dict[str, Callable[[Any, Any], bool]] = {
     ">=": operator.ge,
 }
 
-
-def _compare(op: str, left: Any, right: Any) -> bool:
-    """SQL-style comparison: any comparison involving NULL is false."""
-    if left is None or right is None:
-        return False
-    return _OPS[op](left, right)
-
-
 #: Probe-side-to-build-side size ratio below which a join switches from
 #: build-a-hashmap to probing the table's cached projection index.
 INDEX_JOIN_RATIO = 4
 
-#: Shared miss default for vectorized hashmap probes.
+#: Shared miss default for hashmap probes.
 _EMPTY: tuple = ()
 
 
-class _BaseRelation:
-    """One tuple variable's input to the row-wise (reference) pipeline,
-    materialized lazily.
-
-    When the variable carries point predicates, or a batch-semijoin
-    ``IN``-restriction, they are resolved eagerly through the table's
-    (batch) index probes — small result.  Otherwise rows are materialized
-    on demand — a join that takes the index-nested-loop path never
-    materializes the build side at all.
-    """
-
-    __slots__ = ("table", "attrs", "cols", "reduce", "pristine", "_rows")
-
-    def __init__(
-        self,
-        table: Table,
-        alias: str,
-        attrs: list[str],
-        point_conds: list[Condition] | None,
-        reduce_rows: bool,
-        in_restrict: tuple[str, set] | None = None,
-    ) -> None:
-        self.table = table
-        self.attrs = attrs
-        self.cols = [AttrRef(alias, a) for a in attrs]
-        self.reduce = reduce_rows
-        #: True when rows are exactly the table's (distinct) projection —
-        #: the precondition for probing the table's projection index.
-        self.pristine = not point_conds and in_restrict is None
-        self._rows: list[tuple] | None = None
-        if point_conds:
-            first, rest = point_conds[0], point_conds[1:]
-            source = table.lookup(first.left.attr, first.right.value)
-            if rest:
-                rest_idx = [
-                    (table.schema.column_index(c.left.attr), c) for c in rest
-                ]
-                source = [
-                    r
-                    for r in source
-                    if all(_compare(c.op, r[i], c.right.value) for i, c in rest_idx)
-                ]
-            idxs = [table.schema.column_index(a) for a in attrs]
-            rows = [tuple(r[i] for i in idxs) for r in source]
-            if reduce_rows:
-                rows = list(dict.fromkeys(rows))
-            if in_restrict is not None:
-                pos = attrs.index(in_restrict[0])
-                rows = [r for r in rows if r[pos] in in_restrict[1]]
-            self._rows = rows
-        elif in_restrict is not None:
-            self._rows = self._restricted_rows(in_restrict)
-
-    def _restricted_rows(self, in_restrict: tuple[str, set]) -> list[tuple]:
-        """Materialize ``attr IN values`` through the batch probe APIs.
-
-        Small binding sets probe the delta-maintained (projection) index
-        once per value; large ones scan and filter — the same adaptive
-        switch as the index-nested-loop join.  ``values`` never contains
-        NULL (stripped by the caller: NULL never joins).
-        """
-        attr, values = in_restrict
-        table, attrs = self.table, self.attrs
-        if self.reduce:
-            if len(values) * INDEX_JOIN_RATIO < max(1, len(table)):
-                probed = table.projection_probe_many(
-                    attrs, (attr,), [(v,) for v in values], vectorized=False
-                )
-                return [t for entries in probed.values() for t in entries]
-            pos = attrs.index(attr)
-            return [t for t in table.project_distinct(attrs) if t[pos] in values]
-        idxs = [table.schema.column_index(a) for a in attrs]
-        if len(values) * INDEX_JOIN_RATIO < max(1, len(table)):
-            return [
-                tuple(r[i] for i in idxs)
-                for r in table.lookup_many(attr, values, vectorized=False)
-            ]
-        col = table.schema.column_index(attr)
-        return [
-            tuple(r[i] for i in idxs) for r in table.rows() if r[col] in values
-        ]
-
-    def rows(self) -> list[tuple]:
-        if self._rows is None:
-            if self.reduce:
-                self._rows = list(self.table.project_distinct(self.attrs))
-            else:
-                idxs = [self.table.schema.column_index(a) for a in self.attrs]
-                self._rows = [tuple(r[i] for i in idxs) for r in self.table.rows()]
-        return self._rows
-
-
 class _Source:
-    """One tuple variable's input to the vectorized pipeline, compiled.
+    """One tuple variable's input to the join pipeline, compiled.
 
     Holds names only — table, needed attributes, pushed-down point
     predicates, the semijoin-restricted attribute — so it is independent
@@ -297,8 +197,8 @@ class _Stage(NamedTuple):
 
 
 class _Pipeline(NamedTuple):
-    """A query shape compiled for the vectorized join body: the stages in
-    plan order, the output columns, and whether intermediates dedupe."""
+    """A query shape compiled for the join body: the stages in plan
+    order, the output columns, and whether intermediates dedupe."""
 
     stages: list[_Stage]
     cols: list[AttrRef]
@@ -386,29 +286,16 @@ class Executor:
         db: Database,
         allow_cartesian: bool = False,
         distinct_reduction: bool = True,
-        predicate_pushdown: bool = True,
         plan_cache: PlanCache | None = None,
-        vectorized: bool = True,
     ) -> None:
         self.db = db
         self.allow_cartesian = allow_cartesian
-        #: When True (the default), the join pipeline runs its batch
-        #: (columnar) hot paths: set-intersection index probes, scalar-keyed
-        #: hashmaps for single-attribute joins, C-level ``itemgetter``
-        #: projections, and per-condition specialized filters.  False keeps
-        #: the original per-row loops — the differential reference
-        #: (``tests/test_executor_vectorized.py`` pins both paths equal).
-        self.vectorized = vectorized
         #: When False, base tables are fed to the join pipeline at full
         #: multiplicity and intermediates are never deduplicated — the
-        #: paper's *unoptimized* query shape, kept for the ablation bench.
-        #: Final DISTINCT semantics are unaffected.
+        #: paper's *unoptimized* query shape (Section 3.2.1 ablation).
+        #: Final DISTINCT semantics are unaffected.  Read when a query is
+        #: compiled: a prepared probe keeps the setting it was built with.
         self.distinct_reduction = distinct_reduction
-        #: When True, single-variable literal equalities are resolved via
-        #: hash-index probes before the join pipeline (and tiny probe sides
-        #: use index-nested-loop joins).  False restores the seed's
-        #: scan-everything pipeline — the streaming bench's baseline.
-        self.predicate_pushdown = predicate_pushdown
         #: Memoized query plans, shared process-wide by default so every
         #: executor over the same template shapes reuses one plan; pass a
         #: private PlanCache to isolate (tests, benchmarks).
@@ -428,10 +315,7 @@ class Executor:
         self._validate(query)
         rel_cols, rel_rows = self._join_all(query)
         pos = [rel_cols.index(ref) for ref in query.projection]
-        if self.vectorized:
-            out = list(map(tuple_getter(pos), rel_rows))
-        else:
-            out = [tuple(row[p] for p in pos) for row in rel_rows]
+        out = list(map(tuple_getter(pos), rel_rows))
         if query.distinct:
             out = list(dict.fromkeys(out))
         return QueryResult(tuple(query.projection), out)
@@ -526,7 +410,6 @@ class Executor:
             tuple((r.alias, r.attr) for r in needed_extra),
             (in_restrict[0].alias, in_restrict[0].attr) if in_restrict else None,
             self.distinct_reduction,
-            self.predicate_pushdown,
             self.allow_cartesian,
         )
         plan = self.plan_cache.lookup(key)
@@ -536,52 +419,11 @@ class Executor:
                 query,
                 tuple(needed_extra),
                 distinct_reduction=self.distinct_reduction,
-                predicate_pushdown=self.predicate_pushdown,
                 allow_cartesian=self.allow_cartesian,
                 in_alias=in_restrict[0].alias if in_restrict else None,
             )
             self.plan_cache.store(key, plan)
         return plan
-
-    def _prepare(
-        self,
-        query: ConjunctiveQuery,
-        needed_extra: Sequence[AttrRef],
-        in_restrict: tuple[AttrRef, set] | None,
-    ):
-        """Plan lookup + base-relation construction for the row-wise
-        pipeline.
-
-        Base relations are projections of the needed attributes — distinct
-        when multiplicity reduction is enabled (paper Section 3.2.1).
-        Point predicates (consumed by the plan's pushdown split) and the
-        batch semijoin restriction resolve through index probes here.
-        """
-        plan = self._plan_for(query, needed_extra, in_restrict)
-        conditions = query.conditions
-        keep_always = {ref for ref in query.projection} | set(needed_extra)
-        reduce_rows = self.distinct_reduction and query.distinct
-        in_alias = in_restrict[0].alias if in_restrict else None
-        base: dict[str, _BaseRelation] = {}
-        for var in query.tuple_vars:
-            table = self.db.table(var.table)
-            attrs = list(plan.needed[var.alias]) or [table.schema.column_names[0]]
-            point_conds = [
-                conditions[i] for i in plan.pushable_idx.get(var.alias, ())
-            ]
-            restrict = None
-            if var.alias == in_alias:
-                restrict = (in_restrict[0].attr, in_restrict[1])
-            base[var.alias] = _BaseRelation(
-                table,
-                var.alias,
-                attrs,
-                point_conds or None,
-                reduce_rows,
-                restrict,
-            )
-        pending = [conditions[i] for i in plan.residual_idx]
-        return plan, conditions, keep_always, reduce_rows, base, pending
 
     def _join_all(
         self,
@@ -590,151 +432,11 @@ class Executor:
         in_restrict: tuple[AttrRef, set] | None = None,
     ) -> tuple[list[AttrRef], list[tuple]]:
         """Join every tuple variable along the cached plan; returns
-        (columns, rows)."""
-        if self.vectorized:
-            return self._join_all_vectorized(query, needed_extra, in_restrict)
-        return self._join_all_rowwise(query, needed_extra, in_restrict)
+        ``(columns, rows)``.
 
-    def _join_all_rowwise(
-        self,
-        query: ConjunctiveQuery,
-        needed_extra: Sequence[AttrRef] = (),
-        in_restrict: tuple[AttrRef, set] | None = None,
-    ) -> tuple[list[AttrRef], list[tuple]]:
-        """The original per-row pipeline — the differential reference for
-        the vectorized path (``Executor(vectorized=False)`` routes here)."""
-        plan, conditions, keep_always, reduce_rows, base, pending = self._prepare(
-            query, needed_extra, in_restrict
-        )
-
-        def applicable(cols: list[AttrRef]) -> list[Condition]:
-            """Pending conditions whose every attr ref is now bound."""
-            have = set(cols)
-            out = []
-            for cond in pending:
-                if all(ref in have for ref in cond_attr_refs(cond)):
-                    out.append(cond)
-            return out
-
-        def apply_filters(cols: list[AttrRef], rows: list[tuple]) -> list[tuple]:
-            conds = applicable(cols)
-            if not conds:
-                return rows
-            idx = {ref: cols.index(ref) for cond in conds for ref in cond_attr_refs(cond)}
-            kept = []
-            for row in rows:
-                ok = True
-                for cond in conds:
-                    lval = row[idx[cond.left]]
-                    rval = (
-                        row[idx[cond.right]]
-                        if isinstance(cond.right, AttrRef)
-                        else cond.right.value
-                    )
-                    if not _compare(cond.op, lval, rval):
-                        ok = False
-                        break
-                if ok:
-                    kept.append(row)
-            for cond in conds:
-                pending.remove(cond)
-            return kept
-
-        def prune(cols: list[AttrRef], rows: list[tuple]) -> tuple[list[AttrRef], list[tuple]]:
-            """Drop columns no pending condition / projection needs; dedup."""
-            still_needed = set(keep_always)
-            for cond in pending:
-                still_needed.update(cond_attr_refs(cond))
-            keep_pos = [i for i, c in enumerate(cols) if c in still_needed]
-            if len(keep_pos) == len(cols):
-                return cols, rows
-            new_cols = [cols[i] for i in keep_pos]
-            projected = (tuple(r[i] for i in keep_pos) for r in rows)
-            if reduce_rows:
-                new_rows = list(dict.fromkeys(projected))
-            else:
-                new_rows = list(projected)
-            return new_cols, new_rows
-
-        # Walk the plan's join order (first step drives the pipeline: the
-        # planner ranks point-predicate and semijoin-restricted relations
-        # first, so a ``L.Lid = ?`` restriction or a batch binding set
-        # naturally drives the whole pipeline).
-        start = plan.steps[0]
-        cols = list(base[start.alias].cols)
-        rows = base[start.alias].rows()
-        rows = apply_filters(cols, rows)
-        cols, rows = prune(cols, rows)
-
-        for step in plan.steps[1:]:
-            join_conds = [conditions[i] for i in step.join_cond_idx]
-            vbase = base[step.alias]
-            vcols = vbase.cols
-            if join_conds:
-                # split each join condition into (bound side, new side)
-                probe_refs: list[AttrRef] = []
-                build_refs: list[AttrRef] = []
-                for cond in join_conds:
-                    if cond.left.alias == step.alias:
-                        build_refs.append(cond.left)
-                        probe_refs.append(cond.right)  # type: ignore[arg-type]
-                    else:
-                        build_refs.append(cond.right)  # type: ignore[arg-type]
-                        probe_refs.append(cond.left)
-                    pending.remove(cond)
-                probe_pos = [cols.index(r) for r in probe_refs]
-                joined: list[tuple] = []
-                if vbase.pristine and vbase.reduce:
-                    # Probe the table's delta-maintained projection index
-                    # instead of hashing the build side.  The index IS the
-                    # hash map this join would build — but cached across
-                    # calls and maintained on append, so a repeated
-                    # template shape (every batch semijoin of a sliced
-                    # scan, every point explain) skips the per-call
-                    # O(|table|) build entirely.
-                    hashmap = vbase.table.projection_index(
-                        vbase.attrs, [r.attr for r in build_refs]
-                    )
-                else:
-                    build_pos = [vcols.index(r) for r in build_refs]
-                    hashmap = {}
-                    for vrow in vbase.rows():
-                        key = tuple(vrow[p] for p in build_pos)
-                        if None in key:
-                            continue  # NULL never joins
-                        hashmap.setdefault(key, []).append(vrow)
-                for row in rows:
-                    key = tuple(row[p] for p in probe_pos)
-                    if None in key:
-                        continue
-                    for vrow in hashmap.get(key, ()):
-                        joined.append(row + vrow)
-            else:  # explicit cartesian product (opt-in only)
-                joined = [row + vrow for row in rows for vrow in vbase.rows()]
-
-            cols = cols + list(vcols)
-            joined = apply_filters(cols, joined)
-            cols, rows = prune(cols, joined)
-
-        if pending:  # only single-var conditions could remain; apply them
-            rows = apply_filters(cols, rows)
-        if pending:
-            raise QueryError(f"unapplied conditions remain: {pending}")
-        return cols, rows
-
-    def _join_all_vectorized(
-        self,
-        query: ConjunctiveQuery,
-        needed_extra: Sequence[AttrRef] = (),
-        in_restrict: tuple[AttrRef, set] | None = None,
-    ) -> tuple[list[AttrRef], list[tuple]]:
-        """The batch pipeline: same joins, same semantics, C-level loops.
-
-        Compiles the cached plan into stages (:meth:`_compile_pipeline`)
-        and runs them (:meth:`_run_pipeline`) — the same two halves a
-        prepared point probe keeps apart.  Differences from
-        :meth:`_join_all_rowwise`, none observable in the result multiset
-        (pinned by ``tests/test_executor_vectorized.py``):
+        Compiles the plan into stages (:meth:`_compile_pipeline`) and runs
+        them (:meth:`_run_pipeline`) — the same two halves a prepared
+        point probe keeps apart.  The loops are batch-at-a-time:
 
         * probe keys come from one ``itemgetter`` per step (or a bare
           column read for single-attribute joins, probing a scalar-keyed
@@ -744,7 +446,7 @@ class Executor:
           key, so a NULL probe simply misses;
         * filters run as one specialized comprehension per condition
           (SQL three-valued semantics compiled into the ``is not None``
-          guards) instead of an interpreted per-row condition loop;
+          guards);
         * prune/projection dedup feed ``dict.fromkeys`` through
           ``map(itemgetter)``.
         """
@@ -863,7 +565,7 @@ class Executor:
     def _run_pipeline(
         self, pipeline: _Pipeline, literals: Sequence[Any], in_values: set | None
     ) -> list[tuple]:
-        """The one vectorized join body: run compiled stages against the
+        """The one join body: run compiled stages against the
         live tables with one call's literals (and semijoin binding set).
 
         Tables and their indexes are fetched by name on every run, so a
@@ -958,12 +660,9 @@ class PointProbe:
     probe can be prepared at open time without building any index —
     indexes still build lazily, on the first call that needs them.
 
-    The pipeline is compiled for the default executor configuration.  The
-    ablation toggles (``vectorized``, ``predicate_pushdown``,
-    ``distinct_reduction``) are checked per call — benchmarks flip them
-    after construction — and when any is off the probe evaluates through
-    the generic :meth:`Executor.execute`, so a reference configuration
-    keeps meaning what it says.  Every call counts as one query.
+    The executor's ``distinct_reduction`` setting is compiled in at
+    construction (it is the pipeline's ``reduce`` flag, as for any other
+    query).  Every call counts as one query.
     """
 
     __slots__ = ("executor", "query", "pin", "_pipeline", "_literals", "_project")
@@ -981,7 +680,7 @@ class PointProbe:
             size_by_projection=False,
         )
         self._pipeline = executor._compile_pipeline(
-            shape, plan, (), None, query.distinct
+            shape, plan, (), None, executor.distinct_reduction and query.distinct
         )
         self._literals = _literals(query)
         cols = self._pipeline.cols
@@ -989,12 +688,6 @@ class PointProbe:
 
     def __call__(self, value: Any) -> list[tuple]:
         executor = self.executor
-        if not (
-            executor.vectorized
-            and executor.predicate_pushdown
-            and executor.distinct_reduction
-        ):
-            return executor.execute(self.query.pinned(self.pin, value)).rows
         executor.queries_executed += 1
         if value is None:
             return []  # comparison with NULL is never true

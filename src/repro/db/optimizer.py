@@ -217,7 +217,6 @@ def build_plan(
     needed_extra: tuple[AttrRef, ...] = (),
     *,
     distinct_reduction: bool = True,
-    predicate_pushdown: bool = True,
     allow_cartesian: bool = False,
     in_alias: str | None = None,
     size_by_projection: bool = True,
@@ -249,8 +248,7 @@ def build_plan(
     residual: list[int] = []
     for i, cond in enumerate(conditions):
         if (
-            predicate_pushdown
-            and cond.op == "="
+            cond.op == "="
             and isinstance(cond.right, Literal)
             and cond.right.value is not None
         ):

@@ -163,9 +163,6 @@ class SqlTable:
         """Remove all rows."""
         self.driver.execute(f"DELETE FROM {quote_ident(self.schema.name)}")
 
-    def invalidate_caches(self) -> None:
-        """No-op: the SQL backend keeps no Python-side caches."""
-
     # ------------------------------------------------------------------
     # access
     # ------------------------------------------------------------------
@@ -361,14 +358,10 @@ class SqlDatabase:
 class SqlExecutor:
     """Evaluates :class:`ConjunctiveQuery` objects by SQL pushdown.
 
-    Signature-compatible with the in-memory
-    :class:`~repro.db.executor.Executor`: ``distinct_reduction``,
-    ``predicate_pushdown`` and ``vectorized`` are accepted for parity but
-    have no effect.  Predicate pushdown is inherent to SQL evaluation,
-    there is no separate vectorized path, and the SQL path has one
-    lowering: unprojected tuple variables of a distinct query are probed
-    through a correlated ``EXISTS``, which is the paper's multiplicity
-    reduction (see :mod:`repro.db.dialect`).
+    The SQL path has one lowering: predicate pushdown is inherent to SQL
+    evaluation, and unprojected tuple variables of a distinct query are
+    probed through a correlated ``EXISTS``, which is the paper's
+    multiplicity reduction (see :mod:`repro.db.dialect`).
 
     Compiled SQL is memoized in ``plan_cache`` (shared process-wide by
     default, like in-memory plans) keyed on query shape, so the
@@ -381,16 +374,10 @@ class SqlExecutor:
         self,
         db: SqlDatabase,
         allow_cartesian: bool = False,
-        distinct_reduction: bool = True,
-        predicate_pushdown: bool = True,
         plan_cache: PlanCache | None = None,
-        vectorized: bool = True,
     ) -> None:
         self.db = db
         self.allow_cartesian = allow_cartesian
-        self.distinct_reduction = distinct_reduction
-        self.predicate_pushdown = predicate_pushdown
-        self.vectorized = vectorized
         self.plan_cache = plan_cache if plan_cache is not None else shared_plan_cache()
         self.queries_executed = 0
 

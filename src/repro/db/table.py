@@ -21,7 +21,7 @@ access structures matter for the auditing workload:
   streaming per-access point queries).
 
 Hash and projection indexes also expose **batch probe APIs**
-(:meth:`probe_many`, :meth:`lookup_many`, :meth:`projection_probe_many`)
+(:meth:`probe_many`, :meth:`lookup_many`, :meth:`projection_probe_scalar`)
 so the executor can resolve a whole set of binding values in one call —
 the storage-level primitive behind batch semijoin evaluation.
 
@@ -137,8 +137,8 @@ class Table:
         ] = {}
         #: (attrs, key_attr) -> {scalar key -> [distinct projected tuples]}
         #: — the single-key-column variant of the projection index, keyed
-        #: by the bare value instead of a 1-tuple so the vectorized probe
-        #: path never allocates per-row key tuples.
+        #: by the bare value instead of a 1-tuple so the join pipeline's
+        #: probes never allocate per-row key tuples.
         self._proj_scalar_cache: dict[
             tuple[tuple[str, ...], str], dict[Any, list[tuple]]
         ] = {}
@@ -192,8 +192,7 @@ class Table:
 
         Never needed after :meth:`insert`/:meth:`insert_many` (those
         delta-maintain in place) — this exists for callers that mutate
-        rows out-of-band and for the invalidate-everything baseline in
-        the streaming benchmark."""
+        rows out-of-band."""
         self._invalidate()
 
     def _coerce(self, row: Sequence[Any] | Mapping[str, Any]) -> tuple:
@@ -409,8 +408,8 @@ class Table:
 
         Maps each non-NULL *bare value* of ``key_attr`` (no 1-tuple
         wrapping) to the distinct projected tuples carrying it, so the
-        vectorized semijoin probe hashes scalars instead of allocating a
-        key tuple per probe row.  Built lazily; delta-maintained on
+        semijoin probe hashes scalars instead of allocating a key tuple
+        per probe row.  Built lazily; delta-maintained on
         append exactly like the tuple-keyed variant.
         """
         cache_key = (tuple(attrs), key_attr)
@@ -432,29 +431,16 @@ class Table:
     # ------------------------------------------------------------------
     # batch probes (the storage primitive behind semijoin evaluation)
     # ------------------------------------------------------------------
-    def probe_many(
-        self, column: str, values: Iterable[Any], *, vectorized: bool = True
-    ) -> dict[Any, list[int]]:
+    def probe_many(self, column: str, values: Iterable[Any]) -> dict[Any, list[int]]:
         """Batch hash-index probe: ``value -> [row positions]`` for every
         probe value that matches at least one row.
 
         NULL probe values are skipped (SQL semantics: NULL never joins).
-        The vectorized path resolves the whole batch with one C-level
-        keys-view set intersection against the hash index (NULL discarded
-        afterwards — the index does carry a NULL bucket) instead of one
-        dict probe per value; ``vectorized=False`` keeps the original
-        per-value loop as the differential reference.
+        The whole batch resolves with one C-level keys-view set
+        intersection against the hash index (NULL discarded afterwards —
+        the index does carry a NULL bucket).
         """
         index = self.index_for(column)
-        if not vectorized:
-            out: dict[Any, list[int]] = {}
-            for value in values:
-                if value is None:
-                    continue
-                positions = index.get(value)
-                if positions:
-                    out[value] = positions
-            return out
         if isinstance(values, (set, frozenset)):
             hits = index.keys() & values
             hits.discard(None)
@@ -464,47 +450,12 @@ class Table:
         hits.discard(None)
         return {v: index[v] for v in ordered if v in hits}
 
-    def lookup_many(
-        self, column: str, values: Iterable[Any], *, vectorized: bool = True
-    ) -> list[tuple]:
+    def lookup_many(self, column: str, values: Iterable[Any]) -> list[tuple]:
         """Rows where ``column`` matches any probe value (full multiplicity,
         grouped by probe value; NULLs never match)."""
         rows = self._rows
-        probed = self.probe_many(column, values, vectorized=vectorized)
+        probed = self.probe_many(column, values)
         return [rows[p] for positions in probed.values() for p in positions]
-
-    def projection_probe_many(
-        self,
-        attrs: Sequence[str],
-        key_attrs: Sequence[str],
-        keys: Iterable[tuple],
-        *,
-        vectorized: bool = True,
-    ) -> dict[tuple, list[tuple]]:
-        """Batch probe of :meth:`projection_index`: ``key tuple -> [distinct
-        projected tuples]`` for every probe key with at least one match.
-
-        Keys containing NULL are skipped (NULL never joins).  The
-        vectorized path is one keys-view set intersection — no per-key
-        NULL scan is needed because the projection index never contains a
-        NULL-bearing key, so such probes simply cannot intersect.
-        ``vectorized=False`` keeps the original per-key loop.
-        """
-        index = self.projection_index(attrs, key_attrs)
-        if not vectorized:
-            out: dict[tuple, list[tuple]] = {}
-            for key in keys:
-                if any(k is None for k in key):
-                    continue
-                entries = index.get(key)
-                if entries:
-                    out[key] = entries
-            return out
-        if isinstance(keys, (set, frozenset)):
-            return {k: index[k] for k in index.keys() & keys}
-        ordered = dict.fromkeys(keys)
-        hits = index.keys() & ordered
-        return {k: index[k] for k in ordered if k in hits}
 
     def projection_probe_scalar(
         self, attrs: Sequence[str], key_attr: str, values: Iterable[Any]
@@ -512,9 +463,9 @@ class Table:
         """Batch probe of :meth:`projection_index_scalar`: ``value ->
         [distinct projected tuples]`` for every probe value with a match.
 
-        The scalar twin of :meth:`projection_probe_many` — bare values in,
-        bare-value keys out, one set intersection for the whole batch.
-        NULL probe values never match (the scalar index has no NULL key).
+        Bare values in, bare-value keys out, one set intersection for the
+        whole batch.  NULL probe values never match (the scalar index has
+        no NULL key).
         """
         index = self.projection_index_scalar(attrs, key_attr)
         if not isinstance(values, (set, frozenset)):

@@ -21,14 +21,14 @@ class TestAuditConfig:
         config = AuditConfig(
             log_table="Audit",
             log_id_attr="Id",
-            use_batch_path=False,
-            semijoin_batch_min=3,
-            predicate_pushdown=False,
-            distinct_reduction=False,
             plan_cache_size=7,
-            incremental_ingest=False,
-            batch_ingest=True,
             alert_on_unexplained=False,
+            shards=3,
+            executor_kind="process",
+            parallelism=2,
+            scan_page_rows=64,
+            backend="sqlite",
+            db_path="audit.db",
             eager_warm=False,
         )
         data = config.to_dict()
@@ -80,9 +80,9 @@ class TestAuditConfig:
         [
             {"log_table": ""},
             {"log_id_attr": ""},
-            {"semijoin_batch_min": 0},
+            {"shards": 0},
             {"plan_cache_size": 0},
-            {"batch_ingest": "yes"},
+            {"executor_kind": "fiber"},
         ],
     )
     def test_validation(self, kwargs):
@@ -153,23 +153,77 @@ class TestConfigDrivesService:
         assert stats["misses"] >= 1
         assert stats["hits"] >= 1  # repeated semijoin shape re-used
 
-    def test_executor_toggles_from_config(self, hospital_db):
-        service = AuditService.open(
-            hospital_db,
-            templates=(),
-            config=AuditConfig(
-                predicate_pushdown=False,
-                distinct_reduction=False,
-                eager_warm=False,
-            ),
-        )
-        assert service.engine.executor.predicate_pushdown is False
-        assert service.engine.executor.distinct_reduction is False
-
     def test_semijoin_threshold_reaches_engine(self, hospital_db):
-        service = AuditService.open(
-            hospital_db,
-            templates=(),
-            config=AuditConfig(semijoin_batch_min=3, eager_warm=False),
-        )
-        assert service.engine.semijoin_batch_min == 3
+        """Batched ingest switches strategy at the engine's
+        SEMIJOIN_BATCH_MIN: a batch one row short of it is maintained by
+        prepared probes, which never consult the plan cache; a batch of
+        exactly that size by semijoins planned through the service's."""
+        from repro.audit.handcrafted import event_user_template
+        from repro.core.engine import SEMIJOIN_BATCH_MIN
+        from repro.core.graph import SchemaGraph
+
+        graph = SchemaGraph(hospital_db)
+        template = event_user_template(graph, "Appointments", "Doctor")
+        service = AuditService.open(hospital_db, templates=[template])
+        cache = service.plan_cache
+
+        def lookups_during(n: int) -> int:
+            before = cache.hits + cache.misses
+            service.ingest_many([("Dave", "Alice", 50 + i) for i in range(n)])
+            return cache.hits + cache.misses - before
+
+        assert lookups_during(SEMIJOIN_BATCH_MIN - 1) == 0
+        assert lookups_during(SEMIJOIN_BATCH_MIN) >= 1
+
+
+#: ``AuditConfig().to_dict()`` as stored by a build whose config still
+#: carried the seven evaluation-path toggles.
+STORED_21_KEY_CONFIG = {
+    "log_table": "Log",
+    "log_id_attr": "Lid",
+    "use_batch_path": True,
+    "semijoin_batch_min": 8,
+    "predicate_pushdown": True,
+    "distinct_reduction": True,
+    "plan_cache_size": 1024,
+    "incremental_ingest": True,
+    "batch_ingest": None,
+    "alert_on_unexplained": True,
+    "shards": 1,
+    "executor_kind": "thread",
+    "parallelism": None,
+    "vectorized": True,
+    "workers": None,
+    "scan_page_rows": 512,
+    "scan_quantum_seconds": None,
+    "backend": "memory",
+    "db_path": None,
+    "max_table_rows": None,
+    "eager_warm": True,
+}
+REMOVED_TOGGLES = [
+    "batch_ingest",
+    "distinct_reduction",
+    "incremental_ingest",
+    "predicate_pushdown",
+    "semijoin_batch_min",
+    "use_batch_path",
+    "vectorized",
+]
+
+
+class TestStoredConfigCompatibility:
+    def test_lenient_load_drops_the_removed_toggles_with_one_warning(self):
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = AuditConfig.from_dict(STORED_21_KEY_CONFIG, strict=False)
+        assert config == AuditConfig()
+        assert len(caught) == 1
+        assert str(REMOVED_TOGGLES) in str(caught[0].message)
+
+    def test_strict_load_names_the_removed_toggles(self):
+        with pytest.raises(ValueError) as raised:
+            AuditConfig.from_dict(STORED_21_KEY_CONFIG)
+        assert str(REMOVED_TOGGLES) in str(raised.value)

@@ -1,8 +1,7 @@
-"""The AuditService facade: lifecycle, typed requests, shim equivalence,
+"""The AuditService facade: lifecycle, typed requests, engine-level equivalence,
 alert policy, and the threaded reader/writer smoke test."""
 
 import threading
-import warnings
 
 import pytest
 
@@ -228,7 +227,7 @@ class TestReports:
         assert stats["plan_cache"]["size"] >= 1
         assert stats["lock"]["read_acquisitions"] >= 1
         assert stats["ingest"] is None  # nothing streamed yet
-        assert stats["config"]["use_batch_path"] is True
+        assert stats["config"] == AuditConfig().to_dict()
 
 
 # ----------------------------------------------------------------------
@@ -327,42 +326,16 @@ class TestMine:
 
 
 # ----------------------------------------------------------------------
-# deprecation shims
+# after the deprecation shims: the old top-level names are gone, the
+# engine-level classes they pointed at still agree with the service
 # ----------------------------------------------------------------------
 class TestDeprecationShims:
-    @pytest.mark.parametrize(
-        "name,module,attr",
-        [
-            ("ExplanationEngine", "repro.core.engine", "ExplanationEngine"),
-            ("AccessMonitor", "repro.audit.streaming", "AccessMonitor"),
-            ("PatientPortal", "repro.audit.portal", "PatientPortal"),
-            ("ComplianceAuditor", "repro.audit.report", "ComplianceAuditor"),
-            ("OneWayMiner", "repro.core.mining", "OneWayMiner"),
-            ("TwoWayMiner", "repro.core.mining", "TwoWayMiner"),
-            ("BridgedMiner", "repro.core.mining", "BridgedMiner"),
-        ],
-    )
-    def test_shim_warns_and_returns_real_class(self, name, module, attr):
-        import importlib
-
-        import repro
-
-        real = getattr(importlib.import_module(module), attr)
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            shimmed = getattr(repro, name)
-        assert shimmed is real
-        assert any(
-            issubclass(w.category, DeprecationWarning)
-            and "repro.api" in str(w.message)
-            for w in caught
-        )
-
     def test_unknown_attribute_still_raises(self):
         import repro
 
-        with pytest.raises(AttributeError):
-            repro.NoSuchThing
+        for name in ("NoSuchThing", "ExplanationEngine", "OneWayMiner"):
+            with pytest.raises(AttributeError):
+                getattr(repro, name)
 
     def test_old_entry_points_match_service(self, hospital_db):
         """The shimmed classes and the service agree on every output."""

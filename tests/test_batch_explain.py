@@ -22,7 +22,7 @@ from repro.audit.handcrafted import (
     repeat_access_template,
 )
 from repro.core import ExplanationEngine
-from repro.core.engine import BatchExplanation
+from repro.core.engine import SEMIJOIN_BATCH_MIN, BatchExplanation
 from repro.db import ColumnType, Database, TableSchema
 from repro.db.optimizer import PlanCache
 
@@ -168,8 +168,6 @@ def test_semijoin_delta_retro_explains_older_access():
 
 def test_notify_auto_strategy_thresholds():
     """use_semijoin=None routes small batches to point, large to semijoin."""
-    from repro.core.engine import SEMIJOIN_BATCH_MIN
-
     db = _hospital()
     engine = _engine(db)
     engine.unexplained_lids()
@@ -212,13 +210,20 @@ def test_explain_batch_partition_tiles_batch():
 
 
 def test_batch_and_point_engine_paths_agree():
-    """use_batch_path True/False (the CLI toggle) yield identical state."""
+    """The whole-log semijoin pass equals the union of every template's
+    own full evaluation, and the aggregates built from it agree."""
     db = _hospital()
-    batch_engine = _engine(db, use_batch_path=True)
-    point_engine = _engine(db, use_batch_path=False)
-    assert batch_engine.all_explained_lids() == point_engine.all_explained_lids()
-    assert batch_engine.unexplained_lids() == point_engine.unexplained_lids()
-    assert batch_engine.coverage() == pytest.approx(point_engine.coverage())
+    batch_engine = _engine(db)
+    point_engine = _engine(db)
+    union: set = set()
+    for template in point_engine.templates:
+        union |= point_engine.explained_lids(template)
+    assert batch_engine.explain_all().explained == union
+    assert batch_engine.all_explained_lids() == union
+    assert batch_engine.unexplained_lids() == point_engine.all_lids() - union
+    assert batch_engine.coverage() == pytest.approx(
+        1 - len(point_engine.all_lids() - union) / len(point_engine.all_lids())
+    )
 
 
 def test_explain_all_warms_per_template_caches():
@@ -242,11 +247,17 @@ def test_batch_explanation_is_frozen():
 # ----------------------------------------------------------------------
 # monitor routing
 # ----------------------------------------------------------------------
+#: How each batch mode splits the stream into ``ingest_many`` calls: one
+#: batch (the engine picks by size), batches of SEMIJOIN_BATCH_MIN (the
+#: semijoin strategy, the remainder by point probes), batches of 2 (point).
+BATCH_SIZES = {None: None, True: SEMIJOIN_BATCH_MIN, False: 2}
+
+
 @pytest.mark.parametrize("batch_mode", [None, True, False])
 def test_monitor_batch_modes_match_one_by_one(batch_mode):
     db_a, db_b = _hospital(), _hospital()
     one = AccessMonitor(_engine(db_a))
-    many = AccessMonitor(_engine(db_b), batch=batch_mode)
+    many = AccessMonitor(_engine(db_b))
     stream = [
         ("Zed", "Carol", 30),
         ("Dave", "Alice", 31),
@@ -259,7 +270,12 @@ def test_monitor_batch_modes_match_one_by_one(batch_mode):
         ("Zed", "Bob", 38),
     ]
     singles = [one.ingest(u, p, d) for u, p, d in stream]
-    batched = many.ingest_many(stream)
+    size = BATCH_SIZES[batch_mode] or len(stream)
+    batched = [
+        access
+        for i in range(0, len(stream), size)
+        for access in many.ingest_many(stream[i : i + size])
+    ]
     assert [a.lid for a in batched] == [a.lid for a in singles]
     assert [a.suspicious for a in batched] == [a.suspicious for a in singles]
     assert many.alerts == one.alerts

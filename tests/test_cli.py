@@ -103,15 +103,6 @@ class TestAuditAndEvaluate:
         assert "review queue" in out
         assert "unexplained" in out
 
-    def test_audit_batch_toggle_identical_output(self, dbdir, capsys):
-        """--batch (semijoin) and --no-batch (point path) agree exactly."""
-        assert main(["audit", "--db", dbdir, "--batch"]) == 0
-        batch_out = capsys.readouterr().out
-        assert main(["audit", "--db", dbdir, "--no-batch"]) == 0
-        point_out = capsys.readouterr().out
-        assert batch_out == point_out
-        assert "review queue" in batch_out
-
     def test_evaluate_coverage(self, dbdir, capsys):
         assert main(["evaluate", "--db", dbdir]) == 0
         out = capsys.readouterr().out

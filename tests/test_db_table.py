@@ -173,16 +173,14 @@ class TestBatchProbes:
         table.insert(("Zoe", "Dave", 5))
         assert table.probe_many("Doctor", ["Dave"])["Dave"] == [0, 2, 3, 4]
 
-    def test_projection_probe_many(self, table):
-        out = table.projection_probe_many(
-            ("Patient", "Doctor"), ("Doctor",), [("Dave",), ("Nobody",)]
-        )
-        assert set(out) == {("Dave",)}
+    def test_projection_index(self, table):
+        out = table.projection_index(("Patient", "Doctor"), ("Doctor",))
+        assert set(out) == {("Dave",), ("Mike",)}
         assert sorted(out[("Dave",)]) == [("Alice", "Dave"), ("Carol", "Dave")]
+        assert ("Nobody",) not in out
 
-    def test_projection_probe_many_skips_null_keys(self, table):
+    def test_projection_index_skips_null_keys(self, table):
         table.insert((None, None, 4))
-        out = table.projection_probe_many(
-            ("Patient", "Doctor"), ("Doctor",), [(None,), ("Mike",)]
-        )
-        assert set(out) == {("Mike",)}
+        out = table.projection_index(("Patient", "Doctor"), ("Doctor",))
+        assert (None,) not in out
+        assert out[("Mike",)] == [("Bob", "Mike")]

@@ -3,17 +3,17 @@
 The reference evaluator enumerates the full cartesian product of the
 query's tuple variables with nested loops and applies SQL three-valued
 comparison semantics directly — no indexes, no distinct reduction, no
-pushdown, no join ordering.  Every executor configuration (with and
-without ``distinct_reduction``, with and without ``predicate_pushdown``)
-on every storage backend (the in-memory engine and the template-to-SQL
-SQLite pushdown, via :func:`repro.db.make_executor`) must produce the
-same multiset of projected rows on several hundred seeded random
-conjunctive queries, including NULL join/comparison cases.
+pushdown, no join ordering.  The in-memory executor (with and without
+``distinct_reduction``) and the template-to-SQL SQLite pushdown must
+produce the same multiset of projected rows on several hundred seeded
+random conjunctive queries, including NULL join/comparison cases.  The
+directed NULL cases also run on tables whose last rows arrived after the
+indexes, projections and plans were built (delta-maintained state).
 
 The batch-vs-point suite extends the same treatment to the set-at-a-time
 path: ``Executor.distinct_values_in`` (one batch semijoin) must equal
 both the brute-force reference restricted by membership and the union of
-one point query per binding value, across every executor configuration —
+one point query per binding value, on every executor —
 including NULL join keys, NULLs inside the binding set, empty batches,
 and single-row batches.
 
@@ -28,8 +28,8 @@ the same two standards on both backends: ``probe(value)`` equals the
 brute-force reference of ``query.pinned(pin, value)`` and the generic
 ``execute`` of it — present and absent values, NULL, duplicated rows,
 NULL join keys, literal and inequality conditions beside the pin,
-existential aliases over an empty table, and toggles flipped after the
-probe was prepared.
+existential aliases over an empty table, and a probe prepared without
+distinct reduction.
 """
 
 from __future__ import annotations
@@ -47,6 +47,7 @@ from repro.db import (
     Condition,
     ConjunctiveQuery,
     Database,
+    Executor,
     Literal,
     TableSchema,
     TupleVar,
@@ -63,8 +64,14 @@ _OPS = {
     ">=": operator.ge,
 }
 
-#: (distinct_reduction, predicate_pushdown) — every pipeline configuration.
-CONFIGS = [(True, True), (True, False), (False, True), (False, False)]
+#: ``distinct_reduction`` settings of the in-memory executor: the paper's
+#: multiplicity-reduced pipeline and its unoptimized (Section 3.2.1
+#: ablation) shape.
+CONFIGS = [True, False]
+
+#: (distinct_reduction, delta) — each setting on freshly built and on
+#: delta-maintained tables (see :func:`executor_under_test`).
+STATES = [(reduce, delta) for reduce in CONFIGS for delta in (True, False)]
 
 #: Storage backends under differential test: the in-memory columnar
 #: engine and the template-to-SQL pushdown over SQLite.
@@ -86,21 +93,50 @@ def backend_db(db: Database, backend: str):
 
 
 def all_executors(db: Database, **kw):
-    """One executor per (backend, distinct_reduction, pushdown) triple,
-    each yielded with a mismatch-message label."""
-    for distinct_reduction, pushdown in CONFIGS:
-        for backend in BACKENDS:
-            yield (
-                f"backend={backend}, "
-                f"distinct_reduction={distinct_reduction}, "
-                f"pushdown={pushdown}",
-                make_executor(
-                    backend_db(db, backend),
-                    distinct_reduction=distinct_reduction,
-                    predicate_pushdown=pushdown,
-                    **kw,
-                ),
-            )
+    """One in-memory executor per ``distinct_reduction`` setting and the
+    SQL pushdown executor (SQL has a single lowering), each yielded with
+    a mismatch-message label."""
+    for distinct_reduction in CONFIGS:
+        yield (
+            f"backend=memory, distinct_reduction={distinct_reduction}",
+            Executor(db, distinct_reduction=distinct_reduction, **kw),
+        )
+    yield "backend=sqlite", make_executor(sql_twin(db), **kw)
+
+
+def executor_under_test(
+    db: Database,
+    backend: str,
+    distinct_reduction: bool,
+    delta: bool,
+    *warm: ConjunctiveQuery,
+):
+    """An executor over ``db``'s rows on ``backend``.
+
+    With ``delta`` the second half of every table lands only after
+    ``warm`` ran on this executor, so the indexes, distinct projections and plans
+    those queries built are delta-maintained rather than fresh.  SQL has a
+    single lowering, so ``distinct_reduction`` varies the in-memory
+    executor only.
+    """
+    source, late = db, {}
+    if delta:
+        source = Database(db.name)
+        for table in db.tables():
+            rows = table.rows()
+            half = len(rows) // 2
+            source.create_table(table.schema).insert_many(rows[:half])
+            late[table.schema.name] = rows[half:]
+    target = backend_db(source, backend)
+    if backend == "memory":
+        executor = Executor(target, distinct_reduction=distinct_reduction)
+    else:
+        executor = make_executor(target)
+    for query in warm:
+        executor.execute(query)
+    for name, rows in late.items():
+        target.table(name).insert_many(rows)
+    return executor
 
 
 @pytest.fixture(params=BACKENDS)
@@ -220,7 +256,7 @@ def assert_matches_reference(db: Database, query: ConjunctiveQuery, **kw) -> Non
 
 
 # ----------------------------------------------------------------------
-# randomized differential sweep: 20 seeds x ~10 queries x 4 configs
+# randomized differential sweep: 20 seeds x ~10 queries x 3 executors
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("seed", range(20))
 def test_random_queries_match_reference(seed):
@@ -288,41 +324,32 @@ def _join_query(distinct=True, extra=()):
     return ConjunctiveQuery.build(tvars, conds, proj, distinct=distinct)
 
 
-@pytest.mark.parametrize("distinct_reduction,pushdown", CONFIGS)
-def test_null_join_keys_never_match(null_db, backend, distinct_reduction, pushdown):
-    executor = make_executor(
-        backend_db(null_db, backend),
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=pushdown,
-    )
-    rows = set(executor.execute(_join_query()).rows)
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
+def test_null_join_keys_never_match(null_db, backend, distinct_reduction, delta):
+    query = _join_query()
+    executor = executor_under_test(null_db, backend, distinct_reduction, delta, query)
+    rows = set(executor.execute(query).rows)
     # the NULL-keyed rows on either side must not pair up
     assert rows == {(10, 100), (None, 300), (40, 300)}
-    assert rows == set(reference_evaluate(null_db, _join_query()))
+    assert rows == set(reference_evaluate(null_db, query))
 
 
-@pytest.mark.parametrize("distinct_reduction,pushdown", CONFIGS)
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
 def test_equals_null_literal_is_unsatisfiable(
-    null_db, backend, distinct_reduction, pushdown
+    null_db, backend, distinct_reduction, delta
 ):
-    executor = make_executor(
-        backend_db(null_db, backend),
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=pushdown,
-    )
     query = _join_query(extra=(Condition(AttrRef("A", "k"), "=", Literal(None)),))
+    executor = executor_under_test(
+        null_db, backend, distinct_reduction, delta, _join_query(), query
+    )
     assert executor.execute(query).rows == []
     assert reference_evaluate(null_db, query) == []
 
 
-@pytest.mark.parametrize("distinct_reduction,pushdown", CONFIGS)
-def test_not_equals_never_matches_null(null_db, backend, distinct_reduction, pushdown):
-    executor = make_executor(
-        backend_db(null_db, backend),
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=pushdown,
-    )
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
+def test_not_equals_never_matches_null(null_db, backend, distinct_reduction, delta):
     query = _join_query(extra=(Condition(AttrRef("A", "x"), "!=", Literal(20)),))
+    executor = executor_under_test(null_db, backend, distinct_reduction, delta, query)
     rows = set(executor.execute(query).rows)
     # (2, None) has x = NULL: `x != 20` is false under SQL semantics
     assert rows == {(10, 100), (40, 300)}
@@ -331,10 +358,15 @@ def test_not_equals_never_matches_null(null_db, backend, distinct_reduction, pus
 
 @pytest.mark.parametrize("pushdown", [True, False])
 def test_point_predicate_agrees_with_filter_path(null_db, backend, pushdown):
-    executor = make_executor(
-        backend_db(null_db, backend), predicate_pushdown=pushdown
-    )
-    query = _join_query(extra=(Condition(AttrRef("B", "k"), "=", Literal(2)),))
+    """``B.k = 2`` is pushed down to an index probe; the same predicate
+    stated as ``B.k >= 2 AND B.k <= 2`` stays a residual filter."""
+    key = AttrRef("B", "k")
+    if pushdown:
+        extra = (Condition(key, "=", Literal(2)),)
+    else:
+        extra = (Condition(key, ">=", Literal(2)), Condition(key, "<=", Literal(2)))
+    query = _join_query(extra=extra)
+    executor = make_executor(backend_db(null_db, backend))
     assert set(executor.execute(query).rows) == {(None, 300), (40, 300)}
 
 
@@ -380,7 +412,7 @@ def assert_batch_matches_point(db, query, attr, in_attr, values, **kw):
 
 @pytest.mark.parametrize("seed", range(12))
 def test_random_batch_semijoin_matches_point_queries(seed):
-    """Seeded random templates + binding sets, all four configs."""
+    """Seeded random templates + binding sets, on every executor."""
     rng = random.Random(7000 + seed)
     db = random_database(rng)
     for _ in range(8):
@@ -407,15 +439,11 @@ def test_random_batch_semijoin_on_projected_attr(seed):
             assert batch == full & {v for v in values if v is not None}, label
 
 
-@pytest.mark.parametrize("distinct_reduction,pushdown", CONFIGS)
-def test_batch_semijoin_null_join_keys(null_db, backend, distinct_reduction, pushdown):
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
+def test_batch_semijoin_null_join_keys(null_db, backend, distinct_reduction, delta):
     """NULL join keys and NULL binding values never match."""
-    executor = make_executor(
-        backend_db(null_db, backend),
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=pushdown,
-    )
     query = _join_query()
+    executor = executor_under_test(null_db, backend, distinct_reduction, delta, query)
     got = executor.distinct_values_in(
         query, AttrRef("A", "x"), AttrRef("B", "k"), {2, None}
     )
@@ -426,15 +454,11 @@ def test_batch_semijoin_null_join_keys(null_db, backend, distinct_reduction, pus
     )
 
 
-@pytest.mark.parametrize("distinct_reduction,pushdown", CONFIGS)
-def test_batch_semijoin_edge_batches(null_db, backend, distinct_reduction, pushdown):
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
+def test_batch_semijoin_edge_batches(null_db, backend, distinct_reduction, delta):
     """Empty and single-value batches (the degenerate point-query case)."""
-    executor = make_executor(
-        backend_db(null_db, backend),
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=pushdown,
-    )
     query = _join_query()
+    executor = executor_under_test(null_db, backend, distinct_reduction, delta, query)
     attr, in_attr = AttrRef("A", "x"), AttrRef("A", "k")
     assert executor.distinct_values_in(query, attr, in_attr, set()) == set()
     assert executor.distinct_values_in(query, attr, in_attr, {None}) == set()
@@ -443,17 +467,13 @@ def test_batch_semijoin_edge_batches(null_db, backend, distinct_reduction, pushd
     assert single == {10}
 
 
-@pytest.mark.parametrize("distinct_reduction,pushdown", CONFIGS)
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
 def test_batch_semijoin_composes_with_point_pushdown(
-    null_db, backend, distinct_reduction, pushdown
+    null_db, backend, distinct_reduction, delta
 ):
     """An IN-restriction on an alias that also carries a point predicate."""
-    executor = make_executor(
-        backend_db(null_db, backend),
-        distinct_reduction=distinct_reduction,
-        predicate_pushdown=pushdown,
-    )
     query = _join_query(extra=(Condition(AttrRef("A", "k"), "=", Literal(2)),))
+    executor = executor_under_test(null_db, backend, distinct_reduction, delta, query)
     got = executor.distinct_values_in(
         query, AttrRef("A", "x"), AttrRef("A", "x"), {40, 10}
     )
@@ -470,7 +490,7 @@ def test_batch_semijoin_counts_as_one_query(null_db, backend):
 
 
 def test_non_distinct_preserves_multiplicity(null_db):
-    """distinct=False must keep duplicate projected rows in every config."""
+    """distinct=False must keep duplicate projected rows on every executor."""
     query = _join_query(distinct=False)
     expected = Counter(reference_evaluate(null_db, query))
     assert max(expected.values()) >= 2  # the duplicated (1, 10) row
@@ -707,25 +727,21 @@ def test_point_probe_existential_alias_over_empty_table(null_db, other):
     )
 
 
-@pytest.mark.parametrize("toggle", ["vectorized", "predicate_pushdown", "distinct_reduction"])
-def test_point_probe_honours_toggles_flipped_after_prepare(null_db, toggle):
-    """Benches flip the ablation toggles on a live executor: a probe
-    prepared before the flip then evaluates through the generic path of
-    that configuration, and switches back with the toggle."""
-    executor = make_executor(null_db)
-    query = _join_query(distinct=False)
-    probe = executor.prepare_point(query, AttrRef("A", "k"))
-    expected = Counter(reference_evaluate(null_db, query.pinned(AttrRef("A", "k"), 1)))
-    lookups = executor.plan_cache.hits + executor.plan_cache.misses
-    assert Counter(probe(1)) == expected
-    assert executor.plan_cache.hits + executor.plan_cache.misses == lookups
-    setattr(executor, toggle, False)
-    assert Counter(probe(1)) == expected
-    # the generic path plans through the cache; the compiled one never does
-    assert executor.plan_cache.hits + executor.plan_cache.misses == lookups + 1
-    setattr(executor, toggle, True)
-    assert Counter(probe(1)) == expected
-    assert executor.plan_cache.hits + executor.plan_cache.misses == lookups + 1
+def test_point_probe_without_distinct_reduction_matches_reference(null_db):
+    """``distinct_reduction=False`` is compiled into a probe when it is
+    prepared: intermediates keep full multiplicity, answers equal the
+    brute-force reference, and no call consults the plan cache."""
+    executor = Executor(null_db, distinct_reduction=False)
+    pin = AttrRef("A", "k")
+    for distinct in (True, False):
+        query = _join_query(distinct=distinct)
+        probe = executor.prepare_point(query, pin)
+        assert probe._pipeline.reduce is False
+        lookups = executor.plan_cache.hits + executor.plan_cache.misses
+        for value in (1, 2, None, 99):
+            expected = Counter(reference_evaluate(null_db, query.pinned(pin, value)))
+            assert Counter(probe(value)) == expected, (distinct, value)
+        assert executor.plan_cache.hits + executor.plan_cache.misses == lookups
 
 
 def test_prepare_point_validates_like_execute(null_db, backend):

@@ -1,17 +1,16 @@
-"""Differential tests: the vectorized hot path vs the per-row reference.
+"""Differential tests: the batch-at-a-time pipeline vs row-at-a-time oracles.
 
-The executor's batch pipeline (``Executor(vectorized=True)``, the
-default) and the table-level batch probes (``probe_many`` /
-``lookup_many`` / ``projection_probe_many`` and the scalar-keyed
-variants) replace per-row dict probes with C-level keys-view set
-intersections, specialized filter comprehensions, and ``itemgetter``
-projections.  Every one of those paths must stay **byte-identical** to
-the original per-row implementations — same multisets of projected
-rows, same probe dictionaries — across NULL join keys, mixed-type
-columns, and post-ingest delta states, for every pipeline
-configuration.  The rowwise legs run through the exact same public
-entry points with ``vectorized=False``, so this suite is the
-always-on proof that the toggle is a pure performance knob.
+The executor's join pipeline and the table-level batch probes
+(``probe_many`` / ``lookup_many`` / the projection indexes and their
+scalar-keyed variants) replace per-row dict probes with C-level
+keys-view set intersections, specialized filter comprehensions, and
+``itemgetter`` projections.  Every one of those paths must give exactly
+what a row-at-a-time evaluation gives — same multisets of projected rows,
+same probe dictionaries — across NULL join keys, mixed-type columns, and
+post-ingest delta states, for both multiplicity settings.  The
+row-at-a-time side is the nested-loop brute-force reference of
+``test_differential_executor`` for queries, and a loop or comprehension
+over ``Table.rows()`` for the probes.
 """
 
 from __future__ import annotations
@@ -68,42 +67,31 @@ def _mixed_db() -> Database:
     return db
 
 
-def _both_executors(db, distinct_reduction, pushdown, **kw):
-    return (
-        Executor(
-            db,
-            distinct_reduction=distinct_reduction,
-            predicate_pushdown=pushdown,
-            vectorized=True,
-            **kw,
-        ),
-        Executor(
-            db,
-            distinct_reduction=distinct_reduction,
-            predicate_pushdown=pushdown,
-            vectorized=False,
-            **kw,
-        ),
-    )
-
-
 def assert_vectorized_matches(db, query, **executor_kw) -> None:
-    """Vectorized == rowwise == brute-force reference, all four configs."""
+    """The pipeline == the brute-force reference, both multiplicity
+    settings."""
     expected = Counter(reference_evaluate(db, query))
-    for distinct_reduction, pushdown in CONFIGS:
-        fast, slow = _both_executors(
-            db, distinct_reduction, pushdown, **executor_kw
+    for distinct_reduction in CONFIGS:
+        executor = Executor(db, distinct_reduction=distinct_reduction, **executor_kw)
+        got = Counter(executor.execute(query).rows)
+        assert got == expected, (
+            f"pipeline != reference (distinct_reduction="
+            f"{distinct_reduction}) for:\n{query}"
         )
-        got_fast = Counter(fast.execute(query).rows)
-        got_slow = Counter(slow.execute(query).rows)
-        assert got_fast == got_slow, (
-            f"vectorized != rowwise (distinct_reduction="
-            f"{distinct_reduction}, pushdown={pushdown}) for:\n{query}"
-        )
-        assert got_fast == expected, (
-            f"vectorized != reference (distinct_reduction="
-            f"{distinct_reduction}, pushdown={pushdown}) for:\n{query}"
-        )
+
+
+def scan_positions(table, column, values) -> dict:
+    """``probe_many`` computed row by row: per non-NULL probe value, the
+    positions of the rows holding it."""
+    col = table.schema.column_index(column)
+    out = {}
+    for value in values:
+        if value is None:
+            continue
+        hits = [i for i, row in enumerate(table.rows()) if row[col] == value]
+        if hits:
+            out[value] = hits
+    return out
 
 
 # ----------------------------------------------------------------------
@@ -130,8 +118,8 @@ def test_random_cartesian_vectorized_matches_rowwise(seed):
 @pytest.mark.parametrize("seed", range(6))
 def test_post_ingest_delta_states_stay_identical(seed):
     """Warm every cache with a query, ingest more rows (delta
-    maintenance patches indexes in place), re-run: both paths must see
-    the new rows and still agree with a from-scratch reference."""
+    maintenance patches indexes in place), re-run: the pipeline must see
+    the new rows and still agree with the from-scratch reference."""
     rng = random.Random(44_000 + seed)
     db = random_database(rng)
     queries = [random_query(rng, db) for _ in range(4)]
@@ -174,7 +162,8 @@ def test_mixed_type_columns_vectorized_matches_rowwise():
 
 @pytest.mark.parametrize("seed", range(6))
 def test_batch_semijoin_vectorized_matches_rowwise(seed):
-    """distinct_values_in: the explain_batch primitive, both paths."""
+    """distinct_values_in: the explain_batch primitive, both multiplicity
+    settings."""
     rng = random.Random(45_000 + seed)
     db = random_database(rng)
     for _ in range(6):
@@ -185,13 +174,12 @@ def test_batch_semijoin_vectorized_matches_rowwise(seed):
             rng.choice(VALUE_DOMAIN + [7]) for _ in range(rng.randrange(0, 6))
         }
         expected = reference_distinct_in(db, query, attr, in_attr, values)
-        for distinct_reduction, pushdown in CONFIGS:
-            fast, slow = _both_executors(db, distinct_reduction, pushdown)
-            got_fast = fast.distinct_values_in(query, attr, in_attr, values)
-            got_slow = slow.distinct_values_in(query, attr, in_attr, values)
-            assert got_fast == got_slow == expected, (
+        for distinct_reduction in CONFIGS:
+            executor = Executor(db, distinct_reduction=distinct_reduction)
+            got = executor.distinct_values_in(query, attr, in_attr, values)
+            assert got == expected, (
                 f"batch semijoin mismatch (distinct_reduction="
-                f"{distinct_reduction}, pushdown={pushdown}) for:\n{query}"
+                f"{distinct_reduction}) for:\n{query}"
             )
 
 
@@ -206,10 +194,9 @@ class TestProbeMany:
     def test_matches_per_value_loop_with_nulls(self):
         table = self._table()
         for values in ([1, None, 4, 99], {1, None, 4, 99}, [], [None]):
-            fast = table.probe_many("uid", values, vectorized=True)
-            slow = table.probe_many("uid", values, vectorized=False)
-            assert fast == slow
-            assert None not in fast
+            got = table.probe_many("uid", values)
+            assert got == scan_positions(table, "uid", values)
+            assert None not in got
 
     def test_null_probe_never_matches_null_rows(self):
         table = self._table()
@@ -228,19 +215,20 @@ class TestProbeMany:
     def test_lookup_many_matches_rowwise(self):
         table = self._table()
         values = [1, None, 2, 8]
-        fast = Counter(table.lookup_many("uid", values, vectorized=True))
-        slow = Counter(table.lookup_many("uid", values, vectorized=False))
-        assert fast == slow
-        assert fast  # non-vacuous: uid 1 matches two rows
+        got = Counter(table.lookup_many("uid", values))
+        col = table.schema.column_index("uid")
+        wanted = {v for v in values if v is not None}
+        assert got == Counter(r for r in table.rows() if r[col] in wanted)
+        assert got  # non-vacuous: uid 1 matches two rows
 
     def test_probe_after_ingest_sees_delta(self):
         table = self._table()
         before = table.probe_many("uid", [77])
         assert before == {}
         table.insert((77, "icu"))
-        fast = table.probe_many("uid", [77], vectorized=True)
-        slow = table.probe_many("uid", [77], vectorized=False)
-        assert fast == slow == {77: [len(table.rows()) - 1]}
+        got = table.probe_many("uid", [77])
+        assert got == scan_positions(table, "uid", [77])
+        assert got == {77: [len(table.rows()) - 1]}
 
 
 class TestProjectionProbes:
@@ -249,25 +237,23 @@ class TestProjectionProbes:
 
     def test_tuple_keys_match_rowwise(self):
         table = self._table()
-        keys = [(1,), (None,), (4,), (123,)]
-        fast = table.projection_probe_many(
-            ("uid", "ward"), ("uid",), keys, vectorized=True
-        )
-        slow = table.projection_probe_many(
-            ("uid", "ward"), ("uid",), keys, vectorized=False
-        )
-        assert fast == slow
-        assert (None,) not in fast
-        assert fast  # non-vacuous: uid 1 and 4 match
+        index = table.projection_index(("uid", "ward"), ("uid",))
+        expected: dict = {}
+        for uid, ward in table.rows():
+            if uid is not None:
+                expected.setdefault((uid,), set()).add((uid, ward))
+        assert {k: set(v) for k, v in index.items()} == expected
+        assert (None,) not in index
+        assert index  # non-vacuous: uid 1 and 4 match
 
     def test_scalar_probe_matches_tuple_probe(self):
         table = self._table()
         values = {1, 2, None, 123}
         scalar = table.projection_probe_scalar(("uid", "ward"), "uid", values)
-        tupled = table.projection_probe_many(
-            ("uid", "ward"), ("uid",), {(v,) for v in values}
-        )
-        assert {(k,): v for k, v in scalar.items()} == tupled
+        tupled = table.projection_index(("uid", "ward"), ("uid",))
+        assert {(k,): v for k, v in scalar.items()} == {
+            k: v for k, v in tupled.items() if k[0] in values
+        }
         assert None not in scalar
 
     def test_scalar_index_is_delta_maintained(self):

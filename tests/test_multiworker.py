@@ -260,10 +260,6 @@ class TestValidation:
         assert AuditConfig(workers=None).effective_workers == 1
         assert AuditConfig(workers=3).effective_workers == 3
 
-    def test_config_vectorized_default(self):
-        assert AuditConfig().vectorized is True
-        assert AuditConfig(vectorized=False).vectorized is False
-
 
 # ----------------------------------------------------------------------
 # reservoir sampling and snapshot merging

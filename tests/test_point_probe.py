@@ -10,10 +10,9 @@ handle must keep:
 * **staleness** — a probe used before and after the table drops its
   caches, is cleared and reloaded, after templates are added and after a
   thousand appends returns what a fresh ``execute`` returns;
-* **the legacy baseline** — ``AccessMonitor(engine, incremental=False)``
-  with ``predicate_pushdown`` switched off *after* construction (the
-  ``bench_streaming_ingest`` baseline) still agrees with the incremental
-  monitor on every flag and on the unexplained queue.
+* **the ingest verdict** — the instances and flag a monitor takes from
+  its maintenance pass equal what an engine built from scratch over the
+  grown log explains, for single, back-dated and batched ingests.
 """
 
 from __future__ import annotations
@@ -34,9 +33,9 @@ from repro.audit.handcrafted import (
     repeat_access_template,
 )
 from repro.core import ExplanationEngine
+from repro.core.engine import SEMIJOIN_BATCH_MIN
 from repro.core.mining import MiningConfig, OneWayMiner
 from repro.db import AttrRef, Condition, Literal, make_executor, open_sql_database
-from repro.db.optimizer import PlanCache
 from repro.ehr import EPOCH
 
 
@@ -248,26 +247,27 @@ def test_warm_prepares_probes_without_building_indexes(hospital_db, hospital_gra
 
 
 # ----------------------------------------------------------------------
-# the legacy baseline of bench_streaming_ingest
+# ingest verdicts against a fresh engine
 # ----------------------------------------------------------------------
-def test_legacy_baseline_with_pushdown_flipped_after_construction():
-    eng_fast, sim_fast = build_engine()
-    eng_slow, sim_slow = build_engine()
-    fast = AccessMonitor(eng_fast)
-    slow = AccessMonitor(eng_slow, incremental=False)
-    eng_slow.executor.predicate_pushdown = False  # after construction
-    eng_slow.executor.plan_cache = generic_plans = PlanCache()
-    stream = _stream(sim_fast, 12)
+def test_ingest_verdicts_match_fresh_engine_explain():
+    """After every ingest — one at a time, back-dated, and a batch large
+    enough for the semijoin strategy — each returned access carries what
+    an engine built from scratch over the grown log explains."""
+    eng, sim = build_engine()
+    monitor = AccessMonitor(eng)
+    stream = _stream(sim, 12)
     stream.append(stream[0][:2] + (EPOCH + dt.timedelta(days=1),))  # back-dated
-    got_fast = [fast.ingest(u, p, d) for u, p, d in stream]
-    got_slow = [slow.ingest(u, p, d) for u, p, d in stream]
-    assert [a.suspicious for a in got_fast] == [a.suspicious for a in got_slow]
-    assert [[i.render() for i in a.instances] for a in got_fast] == [
-        [i.render() for i in a.instances] for a in got_slow
-    ]
-    assert eng_fast.unexplained_lids() == eng_slow.unexplained_lids()
-    # the baseline really ran the generic scan-everything configuration:
-    # every one of its point queries was planned through the cache, which
-    # the compiled probes never consult
-    lookups = generic_plans.hits + generic_plans.misses
-    assert lookups >= len(stream) * len(eng_slow.templates)
+
+    def check(accesses):
+        fresh = ExplanationEngine(sim.db, eng.templates)
+        for access in accesses:
+            expected = fresh.explain(access.lid)
+            assert [i.render() for i in access.instances] == [
+                i.render() for i in expected
+            ], access.lid
+            assert access.suspicious == (not expected), access.lid
+        assert eng.unexplained_lids() == fresh.unexplained_lids()
+
+    for user, patient, date in stream:
+        check([monitor.ingest(user, patient, date)])
+    check(monitor.ingest_many(_stream(sim, SEMIJOIN_BATCH_MIN)))

@@ -347,17 +347,18 @@ def test_shared_evaluation_ingest_equals_separate_maintenance_and_explain(
     batches, warm, strategy
 ):
     """The monitor takes each appended row's verdict from the maintenance
-    pass's own probe results.  That must leave the same explained sets,
-    the same unexplained queue and the same returned instances as
-    ``notify_appended_many`` followed by a separate ``explain`` per row —
-    under every maintenance strategy, back-dated rows included."""
+    pass's own probe results (strategy chosen by batch size).  That must
+    leave the same explained sets, the same unexplained queue and the
+    same returned instances as ``notify_appended_many`` — auto or forced
+    to either strategy — followed by a separate ``explain`` per row,
+    back-dated rows included."""
     shared_db, separate_db = _hospital(), _hospital()
     shared = ExplanationEngine(shared_db, _templates(shared_db))
     separate = ExplanationEngine(separate_db, _templates(separate_db))
     if warm:
         shared.unexplained_lids()
         separate.unexplained_lids()
-    monitor = AccessMonitor(shared, batch=strategy)
+    monitor = AccessMonitor(shared)
     for batch in batches:
         results = monitor.ingest_many(batch)
         lids = [r.lid for r in results]

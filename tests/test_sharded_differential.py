@@ -24,6 +24,7 @@ from repro.api import (
     UnsupportedOperationError,
     open_service,
 )
+from repro.core.engine import SEMIJOIN_BATCH_MIN
 from repro.ehr import SimulationConfig, simulate
 
 SHARD_COUNTS = (1, 2, 7)
@@ -180,8 +181,10 @@ def test_sharded_ingest_identical(shards, kind):
 
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 def test_sharded_batch_semijoin_ingest_identical(kind):
-    """The forced batch-semijoin ingest strategy survives sharding."""
-    config = AuditConfig(batch_ingest=True)
+    """The batch-semijoin ingest strategy survives sharding: each of the
+    four patients has SEMIJOIN_BATCH_MIN rows in the batch, so every shard
+    that owns one maintains its share by semijoin."""
+    config = AuditConfig()
     base = AuditService.open(
         _fresh_db(), config=config, clock=_ticking_clock()
     )
@@ -190,7 +193,9 @@ def test_sharded_batch_semijoin_ingest_identical(kind):
         _fresh_db(), config=sharded_config, clock=_ticking_clock()
     ) as sharded:
         patients = _sample_patients(base.db, k=4)
-        batch = [("u0001", patients[i % 4], None) for i in range(10)]
+        batch = [
+            ("u0001", patients[i % 4], None) for i in range(4 * SEMIJOIN_BATCH_MIN)
+        ]
         ours = [r.to_dict() for r in sharded.ingest_many(batch)]
         theirs = [r.to_dict() for r in base.ingest_many(batch)]
         assert ours == theirs

@@ -295,16 +295,6 @@ class TestCompilation:
             'SELECT "A"."k" FROM "T" "A", "T" "B" WHERE "A"."k" = "B"."k"'
         )
 
-    def test_distinct_reduction_has_no_effect_on_sql(self):
-        db = SqlDatabase(SqliteDriver(None))
-        db.create_table(MIXED_SCHEMA).insert_many([(1, None, None)])
-        cache = PlanCache(max_size=8)
-        query = _single_table_query()
-        for flag in (True, False):
-            executor = SqlExecutor(db, plan_cache=cache, distinct_reduction=flag)
-            assert executor.execute(query).rows == [(1,)]
-        assert cache.stats()["misses"] == 1
-
     def test_plan_cache_memoizes_compiled_queries(self):
         db = SqlDatabase(SqliteDriver(None))
         db.create_table(MIXED_SCHEMA).insert_many([(1, None, None)])
