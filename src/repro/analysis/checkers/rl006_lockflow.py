@@ -27,7 +27,8 @@ graph with per-function lock-state dataflow.  Three violation shapes:
 Lock state is tracked per CFG node as a set of ``(token, mode)`` pairs
 where the token is the receiver's dotted spine (``self._lock``,
 ``svc._lock``, a bare ``lock`` local); ``with``-block boundaries and
-explicit ``acquire_*``/``release_*`` calls both transfer.
+explicit ``acquire_*``/``try_acquire_read``/``release_*`` calls all
+transfer.
 """
 
 from __future__ import annotations
@@ -49,7 +50,13 @@ SCOPE = ("src/repro",)
 
 #: Context-manager / imperative spellings of the RWLock protocol.
 ENTER_MODES = {"read_locked": "read", "write_locked": "write"}
-ACQUIRE_MODES = {"acquire_read": "read", "acquire_write": "write"}
+#: ``try_acquire_read`` counts as held on both branches of its test: a
+#: may-hold over-approximation that keeps the region it guards checked.
+ACQUIRE_MODES = {
+    "acquire_read": "read",
+    "try_acquire_read": "read",
+    "acquire_write": "write",
+}
 RELEASE_MODES = {"release_read": "read", "release_write": "write"}
 
 #: Call spellings that fork (or submit work to a forked pool).

@@ -10,6 +10,9 @@ Policy: **writer-preferring**.  New readers block while a writer is
 waiting, so a steady stream of ``explain`` calls cannot starve an
 ``ingest``.  The lock is not reentrant — the service never nests public
 calls, and keeping it non-reentrant keeps the invariant auditable.
+:meth:`RWLock.try_acquire_read` is the one acquisition that never waits:
+the HTTP event loop uses it to answer a point read in place, and hands
+the read to a pool thread when it fails.
 
 **Sanitizer.**  With ``REPRO_SANITIZE=1`` every acquisition is checked
 against a per-thread held-lock table and the discipline violations that
@@ -136,6 +139,27 @@ class RWLock:
                 self._cond.wait()
             self._active_readers += 1
             self.read_acquisitions += 1
+
+    def try_acquire_read(self) -> bool:
+        """Enter shared only if that needs no waiting: False, holding
+        nothing, while a writer is active or waiting — or while another
+        thread is inside the lock's own bookkeeping.  Never blocks, so an
+        event loop may call it; pair a True with :meth:`release_read`."""
+        sanitize = _sanitize_enabled()
+        if sanitize:
+            self._sanitize_acquire("read")
+        acquired = False
+        if self._cond.acquire(blocking=False):
+            try:
+                if not (self._writer_active or self._writers_waiting):
+                    self._active_readers += 1
+                    self.read_acquisitions += 1
+                    acquired = True
+            finally:
+                self._cond.release()
+        if sanitize and not acquired:
+            _held_map().pop(id(self), None)
+        return acquired
 
     def release_read(self) -> None:
         # unconditional discard: REPRO_SANITIZE may flip mid-hold

@@ -74,10 +74,20 @@ class ExplainRequest:
     limit: int | None = None
 
     def __post_init__(self) -> None:
+        # the wire hands these over unchecked; a bad value must fail here
+        # (ValueError -> 400), not inside the engine (-> 500)
         if self.lid is None:
             raise ValueError("ExplainRequest requires a log id")
-        if self.limit is not None and self.limit < 1:
-            raise ValueError("limit must be >= 1 when given")
+        if isinstance(self.lid, (bool, list, dict)):
+            raise ValueError(
+                f"lid must be a scalar log id, got {type(self.lid).__name__}"
+            )
+        if self.limit is not None and (
+            not isinstance(self.limit, int)
+            or isinstance(self.limit, bool)
+            or self.limit < 1
+        ):
+            raise ValueError("limit must be an integer >= 1 when given")
 
     def to_dict(self) -> dict:
         return {"lid": jsonable(self.lid), "limit": self.limit}
@@ -106,11 +116,17 @@ class ExplanationView:
         )
 
     def to_dict(self) -> dict:
+        # binding values are single column values, so only a date or
+        # datetime needs converting (the per-reply hot path skips the
+        # recursive jsonable)
         return {
             "text": self.text,
             "path_length": self.path_length,
             "template": self.template,
-            "bindings": jsonable(self.bindings),
+            "bindings": {
+                key: value.isoformat() if isinstance(value, dt.date) else value
+                for key, value in self.bindings.items()
+            },
         }
 
     @classmethod

@@ -25,6 +25,13 @@ writer leaves the aggregate caches warm before releasing the lock, so
 readers only ever *read* shared state — the first step toward
 multi-worker serving.
 
+Readers normally wait for the lock.  ``explain(request, wait=False)`` is
+the one exception: it takes the read lock with the non-blocking
+:meth:`~repro.api.locks.RWLock.try_acquire_read` and answers only on the
+memory backend with no writer active or waiting, returning None
+otherwise.  The HTTP server calls it on its event-loop thread and sends
+a None to its thread pool as an ordinary waiting ``explain``.
+
 Everything the service returns is a typed, frozen dataclass from
 :mod:`repro.api.messages` with ``to_dict()`` for JSON serving.
 """
@@ -305,17 +312,31 @@ class AuditService:
     # ------------------------------------------------------------------
     # readers
     # ------------------------------------------------------------------
-    def explain(self, request: ExplainRequest | Any) -> ExplainResult:
+    def explain(
+        self, request: ExplainRequest | Any, *, wait: bool = True
+    ) -> ExplainResult | None:
         """Why did this access happen?  Ranked explanation instances
         (ascending path length); empty means candidate misuse.
 
-        Accepts an :class:`ExplainRequest` or a bare log id.
+        Accepts an :class:`ExplainRequest` or a bare log id.  With
+        ``wait=False`` the call answers only if it can start and finish
+        without waiting — the memory backend, and a read lock free of
+        writers — and returns None otherwise (the HTTP event loop's
+        in-place attempt).
         """
         self._check_open()
         if not isinstance(request, ExplainRequest):
             request = ExplainRequest(lid=request)
-        with self._lock.read_locked():
-            instances = self.engine.explain(request.lid)
+        if wait:
+            with self._lock.read_locked():
+                instances = self.engine.explain(request.lid)
+        elif isinstance(self.db, SqlDatabase) or not self._lock.try_acquire_read():
+            return None
+        else:
+            try:
+                instances = self.engine.explain(request.lid)
+            finally:
+                self._lock.release_read()
         if request.limit is not None:
             instances = instances[: request.limit]
         return ExplainResult(

@@ -539,11 +539,16 @@ class ShardedAuditService:
     # ------------------------------------------------------------------
     # readers
     # ------------------------------------------------------------------
-    def explain(self, request: ExplainRequest | Any) -> ExplainResult:
+    def explain(
+        self, request: ExplainRequest | Any, *, wait: bool = True
+    ) -> ExplainResult | None:
         """Why did this access happen?  Scatter to every shard (only the
         owner can answer — shard logs are disjoint) and rank the merged
-        instances exactly as the single-node service does."""
+        instances exactly as the single-node service does.  A scatter
+        always waits on the shards, so ``wait=False`` returns None."""
         self._check_open()
+        if not wait:
+            return None
         if not isinstance(request, ExplainRequest):
             request = ExplainRequest(lid=request)
         with self._lock.read_locked():

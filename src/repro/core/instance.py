@@ -8,12 +8,11 @@ rank the explanations in ascending order of path length."
 
 from __future__ import annotations
 
-import re
 from dataclasses import dataclass
 from collections.abc import Iterable, Mapping
 from typing import Any
 
-from .template import ExplanationTemplate, _PLACEHOLDER
+from .template import ExplanationTemplate
 
 
 @dataclass(frozen=True)
@@ -37,14 +36,7 @@ class ExplanationInstance:
         """Fill the template's description placeholders with this
         instance's values (paper Example 2.2: "Alice had an appointment
         with Dave on 1/1/2010")."""
-
-        def substitute(match: re.Match) -> str:
-            key = f"{match.group(1)}.{match.group(2)}"
-            if key in self.bindings:
-                return str(self.bindings[key])
-            return match.group(0)
-
-        return _PLACEHOLDER.sub(substitute, self.template.describe_template())
+        return self.template.render(self.bindings)
 
     def __str__(self) -> str:
         return f"[lid={self.lid}] {self.render()}"
@@ -61,8 +53,7 @@ def rank_instances(
 
     def key(inst: ExplanationInstance):
         return (
-            inst.path_length,
-            inst.template.display_name(),
+            inst.template.rank_prefix,
             str(inst.lid),
             sorted((k, str(v)) for k, v in inst.bindings.items()),
         )

@@ -259,10 +259,7 @@ class _MinerBase:
         return kept
 
     def _result(self) -> MiningResult:
-        templates = sorted(
-            self._templates,
-            key=lambda m: (m.length, m.template.display_name()),
-        )
+        templates = sorted(self._templates, key=lambda m: m.template.rank_prefix)
         return MiningResult(
             algorithm=self.algorithm,
             templates=templates,

@@ -19,8 +19,9 @@ sets of mined templates deduplicate exactly like the paper's support cache.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
-from collections.abc import Iterable
+from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from typing import Any
 
 from ..db.query import (
     AttrRef,
@@ -45,6 +46,14 @@ class ExplanationTemplate:
     description: str | None = None
     name: str | None = None
     log_id_attr: str = "Lid"
+    #: ``(length, display_name())``: how instances of this template rank
+    #: against other templates' (see ``rank_instances``).
+    rank_prefix: tuple[int, str] = field(init=False, repr=False, compare=False)
+    #: The description with every placeholder replaced by ``{}`` (other
+    #: braces doubled), and the ``"alias.attr"`` key of each placeholder
+    #: in order — what :meth:`render` fills.
+    _render_format: str = field(init=False, repr=False, compare=False)
+    _render_keys: tuple[str, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.path.is_explanation:
@@ -52,6 +61,16 @@ class ExplanationTemplate:
                 "an explanation template requires a path anchored at both "
                 "Log.start and Log.end (Definition 1)"
             )
+        # Derived once here so that no reader ever fills a shared cache.
+        text = self.describe_template()
+        escaped = text.replace("{", "{{").replace("}", "}}")
+        object.__setattr__(self, "_render_format", _PLACEHOLDER.sub("{}", escaped))
+        object.__setattr__(
+            self,
+            "_render_keys",
+            tuple(f"{alias}.{attr}" for alias, attr in _PLACEHOLDER.findall(text)),
+        )
+        object.__setattr__(self, "rank_prefix", (self.length, self.display_name()))
 
     # ------------------------------------------------------------------
     # classification (Definitions 2-4)
@@ -124,6 +143,17 @@ class ExplanationTemplate:
             if ref not in refs:
                 refs.append(ref)
         return refs
+
+    def render(self, bindings: Mapping[str, Any]) -> str:
+        """The description with each placeholder filled from ``bindings``
+        (``"alias.attr"`` -> value); a placeholder with no binding stays
+        as written (paper Example 2.2)."""
+        return self._render_format.format(
+            *[
+                str(bindings[key]) if key in bindings else f"[{key}]"
+                for key in self._render_keys
+            ]
+        )
 
     def describe_template(self) -> str:
         """The description string, auto-generated when none was given.

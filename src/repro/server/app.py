@@ -31,10 +31,18 @@ Every response is a versioned envelope (``{"v": 1, "kind": ..., "data":
 :class:`~repro.api.errors.UnsupportedOperationError` → 501 for
 operations a sharded deployment cannot host.
 
-Service calls are blocking (they take the service's RWLock), so the
-asyncio loop dispatches them to a small thread pool; concurrent readers
-then genuinely overlap inside the service while the loop keeps
-accepting connections.  :class:`AuditServer` owns the loop: ``serve()``
+Service calls are blocking (they take the service's RWLock), so they
+run in two tiers.  A point explain — ``GET``/``POST /v1/explain`` and
+each lid of ``/v1/explain/batch`` — is first tried on the event-loop
+thread as ``service.explain(request, wait=False)``, which answers only
+if the read can start and finish without waiting (the single-node
+memory backend, no writer active or waiting).  A warm probe is pure
+Python, so a pool thread would add two thread handoffs and no
+parallelism.  When the service declines (returns None: a writer
+pending, SQLite I/O, a shard scatter) — and for every other call — the
+loop hands the call to a small thread pool, where it may wait on the
+lock while the loop keeps accepting connections.  The loop itself never
+waits on the lock.  :class:`AuditServer` owns the loop: ``serve()``
 blocks a CLI process until SIGINT/SIGTERM, ``start()``/``close()`` run
 the whole server on a background thread for tests and benchmarks.
 """
@@ -44,6 +52,7 @@ from __future__ import annotations
 import asyncio
 import contextlib
 import functools
+import inspect
 import json
 import logging
 import re
@@ -186,6 +195,11 @@ class AuditAPI:
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
+        #: Whether the service's ``explain`` takes ``wait`` — one that
+        #: does not is always called on the pool.
+        self._explain_inline = "wait" in inspect.signature(
+            service.explain
+        ).parameters
         self._routes: list[tuple[str, str, re.Pattern, Callable, bool]] = []
         for method, pattern, handler, streaming in (
             ("GET", "/healthz", self.h_healthz, False),
@@ -271,6 +285,16 @@ class AuditAPI:
             self._executor, functools.partial(fn, *args, **kwargs)
         )
 
+    async def _explain(self, request: ExplainRequest) -> Any:
+        """One point explain: answered here on the loop thread when the
+        service can do it without waiting (``wait=False`` gives a
+        result), otherwise on the worker pool like every other call."""
+        if self._explain_inline:
+            result = self.service.explain(request, wait=False)
+            if result is not None:
+                return result
+        return await self._call(self.service.explain, request)
+
     # ------------------------------------------------------------------
     # plain handlers (return the envelope dict; dispatch serializes)
     # ------------------------------------------------------------------
@@ -313,8 +337,7 @@ class AuditAPI:
             raise InvalidRequestError("explain requires a 'lid' query parameter")
         limit = request.query_int("limit", None, minimum=1)
         explain_request = ExplainRequest(lid=parse_scalar(raw), limit=limit)
-        result = await self._call(self.service.explain, explain_request)
-        return to_wire(result)
+        return to_wire(await self._explain(explain_request))
 
     async def h_explain_post(self, request: Request) -> dict:
         payload = request.json()
@@ -324,8 +347,7 @@ class AuditAPI:
         if not isinstance(data, dict):
             raise InvalidRequestError("explain body carries no request object")
         explain_request = ExplainRequest.from_dict(data)
-        result = await self._call(self.service.explain, explain_request)
-        return to_wire(result)
+        return to_wire(await self._explain(explain_request))
 
     async def h_patient_report(self, request: Request) -> dict:
         patient = parse_scalar(request.path_params["patient"])
@@ -546,15 +568,13 @@ class AuditAPI:
         if not isinstance(lids, list):
             raise InvalidRequestError('explain batch body must be {"lids": [...]}')
         limit = payload.get("limit")
-        if limit is not None and (not isinstance(limit, int) or limit < 1):
-            raise InvalidRequestError("limit must be an integer >= 1 when given")
-        if any(lid is None for lid in lids):
-            raise InvalidRequestError("lids must not contain null")
-        for lid in lids:
-            result = await self._call(
-                self.service.explain, ExplainRequest(lid=lid, limit=limit)
-            )
+        requests = [ExplainRequest(lid=lid, limit=limit) for lid in lids]
+        for explain_request in requests:
+            result = await self._explain(explain_request)
             await chunks.send(dump_json(to_wire(result)))
+            # a lid answered on the loop thread never yielded: let other
+            # connections in between lids, as the pool hop used to
+            await asyncio.sleep(0)
         await chunks.finish()
 
 

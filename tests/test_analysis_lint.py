@@ -133,6 +133,17 @@ class TestFlowRules:
         assert "upgrading the read lock" in upgrade.message
         assert "'self._lock'" in upgrade.message
 
+    def test_rl006_covers_the_non_blocking_acquire(self):
+        path = f"{FIXTURES}/rl006_try_bad.py"
+        assert findings(path) == [
+            (path, 21, 13, "RL006"),
+            (path, 28, 16, "RL006"),
+        ]
+        mutate, reentrant = lint(path).diagnostics
+        assert "'remember'" in mutate.message
+        assert "'self._seen.add()'" in mutate.message
+        assert "re-acquiring the read lock" in reentrant.message
+
     def test_rl007_taint_reaches_every_sink_spelling(self):
         assert findings(f"{FIXTURES}/rl007_bad.py") == [
             (f"{FIXTURES}/rl007_bad.py", 6, 18, "RL007"),

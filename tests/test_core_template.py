@@ -140,6 +140,50 @@ class TestDescriptionsAndInstances:
         )
         assert "[L.User]" in inst.render()
 
+    def test_render_matches_placeholder_substitution(self, appt_template):
+        """The format compiled at construction fills exactly what a
+        regex substitution over the description would: braces stay
+        literal, repeats fill twice, malformed brackets are text."""
+        import re
+
+        description = (
+            "{0} [L.User] saw {x} [L.Patient] ({[L.User]}) [L.User "
+            "[Nope.] [L.Missing] %s {{}}"
+        )
+        template = ExplanationTemplate(
+            path=appt_template.path, description=description
+        )
+        bindings = {"L.User": "Dave", "L.Patient": 7, "Other.X": None}
+
+        def reference(match):
+            key = f"{match.group(1)}.{match.group(2)}"
+            return str(bindings[key]) if key in bindings else match.group(0)
+
+        expected = re.sub(
+            r"\[([A-Za-z0-9_]+)\.([A-Za-z0-9_]+)\]", reference, description
+        )
+        assert template.render(bindings) == expected
+        inst = ExplanationInstance(template=template, lid=1, bindings=bindings)
+        assert inst.render() == expected
+
+    def test_derived_constants_are_not_identity(self, appt_template):
+        import pickle
+
+        twin = ExplanationTemplate(
+            path=appt_template.path,
+            description=appt_template.description,
+            name=appt_template.name,
+        )
+        assert twin == appt_template and hash(twin) == hash(appt_template)
+        assert appt_template.rank_prefix == (
+            appt_template.length,
+            appt_template.display_name(),
+        )
+        copy = pickle.loads(pickle.dumps(appt_template))
+        bindings = {"L.Patient": "Alice", "L.User": "Dave"}
+        assert copy.render(bindings) == appt_template.render(bindings)
+        assert copy.rank_prefix == appt_template.rank_prefix
+
     def test_rank_ascending_by_length(self, fig3_graph, appt_template):
         long_path = (
             Path.forward_seed(

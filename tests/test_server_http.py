@@ -8,6 +8,7 @@ import json
 import pytest
 
 from repro.api import (
+    ExplainRequest,
     ExplainResult,
     InvalidCursorError,
     InvalidRequestError,
@@ -161,7 +162,7 @@ class TestPercentile:
 class StubService:
     """Just enough surface for the routes these tests hit."""
 
-    def explain(self, request):
+    def explain(self, request, *, wait=True):
         return ExplainResult(lid=request.lid, explanations=())
 
     def report(self, limit=None):
@@ -255,6 +256,41 @@ class TestErrorMapping:
             client._request("GET", "/v1/unexplained?limit=0")
         with pytest.raises(InvalidRequestError, match="integer"):
             client._request("GET", "/v1/explain?lid=1&limit=soon")
+
+
+    @pytest.mark.parametrize(
+        "body",
+        [
+            {"lid": 5, "limit": "x"},
+            {"lid": 5, "limit": 2.5},
+            {"lid": 5, "limit": True},
+            {"lid": 5, "limit": 0},
+            {"lid": [5]},
+            {"lid": {"a": 1}},
+            {"lid": True},
+        ],
+        ids=[
+            "limit-str", "limit-float", "limit-bool", "limit-zero",
+            "lid-list", "lid-dict", "lid-bool",
+        ],
+    )
+    def test_malformed_explain_body_is_the_facades_typed_400(
+        self, client, body
+    ):
+        with pytest.raises(ValueError) as facade:
+            ExplainRequest.from_dict(body)
+        status, payload = self._status_of(client, "POST", "/v1/explain", body)
+        assert status == 400
+        assert payload["error"] == {
+            "code": "invalid_request",
+            "message": str(facade.value),
+        }
+        batch = {"lids": [body["lid"]], "limit": body.get("limit")}
+        status, payload = self._status_of(
+            client, "POST", "/v1/explain/batch", batch
+        )
+        assert status == 400
+        assert payload["error"]["message"] == str(facade.value)
 
 
 class TestProtocol:
@@ -540,7 +576,7 @@ class FlakyService(StubService):
     """explain() succeeds, then blows up on the designated lid — after
     the first NDJSON line already hit the wire."""
 
-    def explain(self, request):
+    def explain(self, request, *, wait=True):
         if request.lid == "boom":
             raise UnsupportedOperationError(
                 "flaky mid-stream", hint="retry later"
