@@ -37,7 +37,15 @@ Two evaluation paths
   one pass; :meth:`ExplanationEngine.explain_all` is the whole-log case
   and backs the cold path of :meth:`all_explained_lids`.  Right for bulk
   audits, mining support, and large streamed batches — O(templates)
-  queries total, independent of batch size.
+  queries total, independent of batch size.  The executor answers each
+  semijoin without fanning out.  A join whose columns the template then
+  drops is a key-set test, or a per-key min/max comparison for
+  repeat-access's ``L.Date > Log_1.Date``.  A chain template, whose ``L``
+  attributes all sit in equality joins, runs over the log's distinct
+  join keys (e.g. its ``(Patient, User)`` pairs, shared by every such
+  template); the surviving keys map back to lids through one grouping.
+  The batch is stripped of NULL once and the same set goes to every
+  template.
 
 Incremental maintenance contract
 --------------------------------
@@ -365,6 +373,8 @@ class ExplanationEngine:
             return BatchExplanation(frozenset(), frozenset())
         target = AttrRef("L", self.log_id_attr)
         covers_all = batch >= self.all_lids()
+        # NULL never matches: strip it once, not once per template
+        values = batch - {None} if None in batch else batch
         explained: set = set()
         for template in self.templates:
             key = self._sig(template)
@@ -373,7 +383,7 @@ class ExplanationEngine:
                 hits = batch & cached
             else:
                 hits = self.executor.distinct_values_in(
-                    template.support_query(), target, target, batch
+                    template.support_query(), target, target, values
                 )
                 if covers_all:
                     self._lid_cache[key] = set(hits)

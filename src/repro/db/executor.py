@@ -47,6 +47,24 @@ mining and streaming performance:
    pin = ?`` in a :class:`PointProbe`, so the per-access ``L.Lid = ?``
    question costs one run per call; the generic entry points compile and
    run back to back through the same body.
+7. **Semijoin stages** — in a DISTINCT pipeline, a join whose new
+   columns are all dropped right after it only asks "does some row
+   match?".  When no condition of that step reads a joined column other
+   than the join keys, the step compiles to a membership test against
+   the table's NULL-free :meth:`Table.key_set`; when exactly one such
+   condition is an attribute-attribute ``<``/``<=``/``>``/``>=`` against
+   a bound column, it compiles to one comparison with the per-key
+   minimum or maximum of that column (:meth:`Table.key_extremum`) — the
+   repeat-access ``L.Date > L2.Date`` asks ``L.Date > min(L2.Date)``.
+   Neither fans out nor builds a projection index.
+8. **Key-driven whole-log semijoins** — ``distinct_values_in(q, L.Lid,
+   L.Lid, batch)`` over a batch at least a quarter of the log's size,
+   where ``L.Lid`` appears in no condition and every other ``L``
+   attribute only in equality joins, runs the pipeline once over the
+   log's distinct join keys (:meth:`Table.project_distinct`, shared by
+   every such template) and maps the surviving keys back to ids through
+   :meth:`Table.key_groups`.  An ``L`` attribute in any other condition
+   (the repeat-access ``Date``) keeps the pipeline on the rows.
 
 Correctness of both multiplicity settings (``distinct_reduction`` on and
 off; point, probe and batch entry points) is pinned to a nested-loop
@@ -63,6 +81,7 @@ from .database import Database
 from .errors import QueryError
 from .optimizer import PlanCache, QueryPlan, build_plan, query_shape, shared_plan_cache
 from .query import (
+    FLIPPED,
     AttrRef,
     Condition,
     ConjunctiveQuery,
@@ -125,7 +144,10 @@ class _Source:
         self.indexed = reduce_rows and not point and in_attr is None
 
     def rows(
-        self, table: Table, literals: Sequence[Any], in_values: set | None
+        self,
+        table: Table,
+        literals: Sequence[Any],
+        in_values: set | frozenset | None,
     ) -> list[tuple]:
         """This run's rows: point predicates and the semijoin restriction
         resolve through index probes (small result), anything else is the
@@ -152,7 +174,9 @@ class _Source:
             return table.rows()  # identity projection: reuse storage
         return list(map(table.row_getter(attrs), table.rows()))
 
-    def _restricted_rows(self, table: Table, attr: str, values: set) -> list[tuple]:
+    def _restricted_rows(
+        self, table: Table, attr: str, values: set | frozenset
+    ) -> list[tuple]:
         """Materialize ``attr IN values`` through the batch probe APIs.
 
         Small binding sets probe by set intersection (scalar-keyed
@@ -194,6 +218,13 @@ class _Stage(NamedTuple):
     probe: Any
     filters: list[Filter]
     prune: Callable[[tuple], tuple] | None
+    #: ``scan`` (the driving relation), ``hash-join``, ``cartesian``,
+    #: ``semijoin`` (keep a bound row whose key the table holds) or
+    #: ``extremum(min|max)`` (… and whose bound value compares true
+    #: against the key's min/max of a dropped column).
+    kind: str
+    #: extremum stages: (joined column, largest?, compare, bound position)
+    extremum: tuple[str, bool, Callable[[Any, Any], bool], int] | None = None
 
 
 class _Pipeline(NamedTuple):
@@ -251,6 +282,35 @@ def _literals(query: ConjunctiveQuery) -> list[Any]:
         None if isinstance(c.right, AttrRef) else c.right.value
         for c in query.conditions
     ]
+
+
+def _drive_keys(
+    query: ConjunctiveQuery, attr: AttrRef, in_attr: AttrRef
+) -> tuple[str, ...] | None:
+    """The join keys a semijoin on ``in_attr`` can run on instead of its
+    rows (sorted), or None.
+
+    They exist when ``attr`` is ``in_attr``, no condition mentions it,
+    and every other attribute of its variable appears only in equality
+    joins with other variables (and in the projection only as such a
+    key): then a row is selected exactly when its keys are, so the
+    distinct keys stand in for the rows.
+    """
+    if attr != in_attr:
+        return None
+    alias = in_attr.alias
+    keys: set[str] = set()
+    for cond in query.conditions:
+        mine = [r for r in cond_attr_refs(cond) if r.alias == alias]
+        if not mine:
+            continue
+        if not cond.is_join or in_attr in mine:
+            return None
+        keys.update(r.attr for r in mine)
+    projected = {r.attr for r in query.projection if r.alias == alias}
+    if not keys or not projected <= keys | {in_attr.attr}:
+        return None
+    return tuple(sorted(keys))
 
 
 class QueryResult:
@@ -359,21 +419,38 @@ class Executor:
         WHERE clause — i.e. to unioning one point query per value — but
         evaluated as ONE pipeline run: the restricted tuple variable is
         materialized through the table's batch probe APIs and drives the
-        join order.  NULLs in ``in_values`` never match (SQL semantics),
-        and rows whose ``in_attr`` is NULL are never selected.  This is
-        the executor-level primitive behind ``explain_batch``: one
-        semijoin per template replaces O(batch) per-access point queries.
+        join order, or, for a large batch whose variable only joins on
+        equalities, its distinct join keys drive (module docstring, 8).
+        NULLs in ``in_values`` never match (SQL semantics), and rows whose
+        ``in_attr`` is NULL are never selected; a set holding no NULL is
+        used as given, without a copy.  This is the executor-level
+        primitive behind ``explain_batch``: one semijoin per template
+        replaces O(batch) per-access point queries.
         """
         self.queries_executed += 1
         self._validate(query)
-        values = {v for v in in_values if v is not None}
+        if isinstance(in_values, (set, frozenset)) and None not in in_values:
+            values: set | frozenset = in_values
+        else:
+            values = {v for v in in_values if v is not None}
         if not values:
             return set()
-        rel_cols, rel_rows = self._join_all(
-            query, needed_extra=(attr, in_attr), in_restrict=(in_attr, values)
+        pipeline, keys = self._semijoin_pipeline(query, attr, in_attr, len(values))
+        if keys is None:
+            rows = self._run_pipeline(pipeline, _literals(query), values)
+            pos = pipeline.cols.index(attr)
+            return {row[pos] for row in rows}
+        rows = self._run_pipeline(pipeline, _literals(query), None)
+        # a bare value for one key, a tuple for several: as key_groups keys
+        key_of = operator.itemgetter(
+            *[pipeline.cols.index(AttrRef(in_attr.alias, k)) for k in keys]
         )
-        pos = rel_cols.index(attr)
-        return {row[pos] for row in rel_rows}
+        table = self.db.table(query.var(in_attr.alias).table)
+        groups = table.key_groups(keys, in_attr.attr).get
+        out: set = set()
+        for key in map(key_of, rows):
+            out.update(groups(key, _EMPTY))
+        return out & values
 
     # ------------------------------------------------------------------
     # internals
@@ -394,7 +471,7 @@ class Executor:
         self,
         query: ConjunctiveQuery,
         needed_extra: Sequence[AttrRef],
-        in_restrict: tuple[AttrRef, set] | None,
+        in_attr: AttrRef | None,
     ) -> QueryPlan:
         """The memoized plan for this query shape under this configuration.
 
@@ -408,7 +485,7 @@ class Executor:
             id(self.db),
             query_shape(query),
             tuple((r.alias, r.attr) for r in needed_extra),
-            (in_restrict[0].alias, in_restrict[0].attr) if in_restrict else None,
+            (in_attr.alias, in_attr.attr) if in_attr else None,
             self.distinct_reduction,
             self.allow_cartesian,
         )
@@ -420,48 +497,53 @@ class Executor:
                 tuple(needed_extra),
                 distinct_reduction=self.distinct_reduction,
                 allow_cartesian=self.allow_cartesian,
-                in_alias=in_restrict[0].alias if in_restrict else None,
+                in_alias=in_attr.alias if in_attr else None,
             )
             self.plan_cache.store(key, plan)
         return plan
 
     def _join_all(
-        self,
-        query: ConjunctiveQuery,
-        needed_extra: Sequence[AttrRef] = (),
-        in_restrict: tuple[AttrRef, set] | None = None,
+        self, query: ConjunctiveQuery, needed_extra: Sequence[AttrRef] = ()
     ) -> tuple[list[AttrRef], list[tuple]]:
         """Join every tuple variable along the cached plan; returns
         ``(columns, rows)``.
 
         Compiles the plan into stages (:meth:`_compile_pipeline`) and runs
         them (:meth:`_run_pipeline`) — the same two halves a prepared
-        point probe keeps apart.  The loops are batch-at-a-time:
-
-        * probe keys come from one ``itemgetter`` per step (or a bare
-          column read for single-attribute joins, probing a scalar-keyed
-          hashmap — no per-row key-tuple allocation);
-        * NULL probe keys need no explicit skip — neither the projection
-          indexes nor the hashmaps built here ever contain a NULL-bearing
-          key, so a NULL probe simply misses;
-        * filters run as one specialized comprehension per condition
-          (SQL three-valued semantics compiled into the ``is not None``
-          guards);
-        * prune/projection dedup feed ``dict.fromkeys`` through
-          ``map(itemgetter)``.
+        point probe keeps apart.
         """
-        plan = self._plan_for(query, needed_extra, in_restrict)
+        plan = self._plan_for(query, needed_extra, None)
+        reduce_rows = self.distinct_reduction and query.distinct
+        pipeline = self._compile_pipeline(query, plan, needed_extra, None, reduce_rows)
+        return pipeline.cols, self._run_pipeline(pipeline, _literals(query), None)
+
+    def _semijoin_pipeline(
+        self, query: ConjunctiveQuery, attr: AttrRef, in_attr: AttrRef, batch: int
+    ) -> tuple[_Pipeline, tuple[str, ...] | None]:
+        """The pipeline ``distinct_values_in`` runs for a batch of
+        ``batch`` values, and the join keys it is driven by (None when it
+        is driven by the restricted rows).
+
+        Keys drive when :func:`_drive_keys` finds them and the batch is
+        not small next to the table (the size test of
+        :meth:`_Source._restricted_rows`): a small batch is cheaper to
+        resolve through index probes than the whole log's keys.
+        """
+        plan = self._plan_for(query, (attr, in_attr), in_attr)
+        reduce_rows = self.distinct_reduction and query.distinct
+        keys = _drive_keys(query, attr, in_attr) if reduce_rows else None
+        if keys is not None:
+            table = self.db.table(query.var(in_attr.alias).table)
+            if batch * INDEX_JOIN_RATIO >= len(table):
+                refs = [AttrRef(in_attr.alias, k) for k in keys]
+                pipeline = self._compile_pipeline(
+                    query, plan, refs, None, reduce_rows, drop=in_attr
+                )
+                return pipeline, keys
         pipeline = self._compile_pipeline(
-            query,
-            plan,
-            needed_extra,
-            in_restrict[0] if in_restrict else None,
-            self.distinct_reduction and query.distinct,
+            query, plan, (attr, in_attr), in_attr, reduce_rows
         )
-        rows = self._run_pipeline(
-            pipeline, _literals(query), in_restrict[1] if in_restrict else None
-        )
-        return pipeline.cols, rows
+        return pipeline, None
 
     def _compile_pipeline(
         self,
@@ -470,22 +552,32 @@ class Executor:
         needed_extra: Sequence[AttrRef],
         in_attr: AttrRef | None,
         reduce_rows: bool,
+        drop: AttrRef | None = None,
     ) -> _Pipeline:
         """Resolve everything about a plan that no literal value and no
         table content can change: per-variable sources, which conditions
         become applicable after which step and at which row positions,
-        join-key extractors, and the prune projections."""
+        the kind of each join (hash join, semijoin, extremum test),
+        join-key extractors, and the prune projections.
+
+        ``drop`` names an attribute the pipeline leaves out although the
+        plan reads it — the id of a key-driven semijoin, whose variable
+        then contributes only its join keys.
+        """
         conditions = query.conditions
-        keep_always = set(query.projection) | set(needed_extra)
+        keep_always = (set(query.projection) | set(needed_extra)) - {drop}
         pending = list(plan.residual_idx)
         table_names = {v.alias: v.table for v in query.tuple_vars}
 
         def source(alias: str) -> _Source:
             name = table_names[alias]
+            attrs = plan.needed[alias] or self.db.table(name).schema.column_names[:1]
+            if drop is not None and alias == drop.alias:
+                attrs = tuple(a for a in attrs if a != drop.attr)
             return _Source(
                 name,
                 alias,
-                plan.needed[alias] or self.db.table(name).schema.column_names[:1],
+                attrs,
                 [
                     (conditions[i].left.attr, i)
                     for i in plan.pushable_idx.get(alias, ())
@@ -494,67 +586,136 @@ class Executor:
                 in_attr.attr if in_attr and in_attr.alias == alias else None,
             )
 
-        def close_stage(
-            cols: list[AttrRef],
-            source: _Source,
-            key_attrs: tuple[str, ...] = (),
-            build: Any = None,
-            probe: Any = None,
-        ) -> tuple[_Stage, list[AttrRef]]:
-            """Compile the filters ``cols`` makes fully bound and the
-            prune that follows them; returns the stage and the columns
-            it leaves."""
-            pos = {c: i for i, c in enumerate(cols)}
-            filters = []
-            for i in list(pending):
-                if all(ref in pos for ref in cond_attr_refs(conditions[i])):
-                    pending.remove(i)
-                    filters.append(_compile_filter(conditions[i], i, pos))
-            still_needed = set(keep_always)
+        def take_ready(pos: dict[AttrRef, int]) -> list[int]:
+            """Consume the pending conditions ``pos`` makes fully bound."""
+            ready = [
+                i
+                for i in pending
+                if all(ref in pos for ref in cond_attr_refs(conditions[i]))
+            ]
+            for i in ready:
+                pending.remove(i)
+            return ready
+
+        def still_needed() -> set[AttrRef]:
+            needed = set(keep_always)
             for i in pending:
-                still_needed.update(cond_attr_refs(conditions[i]))
-            keep_pos = [i for i, c in enumerate(cols) if c in still_needed]
-            prune = None
-            if len(keep_pos) != len(cols):
-                prune = tuple_getter(keep_pos)
-                cols = [cols[i] for i in keep_pos]
-            return _Stage(source, key_attrs, build, probe, filters, prune), cols
+                needed.update(cond_attr_refs(conditions[i]))
+            return needed
+
+        def pruned(cols: list[AttrRef]) -> tuple[Any, list[AttrRef]]:
+            """The prune after a stage and the columns it leaves."""
+            needed = still_needed()
+            keep_pos = [i for i, c in enumerate(cols) if c in needed]
+            if len(keep_pos) == len(cols):
+                return None, cols
+            return tuple_getter(keep_pos), [cols[i] for i in keep_pos]
+
+        def semijoin(
+            joined: _Source,
+            pairs: list[tuple[AttrRef, AttrRef]],
+            ready: list[int],
+            cols: list[AttrRef],
+        ) -> tuple[_Stage, list[AttrRef]] | None:
+            """The join of ``joined`` on ``pairs`` (joined ref, bound ref)
+            as a semijoin or extremum stage over the bound rows, or None
+            when the step needs the joined rows themselves."""
+            if not (reduce_rows and joined.indexed) or still_needed() & set(joined.cols):
+                return None
+            # key columns sorted like the planner's projection, so the key
+            # set derives from the distinct projection planning built
+            pairs = sorted(pairs, key=lambda pair: pair[0].attr)
+            pos = {c: i for i, c in enumerate(cols)}
+            # a joined key column reads as the bound value it equals
+            pos.update((key, pos[bound]) for key, bound in pairs)
+            plain = [
+                i
+                for i in ready
+                if all(ref in pos for ref in cond_attr_refs(conditions[i]))
+            ]
+            other = [i for i in ready if i not in plain]
+            kind, extremum = "semijoin", None
+            if other:
+                cond = conditions[other[0]]
+                if (
+                    len(other) > 1
+                    or cond.op in ("=", "!=")
+                    or not isinstance(cond.right, AttrRef)
+                ):
+                    return None
+                # read it as ``bound op column``
+                if cond.left in pos:
+                    bound, column, op = cond.left, cond.right, cond.op
+                else:
+                    bound, column, op = cond.right, cond.left, FLIPPED[cond.op]
+                if bound not in pos:
+                    return None  # both sides are joined non-key columns
+                # ``b < some c`` holds iff ``b < max(c)``; ``b > some c``
+                # iff ``b > min(c)``
+                largest = op in ("<", "<=")
+                kind = "extremum(max)" if largest else "extremum(min)"
+                extremum = (column.attr, largest, _OPS[op], pos[bound])
+            probe_pos = [pos[bound] for _, bound in pairs]
+            probe = probe_pos[0] if len(pairs) == 1 else operator.itemgetter(*probe_pos)
+            filters = [_compile_filter(conditions[i], i, pos) for i in plain]
+            prune, cols = pruned(cols)
+            stage = _Stage(
+                joined,
+                tuple(key.attr for key, _ in pairs),
+                None,
+                probe,
+                filters,
+                prune,
+                kind,
+                extremum,
+            )
+            return stage, cols
 
         # The first step drives the pipeline: the planner ranks
         # point-predicate and semijoin-restricted relations first.
         start = source(plan.steps[0].alias)
-        stage, cols = close_stage(list(start.cols), start)
-        stages = [stage]
+        cols = list(start.cols)
+        pos = {c: i for i, c in enumerate(cols)}
+        filters = [_compile_filter(conditions[i], i, pos) for i in take_ready(pos)]
+        prune, cols = pruned(cols)
+        stages = [_Stage(start, (), None, None, filters, prune, "scan")]
         for step in plan.steps[1:]:
             joined = source(step.alias)
-            # split each join condition into (bound side, new side)
-            probe_refs: list[AttrRef] = []
-            build_refs: list[AttrRef] = []
+            # split each join condition into (new side, bound side)
+            pairs: list[tuple[AttrRef, AttrRef]] = []
             for i in step.join_cond_idx:
                 cond = conditions[i]
                 if cond.left.alias == step.alias:
-                    build_refs.append(cond.left)
-                    probe_refs.append(cond.right)  # type: ignore[arg-type]
+                    pairs.append((cond.left, cond.right))  # type: ignore[arg-type]
                 else:
-                    build_refs.append(cond.right)  # type: ignore[arg-type]
-                    probe_refs.append(cond.left)
+                    pairs.append((cond.right, cond.left))  # type: ignore[arg-type]
                 pending.remove(i)
-            probe_pos = [cols.index(r) for r in probe_refs]
-            build_pos = [joined.cols.index(r) for r in build_refs]
-            build: Any = None  # explicit cartesian product (opt-in only)
-            probe: Any = None
-            if len(probe_refs) == 1:
-                build, probe = build_pos[0], probe_pos[0]
-            elif probe_refs:
-                build = operator.itemgetter(*build_pos)
-                probe = operator.itemgetter(*probe_pos)
-            stage, cols = close_stage(
-                cols + joined.cols,
-                joined,
-                tuple(r.attr for r in build_refs),
-                build,
-                probe,
-            )
+            joint = cols + joined.cols
+            ready = take_ready({c: i for i, c in enumerate(joint)})
+            compiled = semijoin(joined, pairs, ready, cols) if pairs else None
+            if compiled is None:
+                pos = {c: i for i, c in enumerate(joint)}
+                filters = [_compile_filter(conditions[i], i, pos) for i in ready]
+                build_pos = [joined.cols.index(key) for key, _ in pairs]
+                probe_pos = [cols.index(bound) for _, bound in pairs]
+                build: Any = None  # explicit cartesian product (opt-in only)
+                probe: Any = None
+                if len(pairs) == 1:
+                    build, probe = build_pos[0], probe_pos[0]
+                elif pairs:
+                    build = operator.itemgetter(*build_pos)
+                    probe = operator.itemgetter(*probe_pos)
+                prune, after = pruned(joint)
+                compiled = _Stage(
+                    joined,
+                    tuple(key.attr for key, _ in pairs),
+                    build,
+                    probe,
+                    filters,
+                    prune,
+                    "hash-join" if pairs else "cartesian",
+                ), after
+            stage, cols = compiled
             stages.append(stage)
         if pending:
             raise QueryError(
@@ -563,29 +724,73 @@ class Executor:
         return _Pipeline(stages, cols, reduce_rows)
 
     def _run_pipeline(
-        self, pipeline: _Pipeline, literals: Sequence[Any], in_values: set | None
+        self,
+        pipeline: _Pipeline,
+        literals: Sequence[Any],
+        in_values: set | frozenset | None,
     ) -> list[tuple]:
         """The one join body: run compiled stages against the
         live tables with one call's literals (and semijoin binding set).
 
         Tables and their indexes are fetched by name on every run, so a
         compiled pipeline never outlives an index a
-        ``Table.invalidate_caches()``/``clear()`` dropped.
+        ``Table.invalidate_caches()``/``clear()`` dropped.  The loops are
+        batch-at-a-time:
+
+        * probe keys come from one ``itemgetter`` per step (or a bare
+          column read for single-attribute joins, probing a scalar-keyed
+          hashmap — no per-row key-tuple allocation);
+        * NULL probe keys need no explicit skip — neither the projection
+          indexes, the key sets, the extremum maps nor the hashmaps built
+          here ever contain a NULL-bearing key, so a NULL probe simply
+          misses;
+        * filters run as one specialized comprehension per condition
+          (SQL three-valued semantics compiled into the ``is not None``
+          guards);
+        * prune/projection dedup feed ``dict.fromkeys`` through
+          ``map(itemgetter)``.
         """
         table_of = self.db.table
         rows: list[tuple] | None = None
         for stage in pipeline.stages:
             source = stage.source
             table = table_of(source.table)
+            single = len(stage.key_attrs) == 1
+            probe = stage.probe
             if rows is None:
                 rows = source.rows(table, literals, in_values)
             elif not rows:
                 return rows  # nothing left to join: the result is empty
+            elif stage.kind == "semijoin":
+                keys = table.key_set(stage.key_attrs)
+                if single:
+                    rows = [row for row in rows if row[probe] in keys]
+                else:
+                    rows = [row for row in rows if probe(row) in keys]
+            elif stage.extremum is not None:
+                column, largest, cmp, at = stage.extremum
+                best = table.key_extremum(stage.key_attrs, column, largest).get
+                # a key with no non-NULL value has no entry: get() is None
+                if single:
+                    rows = [
+                        row
+                        for row in rows
+                        if row[at] is not None
+                        and (e := best(row[probe])) is not None
+                        and cmp(row[at], e)
+                    ]
+                else:
+                    rows = [
+                        row
+                        for row in rows
+                        if row[at] is not None
+                        and (e := best(probe(row))) is not None
+                        and cmp(row[at], e)
+                    ]
             elif not stage.key_attrs:
                 vrows = source.rows(table, literals, in_values)
                 rows = [row + vrow for row in rows for vrow in vrows]
             else:
-                single = len(stage.key_attrs) == 1
                 if source.indexed:
                     # Probe the table's delta-maintained projection index —
                     # the cached hash map this join would otherwise build
@@ -612,7 +817,7 @@ class Executor:
                             key = build(vrow)
                             if None not in key:
                                 hashmap.setdefault(key, []).append(vrow)
-                get, probe = hashmap.get, stage.probe
+                get = hashmap.get
                 if single:
                     rows = [
                         row + vrow for row in rows for vrow in get(row[probe], _EMPTY)
@@ -698,13 +903,38 @@ class PointProbe:
         return list(out)
 
 
-def explain_query(db: Database, query: ConjunctiveQuery) -> str:
-    """A human-readable one-line plan summary (for debugging and docs)."""
+def explain_query(
+    db: Database, query: ConjunctiveQuery, drive: AttrRef | None = None
+) -> str:
+    """A human-readable one-line plan summary (for debugging and docs).
+
+    Without ``drive`` it describes the pipeline :meth:`Executor.execute`
+    runs; with it, the whole-table batch semijoin
+    ``distinct_values_in(query, drive, drive, <every value>)`` — the
+    pass ``explain_all`` makes per template.  It names the driving
+    relation, whether that relation is reduced to its join keys, and the
+    kind of every later stage.
+    """
+    executor = Executor(db)
+    executor._validate(query)
+    keys = None
+    if drive is None:
+        plan = executor._plan_for(query, (), None)
+        reduce_rows = executor.distinct_reduction and query.distinct
+        pipeline = executor._compile_pipeline(query, plan, (), None, reduce_rows)
+    else:
+        size = len(db.table(query.var(drive.alias).table))
+        pipeline, keys = executor._semijoin_pipeline(query, drive, drive, size)
     sizes = ", ".join(
         f"{v.alias}:{len(db.table(v.table))}" for v in query.tuple_vars
     )
+    first, *rest = pipeline.stages
+    driver = first.source.cols[0].alias
+    driven = f"keys ({', '.join(keys)})" if keys else "rows"
+    stages = "".join(f", {s.source.cols[0].alias} {s.kind}" for s in rest)
     return (
-        f"hash-join pipeline over {len(query.tuple_vars)} vars "
+        f"join pipeline over {len(query.tuple_vars)} vars "
         f"({sizes}); {len(query.join_conditions())} joins, "
-        f"{len(query.filter_conditions())} filters"
+        f"{len(query.filter_conditions())} filters; "
+        f"drives from {driver} {driven}{stages}"
     )

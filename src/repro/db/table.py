@@ -1,6 +1,6 @@
 """Row storage with delta-maintained hash indexes and distinct projections.
 
-A :class:`Table` stores rows as plain tuples in insertion order.  Four
+A :class:`Table` stores rows as plain tuples in insertion order.  Five
 access structures matter for the auditing workload:
 
 * **column arrays** (``column -> [values in row order]``), a columnar
@@ -14,11 +14,18 @@ access structures matter for the auditing workload:
   paper's *Reducing Result Multiplicity* optimization (Section 3.2.1): the
   support of a path only needs the distinct combinations of the attributes
   the path touches, so each tuple variable is reduced to a deduplicated
-  projection before joining; and
+  projection before joining;
 * **projection indexes** (``join-key tuple -> [distinct projected
   tuples]``), hash indexes *over* a distinct projection, which let the
   executor run index-nested-loop joins when the probe side is tiny (the
-  streaming per-access point queries).
+  streaming per-access point queries); and
+* **key structures** — the NULL-free key set of some columns
+  (:meth:`key_set`), the per-key minimum or maximum of a column
+  (:meth:`key_extremum`), and the per-key list of a column's values
+  (:meth:`key_groups`).  They answer a join whose columns are dropped
+  right after it without fanning out: "is there a row with this key?",
+  "is there one whose column beats this value?", and "which rows carry
+  this key?".
 
 Hash and projection indexes also expose **batch probe APIs**
 (:meth:`probe_many`, :meth:`lookup_many`, :meth:`projection_probe_scalar`)
@@ -27,7 +34,7 @@ the storage-level primitive behind batch semijoin evaluation.
 
 Delta maintenance contract
 --------------------------
-All three structures are built lazily and then **maintained in place** on
+All these structures are built lazily and then **maintained in place** on
 append: :meth:`insert` patches every already-built index, distinct
 projection, NDV statistic, and projection index with just the new row
 (O(#cached structures) per append), so a streaming workload never pays a
@@ -147,6 +154,12 @@ class Table:
         self._int_arrays: dict[str, Any] = {}
         #: column names -> row projector (schema-only, so never invalidated)
         self._row_getters: dict[tuple[str, ...], Callable[[tuple], tuple]] = {}
+        #: key columns -> non-NULL keys (bare values for one column)
+        self._key_sets: dict[tuple[str, ...], set] = {}
+        #: (key columns, column, largest) -> {key -> min/max of column}
+        self._extrema: dict[tuple[tuple[str, ...], str, bool], dict] = {}
+        #: (key columns, column) -> {key -> [column values]}
+        self._key_groups: dict[tuple[tuple[str, ...], str], dict[Any, list]] = {}
 
     # ------------------------------------------------------------------
     # mutation
@@ -238,7 +251,7 @@ class Table:
                 proj = tuple(tup[col_idx(c)] for c in attrs)
             attr_pos = {a: i for i, a in enumerate(attrs)}
             key = tuple(proj[attr_pos[a]] for a in key_attrs)
-            if any(k is None for k in key):
+            if None in key:
                 continue  # NULL never joins
             index.setdefault(key, []).append(proj)
         for (attrs, key_attr), index in self._proj_scalar_cache.items():
@@ -262,6 +275,21 @@ class Table:
                 # A NULL (or out-of-range) value arrived: the typed
                 # mirror can no longer represent the column; tombstone it.
                 self._int_arrays[column] = _NO_TYPED_MIRROR
+        for attrs, keys in self._key_sets.items():
+            key = self._key_of(attrs, tup)
+            if key is not None:
+                keys.add(key)
+        for (attrs, column, largest), best in self._extrema.items():
+            key, value = self._key_of(attrs, tup), tup[col_idx(column)]
+            if key is None or value is None:
+                continue
+            current = best.get(key)
+            if current is None or (value > current if largest else value < current):
+                best[key] = value
+        for (attrs, column), groups in self._key_groups.items():
+            key, value = self._key_of(attrs, tup), tup[col_idx(column)]
+            if key is not None and value is not None:
+                groups.setdefault(key, []).append(value)
 
     def _invalidate(self) -> None:
         self._column_store.clear()
@@ -271,6 +299,9 @@ class Table:
         self._proj_index_cache.clear()
         self._proj_scalar_cache.clear()
         self._int_arrays.clear()
+        self._key_sets.clear()
+        self._extrema.clear()
+        self._key_groups.clear()
 
     # ------------------------------------------------------------------
     # access
@@ -391,11 +422,11 @@ class Table:
         cache_key = (tuple(attrs), tuple(key_attrs))
         if cache_key not in self._proj_index_cache:
             attr_pos = {a: i for i, a in enumerate(cache_key[0])}
-            key_pos = [attr_pos[a] for a in cache_key[1]]
+            key_of = tuple_getter([attr_pos[a] for a in cache_key[1]])
             index: dict[tuple, list[tuple]] = {}
             for proj in self.project_distinct(attrs):
-                key = tuple(proj[p] for p in key_pos)
-                if any(k is None for k in key):
+                key = key_of(proj)
+                if None in key:
                     continue  # NULL never joins
                 index.setdefault(key, []).append(proj)
             self._proj_index_cache[cache_key] = index
@@ -423,6 +454,87 @@ class Table:
                 index.setdefault(key, []).append(proj)
             self._proj_scalar_cache[cache_key] = index
         return self._proj_scalar_cache[cache_key]
+
+    # ------------------------------------------------------------------
+    # key structures (a join whose columns are dropped right after it)
+    # ------------------------------------------------------------------
+    def key_set(self, attrs: Sequence[str]) -> set:
+        """The non-NULL keys of ``attrs``: bare values for one column,
+        value tuples for several (a tuple holding a NULL is left out —
+        NULL never joins).
+
+        The probe set of a semijoin: "does some row carry this key?" is
+        one membership test.  Built lazily from :meth:`project_distinct`;
+        delta-maintained on append.
+        """
+        key = tuple(attrs)
+        keys = self._key_sets.get(key)
+        if keys is None:
+            distinct = self.project_distinct(key)
+            if len(key) == 1:
+                keys = {t[0] for t in distinct}
+                keys.discard(None)
+            else:
+                keys = {t for t in distinct if None not in t}
+            self._key_sets[key] = keys
+        return keys
+
+    def key_extremum(
+        self, attrs: Sequence[str], column: str, largest: bool
+    ) -> dict[Any, Any]:
+        """``key -> min`` (``max`` when ``largest``) of ``column`` over the
+        rows whose key (as in :meth:`key_set`) and ``column`` are non-NULL.
+
+        "Does some row with this key have ``column < v``?" is ``min < v``,
+        so an inequality against a dropped column costs one lookup.  Built
+        lazily from the columnar mirror; delta-maintained on append.
+        """
+        cache_key = (tuple(attrs), column, largest)
+        best = self._extrema.get(cache_key)
+        if best is None:
+            best = {}
+            get = best.get
+            for key, value in self._keyed_values(cache_key[0], column):
+                current = get(key)
+                if current is None or (value > current if largest else value < current):
+                    best[key] = value
+            self._extrema[cache_key] = best
+        return best
+
+    def key_groups(self, attrs: Sequence[str], column: str) -> dict[Any, list]:
+        """``key -> [column values]`` over the rows whose key (as in
+        :meth:`key_set`) and ``column`` are non-NULL — e.g. the log ids
+        of each ``(Patient, User)`` pair.  Built lazily from the columnar
+        mirror; delta-maintained on append.
+        """
+        cache_key = (tuple(attrs), column)
+        groups = self._key_groups.get(cache_key)
+        if groups is None:
+            groups = {}
+            for key, value in self._keyed_values(cache_key[0], column):
+                group = groups.get(key)
+                if group is None:
+                    groups[key] = [value]
+                else:
+                    group.append(value)
+            self._key_groups[cache_key] = groups
+        return groups
+
+    def _keyed_values(self, attrs: tuple[str, ...], column: str) -> Iterator[tuple]:
+        """``(key, value)`` per row, rows with a NULL in either left out."""
+        values = self.column_array(column)
+        if len(attrs) == 1:
+            pairs = zip(self.column_array(attrs[0]), values)
+            return ((k, v) for k, v in pairs if k is not None and v is not None)
+        keyed = zip(zip(*[self.column_array(a) for a in attrs]), values)
+        return ((k, v) for k, v in keyed if None not in k and v is not None)
+
+    def _key_of(self, attrs: tuple[str, ...], row: tuple) -> Any:
+        """One row's key as the key structures store it, None if NULL."""
+        key = self.row_getter(attrs)(row)
+        if None in key:
+            return None
+        return key[0] if len(attrs) == 1 else key
 
     def lookup(self, column: str, value: Any) -> list[tuple]:
         """Rows where ``column == value`` (via the hash index)."""

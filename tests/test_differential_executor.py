@@ -23,6 +23,15 @@ multi-chunk binding set), NULL keys and NULL counts behind the
 ``EXISTS``, and existential aliases that are disconnected or joined
 only through the projected alias.
 
+The semijoin-stage section pins the two compile-time rewrites of the
+in-memory pipeline — a join whose columns are dropped right after it
+becomes a key-set membership test or a per-key min/max comparison, and
+a large ``distinct_values_in`` on the log id runs over the distinct join
+keys — to the same reference on both backends: single and multiple
+keys, all four inequality orientations, NULL keys and values, ties, the
+shapes that must stay hash joins, and key-driven batches holding unknown
+ids and NULLs.
+
 The prepared-point-probe section holds ``prepare_point(query, pin)`` to
 the same two standards on both backends: ``probe(value)`` equals the
 brute-force reference of ``query.pinned(pin, value)`` and the generic
@@ -54,6 +63,8 @@ from repro.db import (
     make_executor,
     open_sql_database,
 )
+from repro.db.executor import explain_query
+from repro.db.query import FLIPPED
 
 _OPS = {
     "=": operator.eq,
@@ -114,7 +125,8 @@ def executor_under_test(
     """An executor over ``db``'s rows on ``backend``.
 
     With ``delta`` the second half of every table lands only after
-    ``warm`` ran on this executor, so the indexes, distinct projections and plans
+    ``warm`` ran on this executor (a query is executed, a callable is
+    called with the executor), so the indexes, distinct projections and plans
     those queries built are delta-maintained rather than fresh.  SQL has a
     single lowering, so ``distinct_reduction`` varies the in-memory
     executor only.
@@ -133,7 +145,10 @@ def executor_under_test(
     else:
         executor = make_executor(target)
     for query in warm:
-        executor.execute(query)
+        if callable(query):
+            query(executor)
+        else:
+            executor.execute(query)
     for name, rows in late.items():
         target.table(name).insert_many(rows)
     return executor
@@ -236,7 +251,7 @@ def random_query(
             op = rng.choice(["<", "<=", ">", ">=", "!="])
             conds.append(Condition(left, op, Literal(rng.choice(VALUE_DOMAIN))))
         else:
-            op = rng.choice(["=", "<", "!=", ">="])
+            op = rng.choice(["=", "!=", "<", "<=", ">", ">="])
             conds.append(Condition(left, op, random_attr(rng, tvars, db)))
     projection: list[AttrRef] = []
     for _ in range(rng.randrange(1, 4)):
@@ -639,6 +654,216 @@ def test_disconnected_existential_alias(null_db, other):
         expected = set() if other == "Empty" else {10, 20, None, 40}
         for label, executor in all_executors(null_db, allow_cartesian=True):
             assert executor.distinct_values(query, AttrRef("A", "x")) == expected, label
+
+
+# ----------------------------------------------------------------------
+# semijoin stages: a join whose columns are dropped right after it is a
+# key-set test or a per-key min/max, and a large batch on the id column
+# runs over the distinct join keys
+# ----------------------------------------------------------------------
+ACC, EV = TupleVar("A", "Acc"), TupleVar("E", "Ev")
+AID = AttrRef("A", "id")
+
+
+@pytest.fixture
+def semi_db():
+    """An access-like table ``Acc`` and an event table ``Ev``: NULLs in
+    both sides' keys (a NULL-keyed pair on each side) and in the compared
+    ``t``, a NULL and a repeated id, and ``t`` ties against both the
+    per-key minimum and maximum."""
+    db = Database("semi")
+    cols = lambda *names: [(n, ColumnType.INT) for n in names]  # noqa: E731
+    acc = db.create_table(TableSchema.build("Acc", cols("id", "k1", "k2", "t")))
+    ev = db.create_table(TableSchema.build("Ev", cols("k1", "k2", "t", "z")))
+    acc.insert_many(
+        [
+            (1, 1, 1, 5),  # ties max(t) of key (1, 1)
+            (2, 1, 2, 3),
+            (3, 2, 1, 7),  # ties min(t) of key (2, 1)
+            (4, 2, 2, None),
+            (5, None, 1, 4),
+            (6, 3, None, 6),
+            (7, 1, 1, 2),
+            (None, 1, 1, 9),
+            (8, 4, 4, 5),
+            (2, 5, 5, 8),
+            (9, 2, 1, 8),
+        ]
+    )
+    ev.insert_many(
+        [
+            (1, 1, 3, 0),
+            (1, 1, 5, 1),
+            (1, 2, None, 0),
+            (2, 1, 7, 1),
+            (2, 1, None, 0),
+            (2, 2, 4, 0),
+            (None, 1, 1, 0),
+            (3, None, 2, 1),
+            (5, 5, 1, 0),
+        ]
+    )
+    return db
+
+
+def semi_query(keys=("k1",), extra=(), distinct=True, projection=(AID,)):
+    joins = [Condition(AttrRef("A", k), "=", AttrRef("E", k)) for k in keys]
+    return ConjunctiveQuery.build(
+        [ACC, EV], [*joins, *extra], projection, distinct=distinct
+    )
+
+
+def all_ids(db) -> set:
+    return set(db.table("Acc").column_values("id"))
+
+
+def assert_rewrite_matches(db, query, backend, distinct_reduction, delta):
+    """``execute`` and whole-log, strict-subset and polluted
+    ``distinct_values_in`` batches on ``AID`` equal the reference; with
+    ``delta`` the key structures they read were built on half the rows
+    and delta-maintained through the rest.  The last batch is small
+    enough to drive from the rows: it holds the NULL-keyed ids."""
+    ids = all_ids(db) - {None}
+    batches = [
+        ids | {None},
+        set(sorted(ids)[:5]),
+        set(sorted(ids)[2:7]) | {None, 99, -1},
+        {5, 6},
+    ]
+
+    def warm(executor):
+        for values in batches:
+            executor.distinct_values_in(query, AID, AID, values)
+
+    executor = executor_under_test(
+        db, backend, distinct_reduction, delta, query, warm
+    )
+    where = f"(backend={backend}, reduce={distinct_reduction}, delta={delta})"
+    expected = Counter(reference_evaluate(db, query))
+    assert Counter(executor.execute(query).rows) == expected, where
+    for values in batches:
+        got = executor.distinct_values_in(query, AID, AID, values)
+        assert got == reference_distinct_in(db, query, AID, AID, values), (
+            f"{where} in={sorted(values, key=repr)}"
+        )
+
+
+@pytest.mark.parametrize("keys", [("k1",), ("k2",), ("k1", "k2")])
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
+def test_semijoin_stage_matches_reference(
+    semi_db, backend, keys, distinct_reduction, delta
+):
+    """``E`` contributes nothing but "a row with this key exists"."""
+    query = semi_query(keys)
+    plan = explain_query(semi_db, query, AID)
+    assert plan.endswith(f"drives from A keys ({', '.join(keys)}), E semijoin"), plan
+    assert_rewrite_matches(semi_db, query, backend, distinct_reduction, delta)
+    pinned = query.pinned(AID, 1)
+    assert "E semijoin" in explain_query(semi_db, pinned)
+    for label, executor in all_executors(semi_db):
+        assert executor.distinct_values(pinned, AID) == {1}, label
+
+
+@pytest.mark.parametrize("op", ["<", "<=", ">", ">="])
+@pytest.mark.parametrize("joined_side", ["left", "right"])
+@pytest.mark.parametrize("keys", [("k1",), ("k1", "k2")])
+@pytest.mark.parametrize("distinct_reduction,delta", STATES)
+def test_extremum_stage_matches_reference(
+    semi_db, backend, op, joined_side, keys, distinct_reduction, delta
+):
+    """``A.t op E.t`` for some ``E`` row of the key is one comparison
+    with the key's max (``<``, ``<=``) or min (``>``, ``>=``) of ``E.t``,
+    whichever side of the condition the joined column is written on."""
+    a_t, e_t = AttrRef("A", "t"), AttrRef("E", "t")
+    if joined_side == "right":
+        cond, bound_op = Condition(a_t, op, e_t), op
+    else:
+        cond, bound_op = Condition(e_t, op, a_t), FLIPPED[op]
+    query = semi_query(keys, extra=(cond,))
+    kind = "max" if bound_op in ("<", "<=") else "min"
+    plan = explain_query(semi_db, query, AID)
+    assert plan.endswith(f"drives from A rows, E extremum({kind})"), plan
+    assert_rewrite_matches(semi_db, query, backend, distinct_reduction, delta)
+
+
+def test_extremum_fixture_exercises_ties(semi_db):
+    """The fixture holds ties against both extrema, so ``>`` vs ``>=``
+    and ``<`` vs ``<=`` select different ids."""
+    a_t, e_t = AttrRef("A", "t"), AttrRef("E", "t")
+    for strict, loose in (("<", "<="), (">", ">=")):
+        got = [
+            {row[0] for row in reference_evaluate(semi_db, semi_query(
+                ("k1", "k2"), extra=(Condition(a_t, op, e_t),)
+            ))}
+            for op in (strict, loose)
+        ]
+        assert got[0] < got[1], (strict, loose)
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["later_stage_reads_joined", "projected", "not_distinct", "not_equals", "two_inequalities"],
+)
+def test_shapes_that_stay_hash_joins(semi_db, backend, case):
+    """A step whose joined rows matter keeps the fan-out hash join, and
+    still agrees with the reference."""
+    a_t, e_t = AttrRef("A", "t"), AttrRef("E", "t")
+    kinds = "E hash-join"
+    if case == "later_stage_reads_joined":
+        # F hangs off E only: E.z must survive E's step, F's may not
+        query = ConjunctiveQuery.build(
+            [ACC, EV, TupleVar("F", "Ev")],
+            [
+                Condition(AttrRef("A", "k1"), "=", AttrRef("E", "k1")),
+                Condition(AttrRef("E", "z"), "=", AttrRef("F", "k2")),
+            ],
+            [AID],
+        )
+        kinds = "E hash-join, F semijoin"
+    elif case == "projected":
+        query = semi_query(projection=(AID, AttrRef("E", "z")))
+    elif case == "not_distinct":
+        query = semi_query(distinct=False)
+    elif case == "not_equals":
+        query = semi_query(extra=(Condition(a_t, "!=", e_t),))
+    else:
+        query = semi_query(
+            extra=(Condition(a_t, ">", e_t), Condition(AttrRef("A", "k2"), "<", e_t))
+        )
+    assert explain_query(semi_db, query, AID).endswith(kinds)
+    for distinct_reduction in CONFIGS:
+        assert_rewrite_matches(semi_db, query, backend, distinct_reduction, False)
+    for label, executor in all_executors(semi_db):
+        assert Counter(executor.execute(query).rows) == Counter(
+            reference_evaluate(semi_db, query)
+        ), label
+
+
+def test_key_drive_needs_equality_only_joins_and_a_large_batch(semi_db):
+    """The id's variable drives from its distinct join keys only when
+    every other attribute it touches sits in an equality join and the
+    batch is at least a quarter of the table; the ids come back through
+    the ``(keys) -> ids`` grouping, intersected with the batch."""
+    executor = Executor(semi_db)
+    ids = all_ids(semi_db) - {None}
+    query = semi_query(("k2", "k1"))
+    drive = lambda q, n: executor._semijoin_pipeline(q, AID, AID, n)[1]  # noqa: E731
+    assert drive(query, len(ids)) == ("k1", "k2")
+    assert drive(query, 1) is None  # a small batch probes the id index
+    ranged = semi_query(extra=(Condition(AttrRef("A", "t"), ">", AttrRef("E", "t")),))
+    assert drive(ranged, len(ids)) is None
+    filtered = semi_query(extra=(Condition(AttrRef("A", "t"), "=", Literal(5)),))
+    assert drive(filtered, len(ids)) is None
+    on_key = semi_query(("k1",))
+    assert drive(on_key, len(ids)) == ("k1",)
+    assert executor._semijoin_pipeline(on_key, AID, AttrRef("A", "k1"), 9)[1] is None
+    before = executor.queries_executed
+    values = {1, 2, 3, 4, 7, None, 99}
+    got = executor.distinct_values_in(query, AID, AID, values)
+    assert executor.queries_executed == before + 1
+    assert got == {1, 2, 3, 4, 7} == reference_distinct_in(semi_db, query, AID, AID, values)
+    # the caller's set is read, never narrowed in place
+    assert values == {1, 2, 3, 4, 7, None, 99}
 
 
 # ----------------------------------------------------------------------

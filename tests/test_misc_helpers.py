@@ -27,6 +27,27 @@ class TestExplainQueryHelper:
         text = explain_query(fig3_db, q)
         assert "2 vars" in text and "2 joins" in text and "0 filters" in text
 
+    def test_names_driver_and_stage_kinds(self, hospital_db):
+        """``drive`` describes the whole-log batch semijoin of
+        ``explain_all``: a chain template runs over the log's distinct
+        join keys with a semijoin stage; repeat-access keeps the rows (its
+        ``Date`` sits in an inequality) and compares with a per-key min."""
+        from repro.audit.handcrafted import event_user_template, repeat_access_template
+        from repro.core import SchemaGraph
+
+        graph, lid = SchemaGraph(hospital_db), AttrRef("L", "Lid")
+        appointments = event_user_template(graph, "Appointments", "Doctor")
+        assert explain_query(hospital_db, appointments.support_query(), lid) == (
+            "join pipeline over 2 vars (L:5, Appointments_1:2); 2 joins, "
+            "0 filters; drives from L keys (Patient, User), "
+            "Appointments_1 semijoin"
+        )
+        repeat = repeat_access_template(graph)
+        assert explain_query(hospital_db, repeat.support_query(), lid) == (
+            "join pipeline over 2 vars (L:5, Log_1:5); 2 joins, 1 filters; "
+            "drives from L rows, Log_1 extremum(min)"
+        )
+
 
 class TestConditionHelpers:
     def test_flipped_inequality(self):

@@ -2,7 +2,8 @@
 
 The delta-maintenance contract: after *any* interleaving of appends and
 cache-building reads, a delta-maintained :class:`~repro.db.table.Table`
-(hash indexes, distinct projections, NDV stats, projection indexes) and a
+(hash indexes, distinct projections, NDV stats, projection indexes, key
+sets, per-key extrema and key groups) and a
 delta-maintained :class:`~repro.core.engine.ExplanationEngine`
 (explained-lid sets, unexplained queue, coverage) must be
 indistinguishable from ones freshly rebuilt over the same final data.
@@ -33,11 +34,12 @@ from repro.db.table import Table
 COLS = ("a", "b", "c")
 PROJECTIONS = [("a",), ("b",), ("c",), ("a", "b"), ("b", "c"), ("a", "b", "c")]
 PROJ_INDEXES = [(("a", "b"), ("a",)), (("a", "b", "c"), ("b", "c")), (("b", "c"), ("c",))]
+KEYS = [("a",), ("b",), ("a", "b")]
 
 
 def _random_read(rng: random.Random, table: Table) -> None:
     """Build/refresh one randomly chosen cached structure."""
-    roll = rng.randrange(7)
+    roll = rng.randrange(10)
     if roll == 0:
         table.index_for(rng.choice(COLS))
     elif roll == 1:
@@ -50,6 +52,12 @@ def _random_read(rng: random.Random, table: Table) -> None:
     elif roll == 4:
         table.column_array(rng.choice(COLS))
     elif roll == 5:
+        table.key_set(rng.choice(KEYS))
+    elif roll == 6:
+        table.key_extremum(rng.choice(KEYS), "c", rng.random() < 0.5)
+    elif roll == 7:
+        table.key_groups(rng.choice(KEYS), rng.choice(COLS))
+    elif roll == 8:
         table.probe_many(rng.choice(COLS), [rng.randrange(4), None])
     else:
         table.lookup(rng.choice(COLS), rng.randrange(4))
@@ -88,6 +96,16 @@ def assert_structures_fresh(live: Table) -> None:
             assert set(entries) == set(fresh_index[k]), (
                 f"projection_index[{attrs}, {keys}][{k}] diverged"
             )
+    for keys, key_set in live._key_sets.items():
+        assert key_set == fresh.key_set(keys), f"key_set[{keys}] diverged"
+    for (keys, column, largest), best in live._extrema.items():
+        assert best == fresh.key_extremum(keys, column, largest), (
+            f"key_extremum[{keys}, {column}, {largest}] diverged"
+        )
+    for (keys, column), groups in live._key_groups.items():
+        assert groups == fresh.key_groups(keys, column), (
+            f"key_groups[{keys}, {column}] diverged"
+        )
 
 
 @pytest.mark.parametrize("seed", range(12))
@@ -121,6 +139,9 @@ def test_table_clear_drops_all_structures():
     table.ndv("c")
     table.projection_index(("a", "b"), ("a",))
     table.column_array("b")
+    table.key_set(("a", "b"))
+    table.key_extremum(("a",), "c", True)
+    table.key_groups(("b",), "a")
     table.clear()
     assert len(table) == 0
     assert table._column_store == {}
@@ -128,6 +149,7 @@ def test_table_clear_drops_all_structures():
     assert table._distinct_cache == {}
     assert table._ndv_cache == {}
     assert table._proj_index_cache == {}
+    assert table._key_sets == table._extrema == table._key_groups == {}
     assert table.index_for("a") == {}
     assert table.ndv("a") == 0
 
