@@ -28,7 +28,7 @@ import multiprocessing
 import os
 import time
 
-from repro.api import AuditConfig, open_service
+from repro.api import AuditConfig, AuditService
 from repro.client import AuditClient
 from repro.ehr import SimulationConfig, simulate
 from repro.server import FleetSupervisor
@@ -52,7 +52,7 @@ def _make_service():
         SimulationConfig.tiny(seed=7) if _SMOKE else SimulationConfig.small(seed=7)
     )
     db = simulate(config).db
-    return open_service(db, config=AuditConfig())
+    return AuditService.open(db, config=AuditConfig())
 
 
 def _client_main(host, port, lids, index, per_client, barrier, queue):

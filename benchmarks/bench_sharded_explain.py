@@ -6,12 +6,12 @@ is anchored on the accessed patient, and log self-joins equate the
 log close to N times faster than one core can — this benchmark measures
 exactly that:
 
-* **single** — ``open_service`` with ``shards=1`` (the plain
-  :class:`~repro.api.AuditService`): one engine, one
-  ``explain_all`` semijoin pass over the whole log;
-* **sharded** — ``shards = cpu_count`` (capped), ``executor_kind=
-  "process"``: each shard runs its own semijoin pass concurrently in a
-  dedicated worker process; the partitions union in the parent.
+* **single** — :class:`~repro.api.AuditService` on one shard: one
+  engine, one ``explain_all`` semijoin pass over the whole log;
+* **sharded** — the same class on ``shards = cpu_count`` (capped),
+  ``executor_kind="process"``: each shard runs its own semijoin pass
+  concurrently in a dedicated worker process; the partitions union in
+  the parent.
 
 Shard construction (partitioning, worker start-up, payload shipping) is
 deliberately *outside* the measured region — it is a once-per-deployment
@@ -32,7 +32,7 @@ from __future__ import annotations
 import os
 import time
 
-from repro.api import AuditConfig, open_service
+from repro.api import AuditConfig, AuditService
 from repro.audit import all_event_user_templates, repeat_access_template
 from repro.ehr import SimulationConfig, build_careweb_graph, simulate
 
@@ -79,7 +79,7 @@ def bench_sharded_explain_speedup(report):
     fresh_db, templates = _world()
 
     # --- single-shard baseline (cold caches, measured region = pass) ---
-    single = open_service(
+    single = AuditService.open(
         fresh_db(),
         templates=templates,
         config=AuditConfig(eager_warm=False),
@@ -92,7 +92,7 @@ def bench_sharded_explain_speedup(report):
     sharded_config = AuditConfig(
         eager_warm=False, shards=shards, executor_kind="process"
     )
-    with open_service(
+    with AuditService.open(
         fresh_db(), templates=templates, config=sharded_config
     ) as sharded:
         started = time.perf_counter()

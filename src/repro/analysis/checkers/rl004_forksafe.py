@@ -50,8 +50,6 @@ FORBIDDEN_FACTORIES = frozenset(
         "concurrent.futures.ThreadPoolExecutor",
         "AuditService",
         "AuditService.open",
-        "ShardedAuditService",
-        "ShardedAuditService.open",
         "open_service",
     }
 )

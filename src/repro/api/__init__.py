@@ -3,8 +3,11 @@
 Everything an application (the CLI, the examples, a web tier) needs is
 importable from here:
 
-* :class:`AuditService` — the unified, thread-safe facade (explain,
-  ingest, mine, report) with an explicit ``open(...)`` lifecycle;
+* :class:`AuditService` — the one thread-safe service (explain, ingest,
+  mine, report) with an explicit ``open(...)`` lifecycle, placed on one
+  in-process shard or scattered over patient-hash shards
+  (``AuditConfig.shards``); :func:`open_service` is the same call as a
+  plain function;
 * :class:`AuditConfig` — the single frozen config object (log table,
   plan-cache size, alert policy, backend, shards, serving fleet, scan
   budgets);
@@ -114,8 +117,7 @@ from .messages import (
     temporal,
     to_wire,
 )
-from .service import AuditService, GroupsResult, standard_templates
-from .sharded import ShardedAuditService, open_service
+from .service import AuditService, GroupsResult, open_service, standard_templates
 
 
 def __getattr__(name: str) -> Any:
@@ -175,7 +177,6 @@ __all__ = [
     "SchemaAttr",
     "SchemaEdge",
     "SchemaGraph",
-    "ShardedAuditService",
     "SqlDatabase",
     "TableSchema",
     "TemplateLibrary",

@@ -35,11 +35,11 @@ class AuditConfig:
     #: invoked (unexplained accesses are still counted and reported).
     alert_on_unexplained: bool = True
 
-    #: Scatter-gather layout: number of patient-hash shards.  1 keeps the
-    #: single in-process :class:`~repro.api.service.AuditService` layout;
-    #: >1 makes :func:`repro.api.open_service` build a
-    #: :class:`~repro.api.sharded.ShardedAuditService` whose shard
-    #: databases each carry their own indexes and plan cache.
+    #: Placement of the one :class:`~repro.api.service.AuditService`:
+    #: the number of patient-hash shards.  1 is one in-process shard over
+    #: the database itself (no copy, no pool, ops called inline); >1
+    #: partitions the log, each shard database with its own indexes and
+    #: plan cache, on thread or process shards (``executor_kind``).
     shards: int = 1
     #: Shard executor: ``"thread"`` keeps every shard in-process and
     #: scatters over a thread pool (cheap, shares the GIL); ``"process"``
@@ -76,7 +76,7 @@ class AuditConfig:
     #: SQLite database file for ``backend="sqlite"``.  None keeps the
     #: database in SQLite's private memory (no file, no restart
     #: survival); a path persists state across process death, and a
-    #: sharded service derives one file per shard from it
+    #: service on more than one shard derives one file per shard from it
     #: (``audit.shard0.db``, ...).  Ignored by the memory backend.
     db_path: str | None = None
     #: Row cap applied to every in-memory table loaded through the CLI

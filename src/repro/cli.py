@@ -39,7 +39,6 @@ from .api import (
     MineRequest,
     TemplateLibrary,
     load_database,
-    open_service,
     save_database,
     with_careweb_description,
     write_report,
@@ -199,7 +198,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
         executor_kind=args.executor_kind,
         **_backend_config(args),
     )
-    with open_service(
+    with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
         if args.resumable:
@@ -234,7 +233,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         executor_kind=args.executor_kind,
         **_backend_config(args),
     )
-    with open_service(
+    with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
         coverage = service.coverage()
@@ -250,8 +249,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: the v1 wire API over an opened service.
 
-    ``--shards N --executor-kind process`` serves the scatter-gather
-    backend transparently — the wire contract is identical.  ``--port 0``
+    ``--shards N --executor-kind process`` places the service on N
+    process shards transparently — the wire contract is identical.  ``--port 0``
     binds an ephemeral port; the ``listening on http://...`` line names
     it (scripts parse that line).  SIGINT/SIGTERM shut down cleanly
     (graceful drain: in-flight requests finish, new dials are refused).
@@ -280,19 +279,19 @@ def cmd_serve(args: argparse.Namespace) -> int:
         if config.backend == "sqlite" and config.db_path is not None:
             # Materialize the SQLite file(s) once before forking the
             # fleet, so replicas reuse instead of racing to ingest.
-            open_service(
+            AuditService.open(
                 db, templates=templates, config=config.replace(workers=None)
             ).close()
         # Each worker opens its own replica post-fork — never share one
         # live service (thread pools, locks, shard subprocesses) across
         # server processes.
         return run_fleet(
-            lambda: open_service(db, templates=templates, config=config),
+            lambda: AuditService.open(db, templates=templates, config=config),
             host=args.host,
             port=args.port,
             workers=config.effective_workers,
         )
-    with open_service(db, templates=templates, config=config) as service:
+    with AuditService.open(db, templates=templates, config=config) as service:
         return serve(service, host=args.host, port=args.port)
 
 
@@ -372,7 +371,8 @@ def _add_sharding_args(p: argparse.ArgumentParser) -> None:
         type=int,
         default=1,
         help="hash-partition the log by patient into N shards and "
-        "scatter-gather evaluation over them (1 = single-node service)",
+        "scatter-gather evaluation over them (1 = one in-process shard "
+        "over the database itself)",
     )
     p.add_argument(
         "--executor-kind",

@@ -380,20 +380,17 @@ def overall_coverage(
     groups — the paper's headline number (Section 5.3.2: "we are able to
     explain over 94% of all accesses").
 
-    ``shards > 1`` computes the same number through the scatter-gather
-    service (patient-hash shards evaluated concurrently; counts add
-    across disjoint shards) — sharding is invisible to the metric.
+    ``shards > 1`` computes the same number on patient-hash shards
+    evaluated concurrently (counts add across disjoint shards) — the
+    placement is invisible to the metric.
     """
-    from ..api.sharded import open_service
-
     graph = study.graph
     templates = dataset_a_doctor_templates(graph)
     templates.append(repeat_access_template(graph))
     templates.extend(group_templates(graph, depth=group_depth))
     # One set-at-a-time pass through the public API: opening the service
     # warms the aggregates via one batch semijoin per template
-    # (ExplanationEngine.explain_all under the hood — per shard when
-    # sharded).
+    # (ExplanationEngine.explain_all under the hood, on every shard).
     config = AuditConfig(shards=shards, executor_kind=executor_kind)
-    with open_service(study.db, templates=templates, config=config) as service:
+    with AuditService.open(study.db, templates=templates, config=config) as service:
         return service.coverage()

@@ -1,9 +1,10 @@
 """``repro.server`` — the stdlib HTTP/NDJSON wire tier.
 
-A dependency-free asyncio HTTP server exposing any opened audit service
-(single-node or sharded, via :func:`repro.api.open_service`) as the
-versioned ``/v1/`` JSON wire API; see :mod:`repro.server.app` for the
-route table.  The blocking counterpart lives in :mod:`repro.client`.
+A dependency-free asyncio HTTP server exposing an opened
+:class:`~repro.api.AuditService` (on one shard or many — the placement is
+invisible on the wire) as the versioned ``/v1/`` JSON wire API; see
+:mod:`repro.server.app` for the route table.  The blocking counterpart
+lives in :mod:`repro.client`.
 
 Embedding (tests, benchmarks, notebooks)::
 

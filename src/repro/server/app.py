@@ -1,9 +1,7 @@
 """The versioned audit wire API: routes, dispatch, and server lifecycle.
 
-:class:`AuditAPI` binds an opened service — the single-node
-:class:`~repro.api.AuditService` or the scatter-gather
-:class:`~repro.api.ShardedAuditService`, transparently via
-:func:`repro.api.open_service` — to the ``/v1/`` route table:
+:class:`AuditAPI` binds an opened :class:`~repro.api.AuditService` — on
+one shard or many, transparently — to the ``/v1/`` route table:
 
 =========  ===========================  =====================================
 method     path                         result
@@ -29,14 +27,15 @@ Every response is a versioned envelope (``{"v": 1, "kind": ..., "data":
 ...}``); every failure is a typed wire error from
 :mod:`repro.api.errors` with its mapped HTTP status — including
 :class:`~repro.api.errors.UnsupportedOperationError` → 501 for
-operations a sharded deployment cannot host.
+operations a placement cannot host (writes on a fleet, mining on
+shards).
 
 Service calls are blocking (they take the service's RWLock), so they
 run in two tiers.  A point explain — ``GET``/``POST /v1/explain`` and
 each lid of ``/v1/explain/batch`` — is first tried on the event-loop
 thread as ``service.explain(request, wait=False)``, which answers only
-if the read can start and finish without waiting (the single-node
-memory backend, no writer active or waiting).  A warm probe is pure
+if the read can start and finish without waiting (a one-shard
+memory-backend service, no writer active or waiting).  A warm probe is pure
 Python, so a pool thread would add two thread handoffs and no
 parallelism.  When the service declines (returns None: a writer
 pending, SQLite I/O, a shard scatter) — and for every other call — the

@@ -13,8 +13,8 @@ AuditServer` into a multi-core fleet:
   a typed error, because spawned children cannot inherit the fd).
 * **One service replica per worker.**  Each worker process calls the
   supplied zero-argument ``service_factory`` *after* the fork, so every
-  worker owns its service outright — including process-backend
-  :class:`~repro.api.sharded.ShardedAuditService` stacks, whose shard
+  worker owns its service outright — including an
+  :class:`~repro.api.AuditService` on process shards, whose shard
   subprocesses then belong to that worker.  Because replicas are
   independent, fleet workers serve **read-only**: mutating endpoints
   answer a typed 501 instead of silently diverging one replica.

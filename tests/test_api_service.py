@@ -326,6 +326,46 @@ class TestMine:
 
 
 # ----------------------------------------------------------------------
+# placements: one shard is the caller's database; more shards refuse the
+# whole-database writers
+# ----------------------------------------------------------------------
+class TestPlacement:
+    def test_one_shard_serves_the_callers_database(self):
+        """(No pool and no partition copy: ``test_explain_dispatch``.)"""
+        db = _build_hospital()
+        service = AuditService.open(
+            db, templates=(), config=AuditConfig(eager_warm=False)
+        )
+        assert service.db is db
+        assert service.engine.db is service.db
+        assert service.explain(116, wait=False) == service.explain(116)
+        mined = service.mine(
+            MineRequest(support_fraction=0.2, max_length=2, register=True),
+            graph=_graph(db),
+        )
+        assert len(service.templates()) == len(mined.templates) > 0
+        groups = service.build_groups(max_depth=2)
+        assert groups.group_rows == len(db.table("Groups")) > 0
+        assert service.stats()["executor_kind"] == "inline"
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_sharded_refuses_whole_database_writers(self, kind):
+        from repro.api import UnsupportedOperationError
+
+        config = AuditConfig(shards=2, executor_kind=kind)
+        with AuditService.open(
+            _build_hospital(), templates=_templates(_build_hospital()), config=config
+        ) as service:
+            with pytest.raises(UnsupportedOperationError) as mined:
+                service.mine(MineRequest())
+            with pytest.raises(UnsupportedOperationError) as grouped:
+                service.build_groups()
+            assert mined.value.http_status == grouped.value.http_status == 501
+            assert service.explain(116, wait=False) is None
+            assert service.explain(116).explained
+
+
+# ----------------------------------------------------------------------
 # after the deprecation shims: the old top-level names are gone, the
 # engine-level classes they pointed at still agree with the service
 # ----------------------------------------------------------------------

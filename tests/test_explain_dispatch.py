@@ -1,7 +1,7 @@
 """Where a point explain runs.
 
 ``explain(request, wait=False)`` answers only when it can start and
-finish without waiting — the single-node memory backend, with no writer
+finish without waiting — a one-shard memory-backend service, with no writer
 active or waiting on the service's RWLock — and returns None otherwise.
 The HTTP server calls it on its event-loop thread and sends a None to
 its worker pool as an ordinary ``explain``, so the loop never waits on
@@ -124,6 +124,26 @@ class TestNonWaitingExplain:
         with open_service(tiny_db, config=config) as svc:
             assert svc.explain(3, wait=False) is None
             assert svc.explain(3).lid == 3
+
+    @pytest.mark.parametrize("kind", ["thread", "process"])
+    def test_one_shard_answers_inline_without_a_pool(self, tiny_db, kind, monkeypatch):
+        """One shard is the caller's database with its ops called on the
+        calling thread, whatever ``executor_kind`` says: no pool, no
+        partition copy."""
+        import repro.api.service as service_mod
+        import repro.api.sharded as sharded_mod
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("a one-shard service builds no pool or partition")
+
+        monkeypatch.setattr(service_mod, "ThreadPoolExecutor", forbidden)
+        monkeypatch.setattr(service_mod, "partition_by_patient", forbidden)
+        monkeypatch.setattr(sharded_mod, "ProcessPoolExecutor", forbidden)
+        config = AuditConfig(executor_kind=kind)
+        with open_service(tiny_db, config=config) as svc:
+            assert svc.db is tiny_db
+            for lid in LIDS:
+                assert svc.explain(lid, wait=False) == svc.explain(lid)
 
 
 # ----------------------------------------------------------------------

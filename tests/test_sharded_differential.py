@@ -1,30 +1,44 @@
-"""Differential suite: the sharded service must be indistinguishable
-from the single-node service.
+"""Differential suite: every placement of the service must be
+indistinguishable from a bare engine over the unpartitioned log.
 
 For every shard count in {1, 2, 7} and both executor kinds
-("thread", "process"), `ShardedAuditService` must return results
-byte-identical (via ``to_dict()`` / set equality) to ``AuditService``
-over the same database — for explain_all, coverage, reports, per-access
-explanation, mining support — and stay identical after incremental
-``ingest_many``/``ingest`` with parent-assigned global log ids.
+("thread", "process"), `AuditService` must return results byte-identical
+(via ``to_dict()`` / set equality) to :class:`Reference` — an
+``ExplanationEngine`` and ``AccessMonitor`` over the same database,
+rendered through the same message dataclasses — for explain_all,
+coverage, reports, per-access explanation, mining support, and stay
+identical after incremental ``ingest_many``/``ingest`` with
+service-assigned global log ids.
 
 The SQLite storage backend rides the same treatment: at shards {1, 2}
-(``open_service`` builds the single-node service at 1) every read and
-ingest surface must match the in-memory reference byte-identically.
+every read and ingest surface must match the in-memory reference
+byte-identically.
 """
 
 import datetime as dt
+from collections import Counter
 
 import pytest
 
 from repro.api import (
+    AccessView,
     AuditConfig,
+    AuditReport,
     AuditService,
-    ShardedAuditService,
+    ExplainResult,
+    ExplanationView,
+    IngestResult,
+    MineRequest,
+    PatientReport,
+    UnexplainedView,
     UnsupportedOperationError,
     open_service,
+    open_sql_database,
+    standard_templates,
 )
-from repro.core.engine import SEMIJOIN_BATCH_MIN
+from repro.api.service import format_patient_report
+from repro.audit.streaming import AccessMonitor
+from repro.core.engine import SEMIJOIN_BATCH_MIN, ExplanationEngine
 from repro.ehr import SimulationConfig, simulate
 
 SHARD_COUNTS = (1, 2, 7)
@@ -60,17 +74,121 @@ def _sample_patients(db, k=3):
     return seen
 
 
+class Reference:
+    """The oracle: a bare engine and monitor over the unpartitioned
+    database, rendered through the message dataclasses the service
+    returns — no shard op, merge or service code in the loop."""
+
+    def __init__(self, clock=None):
+        self.db = _fresh_db()
+        self.engine = ExplanationEngine(self.db, standard_templates(self.db))
+        self.monitor = AccessMonitor(self.engine, clock=clock)
+
+    def _log(self):
+        log = self.db.table("Log")
+        columns = ("Lid", "Date", "User", "Patient")
+        return log, [log.schema.column_index(c) for c in columns]
+
+    def log_rows(self):
+        return len(self.db.table("Log"))
+
+    def coverage(self):
+        return self.engine.coverage()
+
+    def unexplained_lids(self):
+        return frozenset(self.engine.unexplained_lids())
+
+    def summary(self):
+        return self.report().summary()
+
+    def explain_all(self):
+        return self.engine.explain_all()
+
+    def explain_batch(self, lids):
+        return self.engine.explain_batch(lids)
+
+    def support_many(self, templates):
+        return self.engine.support_counts(templates)
+
+    def templates(self):
+        return self.engine.templates
+
+    def explain(self, lid):
+        return ExplainResult(
+            lid=lid,
+            explanations=tuple(
+                ExplanationView.from_instance(i) for i in self.engine.explain(lid)
+            ),
+        )
+
+    def patient_report(self, patient):
+        log, (lid_i, date_i, user_i, _) = self._log()
+        rows = sorted(
+            log.lookup("Patient", patient), key=lambda r: (r[date_i], r[lid_i])
+        )
+        return PatientReport(
+            patient=patient,
+            entries=tuple(
+                AccessView(
+                    lid=r[lid_i],
+                    date=r[date_i],
+                    user=r[user_i],
+                    explanations=tuple(
+                        i.render() for i in self.engine.explain(r[lid_i])
+                    ),
+                )
+                for r in rows
+            ),
+        )
+
+    def render_patient_report(self, patient):
+        return format_patient_report(self.patient_report(patient))
+
+    def report(self, limit=None):
+        log, (lid_i, date_i, user_i, patient_i) = self._log()
+        unexplained = self.engine.unexplained_lids()
+        rows = sorted(
+            (r for r in log.rows() if r[lid_i] in unexplained),
+            key=lambda r: (r[date_i], r[lid_i]),
+        )
+        counts = Counter(r[user_i] for r in rows)
+        return AuditReport(
+            total=len(self.engine.all_lids()),
+            unexplained_count=len(rows),
+            coverage=self.engine.coverage(),
+            queue=tuple(
+                UnexplainedView(
+                    lid=r[lid_i], date=r[date_i], user=r[user_i], patient=r[patient_i]
+                )
+                for r in rows[:limit]
+            ),
+            user_risk=tuple(
+                sorted(counts.items(), key=lambda kv: (-kv[1], str(kv[0])))
+            ),
+        )
+
+    def ingest_many(self, batch):
+        return [
+            IngestResult.from_streamed(a, a.suspicious)
+            for a in self.monitor.ingest_many(batch)
+        ]
+
+    def ingest(self, user, patient):
+        access = self.monitor.ingest(user, patient)
+        return IngestResult.from_streamed(access, access.suspicious)
+
+
 @pytest.fixture(scope="module")
 def reference():
-    """The single-node service over the shared read-only world."""
-    return AuditService.open(_fresh_db())
+    """The oracle over the shared read-only world."""
+    return Reference()
 
 
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_reads_identical(reference, shards, kind):
     config = AuditConfig(shards=shards, executor_kind=kind)
-    with ShardedAuditService.open(_fresh_db(), config=config) as sharded:
+    with AuditService.open(_fresh_db(), config=config) as sharded:
         # aggregate views
         assert sharded.coverage() == reference.coverage()
         assert sharded.unexplained_lids() == reference.unexplained_lids()
@@ -137,7 +255,7 @@ def test_sqlite_backend_sharded_reads_identical(reference, shards, kind):
 def test_sqlite_backend_sharded_ingest_identical(shards):
     """Ingest through the SQLite backend (single-node and sharded)
     matches the memory reference: ids, dates, explanations, alerts."""
-    base = AuditService.open(_fresh_db(), clock=_ticking_clock())
+    base = Reference(clock=_ticking_clock())
     config = AuditConfig(shards=shards, backend="sqlite")
     with open_service(
         _fresh_db(), config=config, clock=_ticking_clock()
@@ -157,9 +275,9 @@ def test_sqlite_backend_sharded_ingest_identical(shards):
 @pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", (2, 7))
 def test_sharded_ingest_identical(shards, kind):
-    base = AuditService.open(_fresh_db(), clock=_ticking_clock())
+    base = Reference(clock=_ticking_clock())
     config = AuditConfig(shards=shards, executor_kind=kind)
-    with ShardedAuditService.open(
+    with AuditService.open(
         _fresh_db(), config=config, clock=_ticking_clock()
     ) as sharded:
         patients = _sample_patients(base.db, k=3) + ["brand-new-patient"]
@@ -184,12 +302,9 @@ def test_sharded_batch_semijoin_ingest_identical(kind):
     """The batch-semijoin ingest strategy survives sharding: each of the
     four patients has SEMIJOIN_BATCH_MIN rows in the batch, so every shard
     that owns one maintains its share by semijoin."""
-    config = AuditConfig()
-    base = AuditService.open(
-        _fresh_db(), config=config, clock=_ticking_clock()
-    )
-    sharded_config = config.replace(shards=3, executor_kind=kind)
-    with ShardedAuditService.open(
+    base = Reference(clock=_ticking_clock())
+    sharded_config = AuditConfig(shards=3, executor_kind=kind)
+    with AuditService.open(
         _fresh_db(), config=sharded_config, clock=_ticking_clock()
     ) as sharded:
         patients = _sample_patients(base.db, k=4)
@@ -264,7 +379,7 @@ def test_capacity_error_mid_batch_keeps_engine_in_step_with_log():
 def test_sharded_alerts_fire_in_ingest_order():
     events = []
     config = AuditConfig(shards=3)
-    with ShardedAuditService.open(_fresh_db(), config=config) as sharded:
+    with AuditService.open(_fresh_db(), config=config) as sharded:
         sharded.on_alert(lambda r: events.append(r.lid))
         results = sharded.ingest_many(
             [("nobody", f"ghost-patient-{i}", None) for i in range(4)]
@@ -275,7 +390,7 @@ def test_sharded_alerts_fire_in_ingest_order():
 
 
 def test_sharded_add_templates_broadcasts(reference):
-    with ShardedAuditService.open(
+    with AuditService.open(
         _fresh_db(), templates=(), config=AuditConfig(shards=3)
     ) as sharded:
         before = sharded.coverage()
@@ -286,13 +401,13 @@ def test_sharded_add_templates_broadcasts(reference):
 
 
 def test_sharded_stats_aggregate(reference):
-    with ShardedAuditService.open(
+    with AuditService.open(
         _fresh_db(), config=AuditConfig(shards=4)
     ) as sharded:
         stats = sharded.stats()
         assert stats["shards"] == 4
         assert stats["executor_kind"] == "thread"
-        assert stats["log_rows"] == reference.stats()["log_rows"]
+        assert stats["log_rows"] == reference.log_rows()
         assert len(stats["per_shard"]) == 4
         assert stats["ingest"] is None  # nothing ingested yet
         per_shard_rows = sum(s["log_rows"] for s in stats["per_shard"])
@@ -302,13 +417,13 @@ def test_sharded_stats_aggregate(reference):
 
 
 def test_sharded_lifecycle_and_unsupported_writers():
-    service = ShardedAuditService.open(
+    service = AuditService.open(
         _fresh_db(), config=AuditConfig(shards=2)
     )
     # typed UnsupportedOperationError (a NotImplementedError subclass so
     # pre-wire callers keep working), carrying a remediation hint
     with pytest.raises(NotImplementedError) as excinfo:
-        service.mine()
+        service.mine(MineRequest())
     assert isinstance(excinfo.value, UnsupportedOperationError)
     assert excinfo.value.code == "unsupported_operation"
     assert excinfo.value.http_status == 501
@@ -322,13 +437,15 @@ def test_sharded_lifecycle_and_unsupported_writers():
         service.coverage()
 
 
-def test_open_service_routes_by_shard_count():
-    single = open_service(_fresh_db())
-    assert isinstance(single, AuditService)
+def test_open_service_opens_the_one_service_class():
+    db = _fresh_db()
+    with open_service(db) as single:
+        assert type(single) is AuditService and single.shards == 1
+        assert single.db is db
     with open_service(
         _fresh_db(), config=AuditConfig(shards=2)
     ) as sharded:
-        assert isinstance(sharded, ShardedAuditService)
+        assert type(sharded) is AuditService and sharded.shards == 2
 
 
 def test_cli_audit_json_identical_across_shards(tmp_path, capsys):
@@ -344,3 +461,97 @@ def test_cli_audit_json_identical_across_shards(tmp_path, capsys):
     assert capsys.readouterr().out == single_out
     assert main(["evaluate", "--db", db_dir, "--json", "--shards", "2"]) == 0
     assert "coverage" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("shards", (1, 2))
+def test_close_closes_every_database_the_service_opened(
+    tmp_path, monkeypatch, shards
+):
+    """Each shard's SQLite database closes with the service — thread
+    shards included — while a database the caller passed in stays open."""
+    from repro.db.drivers.sqlite import SqliteDriver
+
+    drivers = []
+    init = SqliteDriver.__init__
+
+    def recording_init(self, *args, **kwargs):
+        init(self, *args, **kwargs)
+        drivers.append(self)
+
+    monkeypatch.setattr(SqliteDriver, "__init__", recording_init)
+    config = AuditConfig(
+        shards=shards, backend="sqlite", db_path=str(tmp_path / "audit.db")
+    )
+    service = open_service(_fresh_db(), config=config)
+    assert [d.snapshot_stats()["connected"] for d in drivers] == [True] * shards
+    service.close()
+    assert [d.snapshot_stats()["connected"] for d in drivers] == [False] * shards
+
+    given = open_sql_database(_fresh_db(), None)
+    with AuditService.open(given, config=AuditConfig(backend="sqlite")):
+        pass
+    assert given.driver.snapshot_stats()["connected"] is True
+    given.close()
+
+
+#: The top-level ``stats()`` keys at every placement.
+STATS_KEYS = (
+    "shards",
+    "executor_kind",
+    "log_rows",
+    "templates",
+    "queries_executed",
+    "plan_cache",
+    "lock",
+    "ingest",
+    "per_shard",
+    "config",
+)
+
+
+@pytest.mark.parametrize(
+    "shards,kind", [(1, "thread"), (2, "thread"), (1, "process"), (2, "process")]
+)
+def test_stats_has_one_shape_at_every_placement(shards, kind):
+    """The same keys at every shard count and executor kind, before and
+    after ingest; ingest counters add and averages recompute."""
+    with AuditService.open(
+        _fresh_db(), config=AuditConfig(shards=shards, executor_kind=kind)
+    ) as service:
+        before = service.stats()
+        assert before["ingest"] is None
+        assert before["shards"] == shards
+        assert len(before["per_shard"]) == shards
+        patients = _sample_patients(_fresh_db(), k=3)
+        service.ingest_many([("u0001", p, None) for p in patients])
+        service.ingest("nobody", patients[0])
+        after = service.stats()
+    reference = AccessMonitor(ExplanationEngine(_fresh_db())).stats()
+    assert set(before) == set(after) == set(STATS_KEYS)
+    assert set(after["ingest"]) == set(reference)
+    ingest = after["ingest"]
+    assert ingest["seen"] == len(patients) + 1
+    assert ingest["avg_ingest_queries"] == ingest["total_queries"] / ingest["seen"]
+    assert ingest["alert_rate"] == ingest["alerts"] / ingest["seen"]
+    assert ingest["last_ingest_queries"] > 0
+
+
+def test_explain_merge_ranks_what_every_shard_returns(reference, monkeypatch):
+    """The explain merge ranks the union of the shards' answers instead of
+    trusting that only the owner answers: with overlapping partitions
+    (both shards hold the whole log) each instance arrives twice, and the
+    merged list is the reference ranking with every entry doubled."""
+    import repro.api.service as service_mod
+
+    monkeypatch.setattr(
+        service_mod, "partition_by_patient", lambda db, n, log_table: [db] * n
+    )
+    lid = next(
+        lid
+        for lid in sorted(reference.engine.all_lids())
+        if len(reference.explain(lid).explanations) > 1
+    )
+    with AuditService.open(_fresh_db(), config=AuditConfig(shards=2)) as service:
+        merged = service.explain(lid).explanations
+    expected = reference.explain(lid).explanations
+    assert merged == tuple(view for view in expected for _ in range(2))

@@ -33,7 +33,6 @@ from repro.api import (
     AuditService,
     CapacityError,
     MineRequest,
-    ShardedAuditService,
     UnsupportedOperationError,
     open_service,
     open_sql_database,
@@ -546,7 +545,7 @@ class TestServiceLifecycle:
     def test_sharded_rejects_sql_database_source(self):
         sql_db = open_sql_database(_fresh_db(), None)
         with pytest.raises(UnsupportedOperationError, match="partition"):
-            ShardedAuditService.open(sql_db, config=AuditConfig(shards=2))
+            AuditService.open(sql_db, config=AuditConfig(shards=2))
         sql_db.close()
 
     def test_capacity_error_points_at_sqlite(self):
