@@ -1,6 +1,6 @@
 """repro-lint over the repository's own tree: rule cost and cache win.
 
-The nine rules (including the flow-sensitive RL006-RL009, which build a
+The eight rules (including the flow-sensitive RL006-RL008, which build a
 project call graph and run dataflow fixpoints) must stay cheap enough to
 run on every commit, and the incremental result cache must actually pay:
 a warm run answers from content hashes without parsing a single file.

@@ -2,7 +2,7 @@
 
 A stdlib-``ast`` checker suite enforcing the invariants the compiler
 never sees: RWLock reader/writer discipline on the service facades
-(RL001), the versioned wire contract and its round-trip law (RL002),
+(RL001), the wire error contract (RL002),
 typed-error hygiene on the wire tier (RL003), fork/asyncio safety
 (RL004), and benchmark envelope conformance (RL005).
 

@@ -14,5 +14,4 @@ from . import (  # noqa: F401  (imported for their registration side effect)
     rl006_lockflow,
     rl007_sqltaint,
     rl008_asyncflow,
-    rl009_wiredrift,
 )

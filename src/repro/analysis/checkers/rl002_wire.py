@@ -1,35 +1,27 @@
-"""RL002 — the wire contract behind ``/v1/``.
+"""RL002 — the wire error contract behind ``/v1/``.
 
-Two halves, both driven by registry assignments rather than hard-coded
-class lists so the rule keeps up as message kinds are added:
+Any module defining an ``ERROR_TYPES`` registry: every concrete
+``AuditApiError`` subclass must carry a ``code`` string and an
+``http_status`` (own or inherited in-module), be registered, and — for
+the real ``src/repro/api/errors.py`` — have its code documented in the
+README error table.  The rule reads the registry assignment rather than
+a hard-coded class list, so it keeps up as error types are added.
 
-* any module defining a ``WIRE_KINDS`` registry: every ``@dataclass``
-  in it must define ``to_dict`` and ``from_dict``, appear in the
-  ``WIRE_KINDS`` value (its kind string — transportable via the module
-  ``to_wire``/``from_wire`` envelope functions, which must exist), and —
-  for the real ``src/repro/api/messages.py`` — be exercised by name in
-  ``tests/test_api_messages_roundtrip.py`` so the
-  ``from_dict(to_dict(x)) == x`` law stays pinned;
-* any module defining an ``ERROR_TYPES`` registry: every concrete
-  ``AuditApiError`` subclass must carry a ``code`` string and an
-  ``http_status`` (own or inherited in-module), be registered, and —
-  for the real ``src/repro/api/errors.py`` — have its code documented
-  in the README error table.
+The message half of the contract needs no rule: ``@message`` in
+``repro.api.messages`` registers every message class and derives its
+codec, and ``tests/test_wire_declaration.py`` pins the rest.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 from collections.abc import Iterator
 
 from ..diagnostics import Diagnostic
 from ..project import Project, SourceFile
 from ..registry import register
 
-MESSAGES_REL = "src/repro/api/messages.py"
 ERRORS_REL = "src/repro/api/errors.py"
-ROUNDTRIP_TEST_REL = "tests/test_api_messages_roundtrip.py"
 README_REL = "README.md"
 
 
@@ -37,8 +29,8 @@ def _registry_names(tree: ast.Module, registry: str) -> set[str] | None:
     """Class names referenced in the value assigned to ``registry``.
 
     Handles both literal dicts and the comprehension-over-tuple idiom
-    used by ``WIRE_KINDS``/``ERROR_TYPES``; returns None when the module
-    has no such assignment.
+    used by ``ERROR_TYPES``; returns None when the module has no such
+    assignment.
     """
     for node in tree.body:
         targets: list[ast.expr] = []
@@ -56,37 +48,6 @@ def _registry_names(tree: ast.Module, registry: str) -> set[str] | None:
                     n.id for n in ast.walk(value) if isinstance(n, ast.Name)
                 }
     return None
-
-
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    for deco in cls.decorator_list:
-        node = deco.func if isinstance(deco, ast.Call) else deco
-        name = node.attr if isinstance(node, ast.Attribute) else None
-        if name is None and isinstance(node, ast.Name):
-            name = node.id
-        if name == "dataclass":
-            return True
-    return False
-
-
-def _method_names(cls: ast.ClassDef) -> set[str]:
-    return {
-        stmt.name
-        for stmt in cls.body
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
-    }
-
-
-def _class_attrs(cls: ast.ClassDef) -> set[str]:
-    out: set[str] = set()
-    for stmt in cls.body:
-        if isinstance(stmt, ast.Assign):
-            for target in stmt.targets:
-                if isinstance(target, ast.Name):
-                    out.add(target.id)
-        elif isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name):
-            out.add(stmt.target.id)
-    return out
 
 
 def _attr_value(cls: ast.ClassDef, attr: str) -> ast.expr | None:
@@ -109,90 +70,18 @@ class WireContractChecker:
     code = "RL002"
     name = "wire-contract"
     description = (
-        "wire dataclasses need to_dict/from_dict, a registered kind, and a "
-        "round-trip test; error codes need an HTTP status and README entry"
+        "wire error classes need a code, an HTTP status, an ERROR_TYPES "
+        "entry and a README row"
     )
 
     def check(self, project: Project) -> Iterator[Diagnostic]:
         for file in project.files:
             if file.tree is None:
                 continue
-            kinds = _registry_names(file.tree, "WIRE_KINDS")
-            if kinds is not None:
-                yield from self._check_messages(project, file, kinds)
             errors = _registry_names(file.tree, "ERROR_TYPES")
             if errors is not None:
                 yield from self._check_errors(project, file, errors)
 
-    # ------------------------------------------------------------------
-    def _check_messages(
-        self, project: Project, file: SourceFile, kinds: set[str]
-    ) -> Iterator[Diagnostic]:
-        assert file.tree is not None
-        module_funcs = {
-            stmt.name
-            for stmt in file.tree.body
-            if isinstance(stmt, ast.FunctionDef)
-        }
-        for helper in ("to_wire", "from_wire"):
-            if helper not in module_funcs:
-                yield Diagnostic(
-                    path=file.rel,
-                    line=1,
-                    col=1,
-                    code=self.code,
-                    message=(
-                        f"module defines WIRE_KINDS but no {helper}() envelope "
-                        "function"
-                    ),
-                )
-        roundtrip = (
-            project.read_text(ROUNDTRIP_TEST_REL)
-            if file.rel == MESSAGES_REL
-            else None
-        )
-        for cls in file.tree.body:
-            if not isinstance(cls, ast.ClassDef) or not _is_dataclass(cls):
-                continue
-            methods = _method_names(cls)
-            for required in ("to_dict", "from_dict"):
-                if required not in methods:
-                    yield Diagnostic(
-                        path=file.rel,
-                        line=cls.lineno,
-                        col=cls.col_offset + 1,
-                        code=self.code,
-                        message=(
-                            f"wire dataclass {cls.name!r} has no {required}() — "
-                            "the from_dict(to_dict(x)) == x law is unsatisfiable"
-                        ),
-                    )
-            if cls.name not in kinds:
-                yield Diagnostic(
-                    path=file.rel,
-                    line=cls.lineno,
-                    col=cls.col_offset + 1,
-                    code=self.code,
-                    message=(
-                        f"wire dataclass {cls.name!r} is not registered in "
-                        "WIRE_KINDS — to_wire() will reject it"
-                    ),
-                )
-            if roundtrip is not None and not re.search(
-                rf"\b{re.escape(cls.name)}\b", roundtrip
-            ):
-                yield Diagnostic(
-                    path=file.rel,
-                    line=cls.lineno,
-                    col=cls.col_offset + 1,
-                    code=self.code,
-                    message=(
-                        f"wire dataclass {cls.name!r} has no round-trip test in "
-                        f"{ROUNDTRIP_TEST_REL}"
-                    ),
-                )
-
-    # ------------------------------------------------------------------
     def _check_errors(
         self, project: Project, file: SourceFile, registered: set[str]
     ) -> Iterator[Diagnostic]:

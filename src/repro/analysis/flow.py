@@ -1,6 +1,6 @@
 """Per-function control-flow graphs and a forward dataflow solver.
 
-The flow rules (RL006-RL009) need more than a statement walk: whether a
+The flow rules (RL006-RL008) need more than a statement walk: whether a
 lock is held *at* a call site, or whether a tainted string *reaches* an
 ``execute()`` sink, depends on the path taken through the function.
 This module gives checkers the two pieces that question needs:

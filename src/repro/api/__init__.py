@@ -12,7 +12,8 @@ importable from here:
   plan-cache size, alert policy, backend, shards, serving fleet, scan
   budgets);
 * the typed request/response dataclasses of :mod:`repro.api.messages`,
-  all JSON-ready via ``to_dict()``;
+  all JSON-ready via ``to_dict()``, and ``ENDPOINTS``, the declaration
+  of the ``/v1/`` routes that serve them;
 * :class:`TemplateLibrary` with versioned JSON ``dump``/``load`` so
   mined templates survive process restarts;
 * curated re-exports of the building blocks (database substrate, schema
@@ -94,10 +95,12 @@ from .errors import (
 )
 from .locks import RWLock
 from .messages import (
+    ENDPOINTS,
     MINING_ALGORITHMS,
     WIRE_KINDS,
     AccessView,
     AuditReport,
+    Endpoint,
     ExplainRequest,
     ExplainResult,
     ExplanationView,
@@ -131,6 +134,7 @@ def __getattr__(name: str) -> Any:
 
 
 __all__ = [
+    "ENDPOINTS",
     "MINING_ALGORITHMS",
     "WIRE_KINDS",
     "WIRE_VERSION",
@@ -147,6 +151,7 @@ __all__ = [
     "DecorationMiner",
     "DecorationResult",
     "EdgeKind",
+    "Endpoint",
     "ExplainRequest",
     "ExplainResult",
     "ExplanationInstance",

@@ -1,11 +1,15 @@
-"""Typed requests and responses of the public audit API.
+"""Typed requests and responses of the public audit API, and the one
+declaration of the ``/v1/`` surface that carries them.
 
-Every dataclass here is frozen and offers :meth:`to_dict`, producing
-plain JSON-serializable structures (datetimes become ISO strings, sets
-become sorted lists) — the contract a web tier can serve directly, and
-what ``repro-audit --json`` prints — plus the exact inverse
-:meth:`from_dict`, so ``from_dict(to_dict(x)) == x`` for every message
-type and a client can rebuild the typed object from wire JSON.
+Every message is a frozen dataclass registered by :func:`message`, which
+derives its :meth:`~Message.to_dict` — plain JSON-serializable
+structures (datetimes become ISO strings), the contract a web tier
+serves and what ``repro-audit --json`` prints — and the exact inverse
+:meth:`~Message.from_dict`, so ``from_dict(to_dict(x)) == x`` for every
+message type and a client can rebuild the typed object from wire JSON.
+A class states its wire shape once: the key order (computed and
+renamed keys included) in the decorator, and per field the
+:func:`wire` converters its value needs.
 
 The wire layer wraps each message in a versioned envelope::
 
@@ -13,14 +17,18 @@ The wire layer wraps each message in a versioned envelope::
 
 via :func:`to_wire`/:func:`from_wire`; version or kind mismatches raise
 the typed :class:`~repro.api.errors.WireFormatError` instead of
-producing a half-parsed object.
+producing a half-parsed object.  :data:`ENDPOINTS` lists the routes that
+serve these envelopes; the server's routing, its metrics labels and
+read-only fleet rule, and every :class:`~repro.client.AuditClient` call
+are derived from it.
 """
 
 from __future__ import annotations
 
 import datetime as dt
-from dataclasses import dataclass, field
-from typing import Any
+from collections.abc import Callable
+from dataclasses import MISSING, dataclass, field, fields
+from typing import Any, NamedTuple, TypeVar
 
 from ..audit.streaming import StreamedAccess
 from ..core.instance import ExplanationInstance
@@ -64,13 +72,128 @@ def temporal(value: Any) -> Any:
 
 
 # ----------------------------------------------------------------------
+# the message declaration
+# ----------------------------------------------------------------------
+#: ``kind -> class`` registry of every wire-transportable message type
+#: (filled by :func:`message`).
+WIRE_KINDS: dict[str, type] = {}
+
+M = TypeVar("M", bound="Message")
+
+
+class Message:
+    """What :func:`message` gives a class: its JSON form and the inverse."""
+
+    def to_dict(self) -> dict:
+        raise NotImplementedError(f"{type(self).__name__} is not a @message")
+
+    @classmethod
+    def from_dict(cls: type[M], data: dict) -> M:
+        raise NotImplementedError(f"{cls.__name__} is not a @message")
+
+
+def wire(
+    encode: Callable[[Any], Any] | None = None,
+    decode: Callable[[Any], Any] | None = None,
+    *,
+    one: type[Message] | None = None,
+    many: type[Message] | None = None,
+    **kwargs: Any,
+) -> Any:
+    """A message field with converters: ``encode`` maps the value to its
+    JSON form and ``decode`` maps it back (a field without them travels
+    as is).  ``one``/``many`` name the message class the field holds —
+    one (or None), or a tuple of them.  Other arguments go to
+    :func:`dataclasses.field`."""
+    return field(metadata={"wire": (encode, decode, one, many)}, **kwargs)
+
+
+def message(*keys: str) -> Callable[[type[M]], type[M]]:
+    """Register a message dataclass in :data:`WIRE_KINDS` and derive its
+    ``to_dict``/``from_dict``.
+
+    ``keys`` is the wire key order; it defaults to the field order.  An
+    entry ``"key=attr"`` sends attribute ``attr`` under ``key``.  A key
+    naming no field is computed — read from the property on encode,
+    skipped on decode.  A field left out of ``keys`` stays in process
+    and takes its default on decode.  Decoding a missing key falls back
+    to the field's default; a field without one is required.  The code
+    is generated once per class, so encoding costs what a hand-written
+    dict literal does.
+    """
+
+    def derive(cls: type[M]) -> type[M]:
+        declared = {f.name: f for f in fields(cls)}  # type: ignore[arg-type]
+        env: dict[str, Any] = {}
+        encoded: list[str] = []
+        decoded: list[str] = []
+        for entry in keys or tuple(declared):
+            key, _, attr = entry.partition("=")
+            attr = attr or key
+            value = f"self.{attr}"
+            spec = declared.pop(attr, None)
+            if spec is None:
+                encoded.append(f"{key!r}: {value}")
+                continue
+            encode, decode, one, many = spec.metadata.get("wire", (None,) * 4)
+            item = f"data[{key!r}]"
+            if many is not None:
+                env[f"k_{attr}"] = many
+                value = f"[m.to_dict() for m in {value}]"
+                item = f"tuple(k_{attr}.from_dict(m) for m in {item})"
+            elif one is not None:
+                env[f"k_{attr}"] = one
+                value = f"(None if {value} is None else {value}.to_dict())"
+                item = f"(None if {item} is None else k_{attr}.from_dict({item}))"
+            if encode is not None:
+                env[f"e_{attr}"] = encode
+                value = f"e_{attr}({value})"
+            if decode is not None:
+                env[f"d_{attr}"] = decode
+                item = f"d_{attr}({item})"
+            if spec.default is not MISSING:
+                env[f"v_{attr}"] = spec.default
+                item = f"{item} if {key!r} in data else v_{attr}"
+            elif spec.default_factory is not MISSING:
+                env[f"v_{attr}"] = spec.default_factory
+                item = f"{item} if {key!r} in data else v_{attr}()"
+            encoded.append(f"{key!r}: {value}")
+            decoded.append(f"{attr}={item}")
+        required = [
+            name
+            for name, spec in declared.items()
+            if spec.default is MISSING and spec.default_factory is MISSING
+        ]
+        if required:
+            raise TypeError(f"{cls.__name__}: {required} are not on the wire")
+        # the source holds only field names and keys declared above
+        exec(
+            f"def to_dict(self):\n return {{{', '.join(encoded)}}}\n"
+            f"def from_dict(cls, data):\n return cls({', '.join(decoded)})\n",
+            env,
+        )
+        cls.to_dict = env["to_dict"]  # type: ignore[method-assign]
+        cls.from_dict = classmethod(env["from_dict"])  # type: ignore
+        WIRE_KINDS[cls.__name__] = cls
+        return cls
+
+    return derive
+
+
+def _is_count(value: Any) -> bool:
+    """An integer >= 1 that is not a bool (JSON ``true`` is no count)."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= 1
+
+
+# ----------------------------------------------------------------------
 # explain
 # ----------------------------------------------------------------------
+@message()
 @dataclass(frozen=True)
-class ExplainRequest:
+class ExplainRequest(Message):
     """Explain one access: ``lid``, optionally capping the instances."""
 
-    lid: Any
+    lid: Any = wire(jsonable, default=None)
     limit: int | None = None
 
     def __post_init__(self) -> None:
@@ -82,29 +205,35 @@ class ExplainRequest:
             raise ValueError(
                 f"lid must be a scalar log id, got {type(self.lid).__name__}"
             )
-        if self.limit is not None and (
-            not isinstance(self.limit, int)
-            or isinstance(self.limit, bool)
-            or self.limit < 1
-        ):
+        if self.limit is not None and not _is_count(self.limit):
             raise ValueError("limit must be an integer >= 1 when given")
 
-    def to_dict(self) -> dict:
-        return {"lid": jsonable(self.lid), "limit": self.limit}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplainRequest":
-        return cls(lid=data.get("lid"), limit=data.get("limit"))
+def _bindings_to_wire(bindings: dict) -> dict:
+    # binding values are single column values, so only a date or
+    # datetime needs converting (the per-reply hot path skips the
+    # recursive jsonable)
+    return {
+        key: value.isoformat() if isinstance(value, dt.date) else value
+        for key, value in bindings.items()
+    }
 
 
+def _bindings_from_wire(bindings: dict) -> dict:
+    return {key: temporal(value) for key, value in bindings.items()}
+
+
+@message()
 @dataclass(frozen=True)
-class ExplanationView:
+class ExplanationView(Message):
     """One rendered explanation instance."""
 
     text: str
     path_length: int
     template: str | None
-    bindings: dict[str, Any] = field(default_factory=dict)
+    bindings: dict[str, Any] = wire(
+        _bindings_to_wire, _bindings_from_wire, default_factory=dict
+    )
 
     @classmethod
     def from_instance(cls, instance: ExplanationInstance) -> "ExplanationView":
@@ -115,38 +244,14 @@ class ExplanationView:
             bindings=dict(instance.bindings),
         )
 
-    def to_dict(self) -> dict:
-        # binding values are single column values, so only a date or
-        # datetime needs converting (the per-reply hot path skips the
-        # recursive jsonable)
-        return {
-            "text": self.text,
-            "path_length": self.path_length,
-            "template": self.template,
-            "bindings": {
-                key: value.isoformat() if isinstance(value, dt.date) else value
-                for key, value in self.bindings.items()
-            },
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplanationView":
-        return cls(
-            text=data["text"],
-            path_length=data["path_length"],
-            template=data.get("template"),
-            bindings={
-                k: temporal(v) for k, v in (data.get("bindings") or {}).items()
-            },
-        )
-
-
+@message("lid", "explained", "explanations")
 @dataclass(frozen=True)
-class ExplainResult:
+class ExplainResult(Message):
     """The ranked explanations of one access (empty => suspicious)."""
 
-    lid: Any
-    explanations: tuple[ExplanationView, ...]
+    lid: Any = wire(jsonable, temporal)
+    explanations: tuple[ExplanationView, ...] = wire(many=ExplanationView)
 
     @property
     def explained(self) -> bool:
@@ -157,35 +262,19 @@ class ExplainResult:
         """Unexplained accesses are candidate misuse (paper Section 1)."""
         return not self.explanations
 
-    def to_dict(self) -> dict:
-        return {
-            "lid": jsonable(self.lid),
-            "explained": self.explained,
-            "explanations": [e.to_dict() for e in self.explanations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ExplainResult":
-        return cls(
-            lid=temporal(data.get("lid")),
-            explanations=tuple(
-                ExplanationView.from_dict(e)
-                for e in data.get("explanations") or ()
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # patient report (the portal screen)
 # ----------------------------------------------------------------------
+@message("lid", "date", "user", "suspicious", "explanations")
 @dataclass(frozen=True)
-class AccessView:
+class AccessView(Message):
     """One access row of a patient's report."""
 
-    lid: Any
-    date: Any
-    user: Any
-    explanations: tuple[str, ...]
+    lid: Any = wire(jsonable, temporal)
+    date: Any = wire(jsonable, temporal)
+    user: Any = wire(jsonable)
+    explanations: tuple[str, ...] = wire(list, tuple)
 
     @property
     def suspicious(self) -> bool:
@@ -196,61 +285,32 @@ class AccessView:
             return self.explanations[0]
         return "No explanation found — you may report this access."
 
-    def to_dict(self) -> dict:
-        return {
-            "lid": jsonable(self.lid),
-            "date": jsonable(self.date),
-            "user": jsonable(self.user),
-            "suspicious": self.suspicious,
-            "explanations": list(self.explanations),
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "AccessView":
-        return cls(
-            lid=temporal(data.get("lid")),
-            date=temporal(data.get("date")),
-            user=data.get("user"),
-            explanations=tuple(data.get("explanations") or ()),
-        )
-
-
+@message()
 @dataclass(frozen=True)
-class PatientReport:
+class PatientReport(Message):
     """Every access to one patient's record, each with explanations."""
 
-    patient: Any
-    entries: tuple[AccessView, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "patient": jsonable(self.patient),
-            "entries": [e.to_dict() for e in self.entries],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "PatientReport":
-        return cls(
-            patient=data.get("patient"),
-            entries=tuple(
-                AccessView.from_dict(e) for e in data.get("entries") or ()
-            ),
-        )
+    patient: Any = wire(jsonable)
+    entries: tuple[AccessView, ...] = wire(many=AccessView)
 
 
 # ----------------------------------------------------------------------
 # ingest (streaming)
 # ----------------------------------------------------------------------
+@message(
+    "lid", "date", "user", "patient", "explained", "alerted", "explanations"
+)
 @dataclass(frozen=True)
-class IngestResult:
+class IngestResult(Message):
     """The outcome of streaming one access into the audited log."""
 
-    lid: Any
-    date: Any
-    user: Any
-    patient: Any
-    explanations: tuple[ExplanationView, ...]
-    alerted: bool
+    lid: Any = wire(jsonable, temporal)
+    date: Any = wire(jsonable, temporal)
+    user: Any = wire(jsonable)
+    patient: Any = wire(jsonable)
+    explanations: tuple[ExplanationView, ...] = wire(many=ExplanationView)
+    alerted: bool = wire(decode=bool)
 
     @classmethod
     def from_streamed(
@@ -281,71 +341,46 @@ class IngestResult:
             return self.explanations[0].text
         return "no explanation found"
 
-    def to_dict(self) -> dict:
-        return {
-            "lid": jsonable(self.lid),
-            "date": jsonable(self.date),
-            "user": jsonable(self.user),
-            "patient": jsonable(self.patient),
-            "explained": self.explained,
-            "alerted": self.alerted,
-            "explanations": [e.to_dict() for e in self.explanations],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "IngestResult":
-        return cls(
-            lid=temporal(data.get("lid")),
-            date=temporal(data.get("date")),
-            user=data.get("user"),
-            patient=data.get("patient"),
-            explanations=tuple(
-                ExplanationView.from_dict(e)
-                for e in data.get("explanations") or ()
-            ),
-            alerted=bool(data.get("alerted", False)),
-        )
-
 
 # ----------------------------------------------------------------------
 # compliance report
 # ----------------------------------------------------------------------
+@message()
 @dataclass(frozen=True)
-class UnexplainedView:
+class UnexplainedView(Message):
     """One unexplained access awaiting compliance review."""
 
-    lid: Any
-    date: Any
-    user: Any
-    patient: Any
-
-    def to_dict(self) -> dict:
-        return {
-            "lid": jsonable(self.lid),
-            "date": jsonable(self.date),
-            "user": jsonable(self.user),
-            "patient": jsonable(self.patient),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "UnexplainedView":
-        return cls(
-            lid=temporal(data.get("lid")),
-            date=temporal(data.get("date")),
-            user=data.get("user"),
-            patient=data.get("patient"),
-        )
+    lid: Any = wire(jsonable, temporal)
+    date: Any = wire(jsonable, temporal)
+    user: Any = wire(jsonable)
+    patient: Any = wire(jsonable)
 
 
+def _risk_to_wire(user_risk: tuple) -> list:
+    return [{"user": jsonable(u), "unexplained": n} for u, n in user_risk]
+
+
+def _risk_from_wire(entries: list) -> tuple:
+    return tuple((entry["user"], entry["unexplained"]) for entry in entries)
+
+
+@message(
+    "total",
+    "explained=explained_count",
+    "unexplained=unexplained_count",
+    "coverage",
+    "queue",
+    "user_risk",
+)
 @dataclass(frozen=True)
-class AuditReport:
+class AuditReport(Message):
     """The compliance-office artifact: coverage plus the review queue."""
 
     total: int
     unexplained_count: int
     coverage: float
-    queue: tuple[UnexplainedView, ...]
-    user_risk: tuple[tuple[Any, int], ...]
+    queue: tuple[UnexplainedView, ...] = wire(many=UnexplainedView)
+    user_risk: tuple[tuple[Any, int], ...] = wire(_risk_to_wire, _risk_from_wire)
 
     @property
     def explained_count(self) -> int:
@@ -359,39 +394,13 @@ class AuditReport:
             f"review queue"
         )
 
-    def to_dict(self) -> dict:
-        return {
-            "total": self.total,
-            "explained": self.explained_count,
-            "unexplained": self.unexplained_count,
-            "coverage": self.coverage,
-            "queue": [e.to_dict() for e in self.queue],
-            "user_risk": [
-                {"user": jsonable(u), "unexplained": n} for u, n in self.user_risk
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "AuditReport":
-        return cls(
-            total=data["total"],
-            unexplained_count=data["unexplained"],
-            coverage=data["coverage"],
-            queue=tuple(
-                UnexplainedView.from_dict(e) for e in data.get("queue") or ()
-            ),
-            user_risk=tuple(
-                (entry["user"], entry["unexplained"])
-                for entry in data.get("user_risk") or ()
-            ),
-        )
-
 
 # ----------------------------------------------------------------------
 # mining
 # ----------------------------------------------------------------------
+@message()
 @dataclass(frozen=True)
-class MineRequest:
+class MineRequest(Message):
     """Mine explanation templates from the service's database."""
 
     algorithm: str = "one-way"
@@ -418,59 +427,33 @@ class MineRequest:
         if self.bridge_length < 1:
             raise ValueError("bridge_length must be >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "support_fraction": self.support_fraction,
-            "max_length": self.max_length,
-            "max_tables": self.max_tables,
-            "bridge_length": self.bridge_length,
-            "register": self.register,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MineRequest":
-        known = {
-            "algorithm",
-            "support_fraction",
-            "max_length",
-            "max_tables",
-            "bridge_length",
-            "register",
-        }
-        return cls(**{k: v for k, v in data.items() if k in known})
-
-
+@message("sql", "support", "length")
 @dataclass(frozen=True)
-class MinedTemplateView:
+class MinedTemplateView(Message):
     """One mined template: presentation fields plus the template object
-    itself (excluded from ``to_dict``), so API consumers never reach into
-    the raw mining result."""
+    itself (off the wire), so API consumers never reach into the raw
+    mining result."""
 
     sql: str
     support: int
     length: int
     template: Any = field(repr=False, compare=False, default=None)
 
-    def to_dict(self) -> dict:
-        return {"sql": self.sql, "support": self.support, "length": self.length}
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "MinedTemplateView":
-        return cls(
-            sql=data["sql"], support=data["support"], length=data["length"]
-        )
-
-
+@message("algorithm", "threshold", "templates", "support_stats")
 @dataclass(frozen=True)
-class MineResult:
-    """A mining run's output, with the raw result attached."""
+class MineResult(Message):
+    """A mining run's output, with the raw result attached.  ``raw`` (and
+    the per-view template objects) cannot travel: a result rebuilt from
+    wire JSON compares equal, but :meth:`library` and
+    :meth:`explanation_templates` are unavailable on it."""
 
     algorithm: str
     threshold: float
-    templates: tuple[MinedTemplateView, ...]
-    support_stats: dict
-    raw: MiningResult = field(repr=False, compare=False)
+    templates: tuple[MinedTemplateView, ...] = wire(many=MinedTemplateView)
+    support_stats: dict = wire(jsonable, dict)
+    raw: MiningResult | None = field(repr=False, compare=False, default=None)
 
     def library(self) -> TemplateLibrary:
         """The mined templates as a reviewable library (all *suggested*),
@@ -493,36 +476,21 @@ class MineResult:
         algorithm-agreement identity)."""
         return {v.template.signature() for v in self.templates}
 
-    def to_dict(self) -> dict:
-        return {
-            "algorithm": self.algorithm,
-            "threshold": self.threshold,
-            "templates": [t.to_dict() for t in self.templates],
-            "support_stats": jsonable(self.support_stats),
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "MineResult":
-        """Rebuild the presentation half from wire JSON.  ``raw`` (and the
-        per-view template objects) cannot travel; the reconstructed result
-        compares equal but :meth:`library`/:meth:`explanation_templates`
-        are unavailable on it."""
-        return cls(
-            algorithm=data["algorithm"],
-            threshold=data["threshold"],
-            templates=tuple(
-                MinedTemplateView.from_dict(t) for t in data.get("templates") or ()
-            ),
-            support_stats=dict(data.get("support_stats") or {}),
-            raw=None,
-        )
-
 
 # ----------------------------------------------------------------------
 # resumable scans
 # ----------------------------------------------------------------------
+def _after_from_wire(after: Any) -> tuple | None:
+    if after is None:
+        return None
+    if not isinstance(after, (list, tuple)) or len(after) != 2:
+        raise ValueError(f"after must be a [date, lid] pair, got {after!r}")
+    return tuple(temporal(v) for v in after)
+
+
+@message()
 @dataclass(frozen=True)
-class ScanState:
+class ScanState(Message):
     """Suspended state of a resumable full-log scan.
 
     Deliberately compact — the ``(date, lid)`` position of the last
@@ -533,11 +501,11 @@ class ScanState:
 
     #: Resume position in the stable ``(date, lid)`` order; None means
     #: the scan has not started.
-    after: tuple | None = None
+    after: tuple | None = wire(jsonable, _after_from_wire, default=None)
     #: Log rows classified so far.
-    seen: int = 0
+    seen: int = wire(decode=int, default=0)
     #: How many of them no template explained.
-    unexplained: int = 0
+    unexplained: int = wire(decode=int, default=0)
 
     def __post_init__(self) -> None:
         if self.after is not None and (
@@ -554,31 +522,10 @@ class ScanState:
                 f"seen ({self.seen})"
             )
 
-    def to_dict(self) -> dict:
-        return {
-            "after": None if self.after is None else jsonable(self.after),
-            "seen": self.seen,
-            "unexplained": self.unexplained,
-        }
 
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScanState":
-        after = data.get("after")
-        if after is not None:
-            if not isinstance(after, (list, tuple)) or len(after) != 2:
-                raise ValueError(
-                    f"after must be a [date, lid] pair, got {after!r}"
-                )
-            after = tuple(temporal(v) for v in after)
-        return cls(
-            after=after,
-            seen=int(data.get("seen", 0)),
-            unexplained=int(data.get("unexplained", 0)),
-        )
-
-
+@message()
 @dataclass(frozen=True)
-class ScanRequest:
+class ScanRequest(Message):
     """Ask for the next bounded slice of a resumable full-log scan.
 
     ``None`` budgets fall back to the service's ``AuditConfig``
@@ -586,39 +533,28 @@ class ScanRequest:
     starts a fresh scan.
     """
 
-    state: ScanState | None = None
+    state: ScanState | None = wire(one=ScanState, default=None)
     page_rows: int | None = None
     quantum_seconds: float | None = None
 
     def __post_init__(self) -> None:
-        if self.page_rows is not None and self.page_rows < 1:
-            raise ValueError(
-                f"page_rows must be >= 1, got {self.page_rows}"
-            )
-        if self.quantum_seconds is not None and not self.quantum_seconds > 0:
-            raise ValueError(
-                f"quantum_seconds must be > 0, got {self.quantum_seconds}"
-            )
-
-    def to_dict(self) -> dict:
-        return {
-            "state": None if self.state is None else self.state.to_dict(),
-            "page_rows": self.page_rows,
-            "quantum_seconds": self.quantum_seconds,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScanRequest":
-        state = data.get("state")
-        return cls(
-            state=None if state is None else ScanState.from_dict(state),
-            page_rows=data.get("page_rows"),
-            quantum_seconds=data.get("quantum_seconds"),
-        )
+        if self.page_rows is not None and not _is_count(self.page_rows):
+            raise ValueError("page_rows must be an integer >= 1 when given")
+        if self.quantum_seconds is not None and (
+            not isinstance(self.quantum_seconds, (int, float))
+            or isinstance(self.quantum_seconds, bool)
+            or not self.quantum_seconds > 0
+        ):
+            raise ValueError("quantum_seconds must be a number > 0 when given")
 
 
+def _temporals(values: list) -> tuple:
+    return tuple(temporal(value) for value in values)
+
+
+@message()
 @dataclass(frozen=True)
-class ScanPage:
+class ScanPage(Message):
     """One classified slice of a resumable scan plus the resume state.
 
     ``explained`` lists the lids this slice explained and
@@ -629,34 +565,10 @@ class ScanPage:
     """
 
     rows: int
-    explained: tuple
-    unexplained: tuple[UnexplainedView, ...]
-    state: ScanState
-    done: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "rows": self.rows,
-            "explained": [jsonable(lid) for lid in self.explained],
-            "unexplained": [v.to_dict() for v in self.unexplained],
-            "state": self.state.to_dict(),
-            "done": self.done,
-        }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "ScanPage":
-        return cls(
-            rows=data["rows"],
-            explained=tuple(
-                temporal(lid) for lid in data.get("explained") or ()
-            ),
-            unexplained=tuple(
-                UnexplainedView.from_dict(v)
-                for v in data.get("unexplained") or ()
-            ),
-            state=ScanState.from_dict(data["state"]),
-            done=bool(data["done"]),
-        )
+    explained: tuple = wire(jsonable, _temporals)
+    unexplained: tuple[UnexplainedView, ...] = wire(many=UnexplainedView)
+    state: ScanState = wire(one=ScanState)
+    done: bool = wire(decode=bool)
 
 
 def assemble_partition(pages: Any) -> "BatchExplanation":
@@ -710,28 +622,6 @@ def assemble_report(pages: Any, limit: int | None = None) -> AuditReport:
 # ----------------------------------------------------------------------
 # versioned wire envelopes
 # ----------------------------------------------------------------------
-#: ``kind -> class`` registry of every wire-transportable message type.
-WIRE_KINDS: dict[str, type] = {
-    cls.__name__: cls
-    for cls in (
-        AccessView,
-        AuditReport,
-        ExplainRequest,
-        ExplainResult,
-        ExplanationView,
-        IngestResult,
-        MineRequest,
-        MineResult,
-        MinedTemplateView,
-        PatientReport,
-        ScanPage,
-        ScanRequest,
-        ScanState,
-        UnexplainedView,
-    )
-}
-
-
 def to_wire(message: Any) -> dict:
     """Wrap a typed message in the versioned wire envelope::
 
@@ -771,19 +661,82 @@ def from_wire(payload: Any, expected: str | None = None) -> Any:
     if not isinstance(data, dict):
         raise WireFormatError(f"{kind} envelope carries no data object")
     try:
-        return cls.from_dict(data)
+        return cls.from_dict(data)  # type: ignore[attr-defined]
     except (KeyError, TypeError, ValueError) as exc:
         raise WireFormatError(f"malformed {kind} data: {exc}") from exc
 
 
+# ----------------------------------------------------------------------
+# the /v1/ surface
+# ----------------------------------------------------------------------
+class Endpoint(NamedTuple):
+    """One route of the ``/v1/`` API.
+
+    ``paths`` are aliases of one route (a ``{name}`` segment is a path
+    parameter; clients call the first); ``handler`` names the
+    :class:`~repro.server.AuditAPI` method that serves it and is the
+    name clients look the endpoint up by; ``kind`` is the envelope kind
+    of a successful reply (a :data:`WIRE_KINDS` message, or an ad-hoc
+    payload).  A ``streaming`` reply is NDJSON, one envelope per line; a
+    ``writes`` endpoint mutates the audit state, so a multi-worker fleet
+    of independent replicas answers it with a typed 501.
+    """
+
+    method: str
+    paths: tuple[str, ...]
+    handler: str
+    kind: str
+    streaming: bool = False
+    writes: bool = False
+
+
+ENDPOINTS: tuple[Endpoint, ...] = (
+    Endpoint("GET", ("/healthz", "/v1/healthz"), "h_healthz", "Health"),
+    Endpoint("GET", ("/metrics", "/v1/metrics"), "h_metrics", "Metrics"),
+    Endpoint("GET", ("/v1/explain",), "h_explain_get", "ExplainResult"),
+    Endpoint("POST", ("/v1/explain",), "h_explain_post", "ExplainResult"),
+    Endpoint(
+        "POST",
+        ("/v1/explain/batch",),
+        "s_explain_batch",
+        "ExplainResult",
+        streaming=True,
+    ),
+    Endpoint(
+        "GET",
+        ("/v1/patients/{patient}/report",),
+        "h_patient_report",
+        "PatientReport",
+    ),
+    Endpoint("GET", ("/v1/report",), "h_report", "AuditReport"),
+    Endpoint("GET", ("/v1/coverage",), "h_coverage", "Coverage"),
+    Endpoint("GET", ("/v1/stats",), "h_stats", "Stats"),
+    Endpoint("POST", ("/v1/ingest",), "h_ingest", "IngestResult", writes=True),
+    Endpoint(
+        "POST", ("/v1/ingest/batch",), "h_ingest_batch", "IngestBatch", writes=True
+    ),
+    Endpoint("GET", ("/v1/templates",), "h_templates_list", "Templates"),
+    Endpoint(
+        "POST", ("/v1/templates",), "h_templates_add", "TemplatesAdded", writes=True
+    ),
+    Endpoint("GET", ("/v1/templates/dump",), "h_templates_dump", "TemplateLibrary"),
+    Endpoint("GET", ("/v1/unexplained",), "h_unexplained", "UnexplainedPage"),
+    Endpoint("GET", ("/v1/scan",), "h_scan_get", "ScanSlice"),
+    Endpoint("POST", ("/v1/scan",), "h_scan_post", "ScanSlice"),
+)
+
+
 __all__ = [
+    "ENDPOINTS",
     "AccessView",
     "AuditReport",
+    "Endpoint",
     "ExplainRequest",
     "ExplainResult",
     "ExplanationView",
     "IngestResult",
     "MINING_ALGORITHMS",
+    "Message",
     "MineRequest",
     "MineResult",
     "MinedTemplateView",
@@ -798,6 +751,8 @@ __all__ = [
     "assemble_report",
     "from_wire",
     "jsonable",
+    "message",
     "temporal",
     "to_wire",
+    "wire",
 ]

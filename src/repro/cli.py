@@ -314,7 +314,7 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
 
 
 def cmd_lint(args: argparse.Namespace) -> int:
-    """``lint``: the repro-lint static-analysis suite (RL001-RL009).
+    """``lint``: the repro-lint static-analysis suite (RL001-RL008).
 
     A thin delegate to :mod:`repro.analysis` — the same checkers run via
     ``python -m repro.analysis``; this subcommand exists so the whole
@@ -503,7 +503,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "lint",
-        help="run the repro-lint invariant checkers (RL001-RL009)",
+        help="run the repro-lint invariant checkers (RL001-RL008)",
         description="Forwards every argument to the repro-lint CLI; "
         "try `repro-audit lint -- --list-rules`.",
     )

@@ -17,6 +17,10 @@ swapping the constructor::
         for r in client.explain_batch([1, 2, 3]):    # NDJSON stream
             ...
 
+Each call takes its method, path and expected envelope kind from the
+endpoint :data:`repro.api.messages.ENDPOINTS` declares for it (looked
+up by the name of the server handler that serves it).
+
 Built on ``http.client`` only.  One persistent keep-alive connection is
 reused across calls and transparently re-established when the server
 (or an idle timeout) drops it; instances are not thread-safe — use one
@@ -28,6 +32,7 @@ from __future__ import annotations
 import datetime as dt
 import http.client
 import json
+import re
 from collections.abc import Iterable, Iterator, Sequence
 from typing import Any
 from urllib.parse import quote, urlencode
@@ -40,6 +45,8 @@ from ..api.errors import (
     error_from_wire,
 )
 from ..api.messages import (
+    ENDPOINTS,
+    WIRE_KINDS,
     AuditReport,
     ExplainRequest,
     ExplainResult,
@@ -54,6 +61,12 @@ from ..api.messages import (
 )
 from ..core.engine import BatchExplanation
 from ..core.library import TemplateLibrary
+
+#: The declared endpoints by the handler name that serves each.
+_ENDPOINTS = {endpoint.handler: endpoint for endpoint in ENDPOINTS}
+
+#: A ``{name}`` path-parameter segment of a declared path.
+_PARAM = re.compile(r"\{\w+\}")
 
 
 class AuditClient:
@@ -133,7 +146,11 @@ class AuditClient:
     def _request(self, method: str, path: str, body: Any | None = None) -> dict:
         """One JSON round trip: returns the envelope dict, or raises the
         typed wire error the server sent."""
-        response = self._raw_request(method, path, body)
+        return self._envelope(self._raw_request(method, path, body))
+
+    def _envelope(self, response: http.client.HTTPResponse) -> dict:
+        """Read a whole JSON response: the envelope dict, or the typed
+        wire error it carries."""
         data = response.read()
         if response.will_close:
             self.close()
@@ -152,7 +169,11 @@ class AuditClient:
         return payload
 
     @staticmethod
-    def _data(payload: dict, kind: str) -> dict:
+    def _data(payload: dict, kind: str) -> Any:
+        """The typed message of a :data:`WIRE_KINDS` envelope, or the data
+        object of an ad-hoc one, after checking its kind."""
+        if kind in WIRE_KINDS:
+            return from_wire(payload, expected=kind)
         if payload.get("kind") != kind:
             raise WireFormatError(
                 f"expected a {kind} envelope, got {payload.get('kind')!r}"
@@ -162,27 +183,38 @@ class AuditClient:
             raise WireFormatError(f"{kind} envelope carries no data object")
         return data
 
-    @staticmethod
-    def _query(path: str, **params: Any) -> str:
-        present = {k: v for k, v in params.items() if v is not None}
-        if not present:
-            return path
-        return f"{path}?{urlencode(present)}"
+    def _call(
+        self, handler: str, *params: Any, body: Any = None, **query: Any
+    ) -> Any:
+        """One round trip to the endpoint ``handler`` serves: ``params``
+        fill the ``{name}`` segments of its first path in order, and the
+        ``query`` values that are not None form the query string.
+        Returns what :meth:`_data` makes of the reply."""
+        endpoint = _ENDPOINTS[handler]
+        path = endpoint.paths[0]
+        if params:
+            values = iter(params)
+            path = _PARAM.sub(lambda _: quote(str(next(values)), safe=""), path)
+        present = {k: v for k, v in query.items() if v is not None}
+        if present:
+            path = f"{path}?{urlencode(present)}"
+        payload = self._request(endpoint.method, path, body)
+        return self._data(payload, endpoint.kind)
 
     # ------------------------------------------------------------------
     # health and operations
     # ------------------------------------------------------------------
     def healthz(self) -> dict:
         """The liveness payload (``{"status": "ok"}`` on a live server)."""
-        return self._data(self._request("GET", "/healthz"), "Health")
+        return self._call("h_healthz")
 
     def metrics(self) -> dict:
         """Server request counters and latency percentiles."""
-        return self._data(self._request("GET", "/metrics"), "Metrics")
+        return self._call("h_metrics")
 
     def stats(self) -> dict:
         """The service's operational counters (facade ``stats()``)."""
-        return self._data(self._request("GET", "/v1/stats"), "Stats")
+        return self._call("h_stats")
 
     # ------------------------------------------------------------------
     # readers (facade mirror)
@@ -192,16 +224,13 @@ class AuditClient:
         :class:`~repro.api.ExplainRequest` or a bare log id, exactly like
         the facade.
 
-        Uses ``POST /v1/explain`` so the lid's JSON type travels exactly
-        (the GET form exists for curl, but its query string cannot
+        Uses the POST form so the lid's JSON type travels exactly (the
+        GET form exists for curl, but its query string cannot
         distinguish the string ``"17"`` from the integer 17).
         """
         if not isinstance(request, ExplainRequest):
             request = ExplainRequest(lid=request)
-        return from_wire(
-            self._request("POST", "/v1/explain", request.to_dict()),
-            expected="ExplainResult",
-        )
+        return self._call("h_explain_post", body=request.to_dict())
 
     def explain_batch(
         self, lids: Iterable[Any], limit: int | None = None
@@ -212,21 +241,13 @@ class AuditClient:
         lids are still being evaluated.  The iterator must be exhausted
         (or closed) before the client issues its next call.
         """
+        endpoint = _ENDPOINTS["s_explain_batch"]
         body: dict[str, Any] = {"lids": [jsonable(lid) for lid in lids]}
         if limit is not None:
             body["limit"] = limit
-        response = self._raw_request("POST", "/v1/explain/batch", body)
+        response = self._raw_request(endpoint.method, endpoint.paths[0], body)
         if response.status >= 400:
-            data = response.read()
-            if response.will_close:
-                self.close()
-            try:
-                payload = json.loads(data.decode("utf-8"))
-            except (ValueError, UnicodeDecodeError) as exc:
-                raise InternalServerError(
-                    f"server sent non-JSON ({response.status}): {data[:200]!r}"
-                ) from exc
-            raise error_from_wire(payload, response.status)
+            self._envelope(response)  # raises the typed error it carries
         try:
             for line in response:
                 line = line.strip()
@@ -235,7 +256,7 @@ class AuditClient:
                 payload = json.loads(line.decode("utf-8"))
                 if "error" in payload:
                     raise error_from_wire(payload)
-                yield from_wire(payload, expected="ExplainResult")
+                yield from_wire(payload, expected=endpoint.kind)
         finally:
             # an abandoned stream leaves unread frames on the socket;
             # drop the connection so the next call starts clean
@@ -246,10 +267,7 @@ class AuditClient:
         self, patient: Any, limit: int | None = None
     ) -> PatientReport:
         """Every access to one patient's record, with explanations."""
-        path = self._query(
-            f"/v1/patients/{quote(str(patient), safe='')}/report", limit=limit
-        )
-        return from_wire(self._request("GET", path), expected="PatientReport")
+        return self._call("h_patient_report", patient, limit=limit)
 
     def render_patient_report(
         self, patient: Any, limit: int | None = None
@@ -261,8 +279,7 @@ class AuditClient:
 
     def report(self, limit: int | None = None) -> AuditReport:
         """The compliance-office artifact."""
-        path = self._query("/v1/report", limit=limit)
-        return from_wire(self._request("GET", path), expected="AuditReport")
+        return self._call("h_report", limit=limit)
 
     def summary(self) -> str:
         """The one-line coverage summary (derived from :meth:`report`)."""
@@ -270,16 +287,14 @@ class AuditClient:
 
     def coverage(self) -> float:
         """Fraction of the log explained by at least one template."""
-        data = self._data(self._request("GET", "/v1/coverage"), "Coverage")
-        return float(data["coverage"])
+        return float(self._call("h_coverage")["coverage"])
 
     def unexplained_page(
         self, cursor: str | None = None, limit: int | None = None
     ) -> tuple[list[UnexplainedView], str | None, int]:
         """One page of the unexplained queue: ``(items, next_cursor,
         total)``.  Cursors are opaque — pass them back verbatim."""
-        path = self._query("/v1/unexplained", cursor=cursor, limit=limit)
-        data = self._data(self._request("GET", path), "UnexplainedPage")
+        data = self._call("h_unexplained", cursor=cursor, limit=limit)
         items = [UnexplainedView.from_dict(item) for item in data["items"]]
         return items, data.get("next_cursor"), data["total"]
 
@@ -320,9 +335,7 @@ class AuditClient:
             body["page_rows"] = page_rows
         if quantum_seconds is not None:
             body["quantum_seconds"] = quantum_seconds
-        data = self._data(
-            self._request("POST", "/v1/scan", body), "ScanSlice"
-        )
+        data = self._call("h_scan_post", body=body)
         return ScanPage.from_dict(data["page"]), data.get("next_cursor")
 
     def scan_pages(
@@ -369,9 +382,7 @@ class AuditClient:
     ) -> IngestResult:
         """Append one access to the audited log and explain it."""
         body = {"user": user, "patient": patient, "date": jsonable(date)}
-        return from_wire(
-            self._request("POST", "/v1/ingest", body), expected="IngestResult"
-        )
+        return self._call("h_ingest", body=body)
 
     def ingest_many(
         self, accesses: Sequence[tuple[Any, Any, dt.datetime | None]]
@@ -383,32 +394,24 @@ class AuditClient:
                 for user, patient, date in accesses
             ]
         }
-        data = self._data(
-            self._request("POST", "/v1/ingest/batch", body), "IngestBatch"
-        )
+        data = self._call("h_ingest_batch", body=body)
         return [IngestResult.from_dict(r) for r in data["results"]]
 
     def add_templates(self, templates: TemplateLibrary) -> int:
         """Register a library's approved templates on the server;
         returns how many were offered (facade semantics)."""
         document = json.loads(templates.dumps_json())
-        data = self._data(
-            self._request("POST", "/v1/templates", document), "TemplatesAdded"
-        )
-        return int(data["added"])
+        return int(self._call("h_templates_add", body=document)["added"])
 
     def templates(self) -> list[dict]:
         """The registered templates in list form
         (``{"name", "sql", "description"}`` each)."""
-        data = self._data(self._request("GET", "/v1/templates"), "Templates")
-        return list(data["templates"])
+        return list(self._call("h_templates_list")["templates"])
 
     def template_library(self) -> TemplateLibrary:
         """The server's registered templates as an all-approved
         :class:`TemplateLibrary` (facade mirror, wire round-tripped)."""
-        data = self._data(
-            self._request("GET", "/v1/templates/dump"), "TemplateLibrary"
-        )
+        data = self._call("h_templates_dump")
         return TemplateLibrary.loads_json(json.dumps(data))
 
     def save_templates(self, path: str) -> None:

@@ -2,9 +2,9 @@
 
 A dependency-free asyncio HTTP server exposing an opened
 :class:`~repro.api.AuditService` (on one shard or many — the placement is
-invisible on the wire) as the versioned ``/v1/`` JSON wire API; see
-:mod:`repro.server.app` for the route table.  The blocking counterpart
-lives in :mod:`repro.client`.
+invisible on the wire) as the versioned ``/v1/`` JSON wire API; the
+routes are declared in :data:`repro.api.messages.ENDPOINTS`.  The
+blocking counterpart lives in :mod:`repro.client`.
 
 Embedding (tests, benchmarks, notebooks)::
 

@@ -1,34 +1,17 @@
 """The versioned audit wire API: routes, dispatch, and server lifecycle.
 
 :class:`AuditAPI` binds an opened :class:`~repro.api.AuditService` — on
-one shard or many, transparently — to the ``/v1/`` route table:
-
-=========  ===========================  =====================================
-method     path                         result
-=========  ===========================  =====================================
-GET        /healthz                     liveness (also under ``/v1/``)
-GET        /metrics                     request counters + latency percentiles
-GET/POST   /v1/explain                  one ``ExplainResult`` envelope
-POST       /v1/explain/batch            NDJSON stream, one result line per lid
-GET        /v1/patients/{id}/report     ``PatientReport`` envelope
-GET        /v1/report                   ``AuditReport`` envelope
-GET        /v1/coverage                 ``{"coverage": fraction}``
-GET        /v1/stats                    operational counters
-POST       /v1/ingest                   ``IngestResult`` envelope
-POST       /v1/ingest/batch             all results of one batched ingest
-GET        /v1/templates                registered templates (list form)
-POST       /v1/templates                register a posted template library
-GET        /v1/templates/dump           the versioned JSON library document
-GET        /v1/unexplained              cursor-paginated review queue
-GET/POST   /v1/scan                     one bounded slice of a resumable scan
-=========  ===========================  =====================================
+one shard or many, transparently — to the routes declared in
+:data:`repro.api.messages.ENDPOINTS` (the README renders the same list):
+each endpoint's paths route to the handler it names, and ``METHOD path``
+is its metrics label.
 
 Every response is a versioned envelope (``{"v": 1, "kind": ..., "data":
 ...}``); every failure is a typed wire error from
 :mod:`repro.api.errors` with its mapped HTTP status — including
 :class:`~repro.api.errors.UnsupportedOperationError` → 501 for
-operations a placement cannot host (writes on a fleet, mining on
-shards).
+operations a placement cannot host (a ``writes`` endpoint on a fleet,
+mining on shards).
 
 Service calls are blocking (they take the service's RWLock), so they
 run in two tiers.  A point explain — ``GET``/``POST /v1/explain`` and
@@ -50,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import contextlib
+import dataclasses
 import functools
 import inspect
 import json
@@ -74,6 +58,8 @@ from ..api.errors import (
     UnsupportedOperationError,
 )
 from ..api.messages import (
+    ENDPOINTS,
+    Endpoint,
     ExplainRequest,
     ScanRequest,
     ScanState,
@@ -82,6 +68,7 @@ from ..api.messages import (
     to_wire,
 )
 from ..core.library import TemplateLibrary
+from ..db.errors import CapacityError, IntegrityError
 from .cursor import (
     decode_cursor,
     decode_scan_cursor,
@@ -138,6 +125,13 @@ def _parse_access(obj: Any) -> tuple[Any, Any, Any]:
     if user is None or patient is None:
         raise InvalidRequestError("an access requires 'user' and 'patient'")
     date = obj.get("date")
+    # checked for the whole batch before the service is called, so no
+    # row of a batch holding a malformed access lands
+    for name, value in (("user", user), ("patient", patient), ("date", date)):
+        if isinstance(value, (bool, list, dict)):
+            raise InvalidRequestError(
+                f"access {name!r} must be a scalar, got {type(value).__name__}"
+            )
     if isinstance(date, str):
         parsed = temporal(date)
         if isinstance(parsed, str):
@@ -199,34 +193,21 @@ class AuditAPI:
         self._explain_inline = "wait" in inspect.signature(
             service.explain
         ).parameters
-        self._routes: list[tuple[str, str, re.Pattern, Callable, bool]] = []
-        for method, pattern, handler, streaming in (
-            ("GET", "/healthz", self.h_healthz, False),
-            ("GET", "/v1/healthz", self.h_healthz, False),
-            ("GET", "/metrics", self.h_metrics, False),
-            ("GET", "/v1/metrics", self.h_metrics, False),
-            ("GET", "/v1/explain", self.h_explain_get, False),
-            ("POST", "/v1/explain", self.h_explain_post, False),
-            ("POST", "/v1/explain/batch", self.s_explain_batch, True),
-            ("GET", "/v1/patients/{patient}/report", self.h_patient_report, False),
-            ("GET", "/v1/report", self.h_report, False),
-            ("GET", "/v1/coverage", self.h_coverage, False),
-            ("GET", "/v1/stats", self.h_stats, False),
-            ("POST", "/v1/ingest", self.h_ingest, False),
-            ("POST", "/v1/ingest/batch", self.h_ingest_batch, False),
-            ("GET", "/v1/templates", self.h_templates_list, False),
-            ("POST", "/v1/templates", self.h_templates_add, False),
-            ("GET", "/v1/templates/dump", self.h_templates_dump, False),
-            ("GET", "/v1/unexplained", self.h_unexplained, False),
-            ("GET", "/v1/scan", self.h_scan_get, False),
-            ("POST", "/v1/scan", self.h_scan_post, False),
-        ):
-            regex = re.compile(
-                "^"
-                + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", pattern)
-                + "$"
+        #: ``(endpoint, route label, path regex, bound handler)`` per path;
+        #: handlers are looked up on the instance, so a method patched on
+        #: the class before construction is the one routed to.
+        self._routes: list[tuple[Endpoint, str, re.Pattern, Callable]] = [
+            (
+                endpoint,
+                f"{endpoint.method} {path}",
+                re.compile(
+                    "^" + re.sub(r"\{(\w+)\}", r"(?P<\1>[^/]+)", path) + "$"
+                ),
+                getattr(self, endpoint.handler),
             )
-            self._routes.append((method, pattern, regex, handler, streaming))
+            for endpoint in ENDPOINTS
+            for path in endpoint.paths
+        ]
 
     def close(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
@@ -240,36 +221,23 @@ class AuditAPI:
         self._peer_metrics_ports = list(peer_metrics_ports)
         self._own_metrics_port = own_metrics_port
 
-    def _check_writable(self, operation: str) -> None:
-        if self.read_only:
-            raise UnsupportedOperationError(
-                f"{operation} is not available on a multi-worker fleet: "
-                f"every worker serves an independent replica of the audit "
-                f"state, so a write accepted by one worker would silently "
-                f"diverge it from the others; run `repro-audit serve` "
-                f"with --workers 1 (or ingest offline and restart the "
-                f"fleet) to mutate"
-            )
-
     # ------------------------------------------------------------------
     # dispatch
     # ------------------------------------------------------------------
-    def resolve(
-        self, request: Request
-    ) -> tuple[str, Callable, bool]:
-        """``(route label, handler, streaming)`` — or the typed 404/405."""
+    def resolve(self, request: Request) -> tuple[Endpoint, str, Callable]:
+        """``(endpoint, route label, handler)`` — or the typed 404/405."""
         allowed: list[str] = []
-        for method, pattern, regex, handler, streaming in self._routes:
+        for endpoint, label, regex, handler in self._routes:
             match = regex.match(request.path)
             if match is None:
                 continue
-            if method != request.method:
-                allowed.append(method)
+            if endpoint.method != request.method:
+                allowed.append(endpoint.method)
                 continue
             request.path_params = {
                 k: unquote(v) for k, v in match.groupdict().items()
             }
-            return f"{method} {pattern}", handler, streaming
+            return endpoint, label, handler
         if allowed:
             raise MethodNotAllowedError(
                 f"{request.method} is not allowed on {request.path} "
@@ -368,13 +336,11 @@ class AuditAPI:
         return envelope("Stats", jsonable(stats))
 
     async def h_ingest(self, request: Request) -> dict:
-        self._check_writable("ingest")
         user, patient, date = _parse_access(request.json())
         result = await self._call(self.service.ingest, user, patient, date)
         return to_wire(result)
 
     async def h_ingest_batch(self, request: Request) -> dict:
-        self._check_writable("batched ingest")
         payload = request.json()
         accesses = payload.get("accesses") if isinstance(payload, dict) else None
         if not isinstance(accesses, list):
@@ -410,7 +376,6 @@ class AuditAPI:
         return envelope("TemplateLibrary", json.loads(library.dumps_json()))
 
     async def h_templates_add(self, request: Request) -> dict:
-        self._check_writable("template registration")
         payload = request.json()
         if not isinstance(payload, dict):
             raise InvalidRequestError(
@@ -469,28 +434,18 @@ class AuditAPI:
 
     # --------------------------------------------------------- scans
     @staticmethod
-    def _scan_state(state_dict: dict) -> ScanState:
-        """Rebuild a suspended scan state from its cursor payload; shape
-        errors are cursor errors (the client cannot have minted it)."""
+    def _scan_state(cursor: str) -> ScanState:
+        """Rebuild a suspended scan state from its cursor; shape errors
+        are cursor errors (the client cannot have minted it)."""
         try:
-            return ScanState.from_dict(state_dict)
+            return ScanState.from_dict(decode_scan_cursor(cursor))
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidCursorError(f"malformed scan state: {exc}") from exc
 
-    async def _scan(
-        self,
-        state: ScanState | None,
-        page_rows: int | None,
-        quantum_seconds: float | None,
-    ) -> dict:
-        page = await self._call(
-            self.service.scan,
-            ScanRequest(
-                state=state,
-                page_rows=page_rows,
-                quantum_seconds=quantum_seconds,
-            ),
-        )
+    async def _scan(self, scan: ScanRequest) -> dict:
+        if scan.page_rows is not None and scan.page_rows > MAX_SCAN_PAGE_ROWS:
+            scan = dataclasses.replace(scan, page_rows=MAX_SCAN_PAGE_ROWS)
+        page = await self._call(self.service.scan, scan)
         next_cursor = (
             None if page.done else encode_scan_cursor(page.state.to_dict())
         )
@@ -506,17 +461,14 @@ class AuditAPI:
         freshly restarted server — and continue exactly where this one
         stopped."""
         page_rows = request.query_int("page_rows", None, minimum=1)
-        if page_rows is not None:
-            page_rows = min(page_rows, MAX_SCAN_PAGE_ROWS)
         quantum_ms = request.query_int("quantum_ms", None, minimum=1)
         cursor = request.query.get("cursor")
-        state = (
-            self._scan_state(decode_scan_cursor(cursor)) if cursor else None
-        )
         return await self._scan(
-            state,
-            page_rows,
-            None if quantum_ms is None else quantum_ms / 1000.0,
+            ScanRequest(
+                state=self._scan_state(cursor) if cursor else None,
+                page_rows=page_rows,
+                quantum_seconds=None if quantum_ms is None else quantum_ms / 1000.0,
+            )
         )
 
     async def h_scan_post(self, request: Request) -> dict:
@@ -530,28 +482,16 @@ class AuditAPI:
         if not isinstance(data, dict):
             raise InvalidRequestError("scan body carries no request object")
         cursor = data.get("cursor")
-        state = None
-        if cursor is not None:
-            if not isinstance(cursor, str):
-                raise InvalidCursorError("cursor must be a string")
-            state = self._scan_state(decode_scan_cursor(cursor))
-        page_rows = data.get("page_rows")
-        if page_rows is not None:
-            if not isinstance(page_rows, int) or page_rows < 1:
-                raise InvalidRequestError(
-                    "page_rows must be an integer >= 1 when given"
-                )
-            page_rows = min(page_rows, MAX_SCAN_PAGE_ROWS)
-        quantum_seconds = data.get("quantum_seconds")
-        if quantum_seconds is not None and (
-            not isinstance(quantum_seconds, (int, float))
-            or isinstance(quantum_seconds, bool)
-            or not quantum_seconds > 0
-        ):
-            raise InvalidRequestError(
-                "quantum_seconds must be a number > 0 when given"
+        if cursor is not None and not isinstance(cursor, str):
+            raise InvalidCursorError("cursor must be a string")
+        # a bad budget is ScanRequest's ValueError, answered as a 400
+        return await self._scan(
+            ScanRequest(
+                state=None if cursor is None else self._scan_state(cursor),
+                page_rows=data.get("page_rows"),
+                quantum_seconds=data.get("quantum_seconds"),
             )
-        return await self._scan(state, page_rows, quantum_seconds)
+        )
 
     # ------------------------------------------------------------------
     # streaming handlers (write the body themselves)
@@ -691,8 +631,17 @@ class AuditServer:
         chunks: ChunkedWriter | None = None
         chunked = request.version != "HTTP/1.0"
         try:
-            route, handler, streaming = self.api.resolve(request)
-            if streaming:
+            endpoint, route, handler = self.api.resolve(request)
+            if endpoint.writes and self.api.read_only:
+                raise UnsupportedOperationError(
+                    f"{route} is not available on a multi-worker fleet: "
+                    f"every worker serves an independent replica of the "
+                    f"audit state, so a write accepted by one worker would "
+                    f"silently diverge it from the others; run `repro-audit "
+                    f"serve` with --workers 1 (or ingest offline and "
+                    f"restart the fleet) to mutate"
+                )
+            if endpoint.streaming:
                 chunks = ChunkedWriter(
                     writer, keep_alive=keep_alive, chunked=chunked
                 )
@@ -733,10 +682,14 @@ class AuditServer:
     def _as_wire_error(exc: Exception) -> AuditApiError:
         """Every failure leaves as a typed wire error: API errors pass
         through (501 for unsupported operations included), bad values
-        from request construction map to 400, anything else to 500."""
+        from request construction and rows the log's schema rejects map
+        to 400 (a full in-memory table stays a 500), anything else to
+        500."""
         if isinstance(exc, AuditApiError):
             return exc
-        if isinstance(exc, ValueError):
+        if isinstance(exc, ValueError) or (
+            isinstance(exc, IntegrityError) and not isinstance(exc, CapacityError)
+        ):
             return InvalidRequestError(str(exc))
         log.exception("unhandled error serving request")
         return InternalServerError(f"{type(exc).__name__}: {exc}")

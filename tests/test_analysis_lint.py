@@ -44,15 +44,6 @@ class TestSeededViolations:
         assert "'_fetch'" in diag.message
         assert "'self._cache'" in diag.message
 
-    def test_rl002_missing_from_dict_and_unregistered_kind(self):
-        assert findings(f"{FIXTURES}/rl002_messages_bad.py") == [
-            (f"{FIXTURES}/rl002_messages_bad.py", 20, 1, "RL002"),
-            (f"{FIXTURES}/rl002_messages_bad.py", 28, 1, "RL002"),
-        ]
-        first, second = lint(f"{FIXTURES}/rl002_messages_bad.py").diagnostics
-        assert "NoFromDict" in first.message and "from_dict" in first.message
-        assert "Unregistered" in second.message and "WIRE_KINDS" in second.message
-
     def test_rl003_swallow_and_bare_raise(self):
         assert findings(f"{FIXTURES}/rl003_bad.py") == [
             (f"{FIXTURES}/rl003_bad.py", 7, 5, "RL003"),
@@ -81,14 +72,12 @@ class TestSeededViolations:
         "twin",
         [
             "rl001_clean.py",
-            "rl002_messages_clean.py",
             "rl003_clean.py",
             "rl004_clean.py",
             "bench_rl005_clean.py",
             "rl006_clean.py",
             "rl007_clean.py",
             "rl008_clean.py",
-            "rl009_clean.py",
         ],
     )
     def test_clean_twins(self, twin):
@@ -97,14 +86,12 @@ class TestSeededViolations:
     def test_each_violation_is_nonzero_exit(self):
         for bad in (
             "rl001_bad.py",
-            "rl002_messages_bad.py",
             "rl003_bad.py",
             "rl004_bad.py",
             "bench_rl005_bad.py",
             "rl006_bad.py",
             "rl007_bad.py",
             "rl008_bad.py",
-            "rl009_bad.py",
         ):
             assert lint(f"{FIXTURES}/{bad}").exit_code == 1
 
@@ -166,17 +153,6 @@ class TestFlowRules:
         assert "'load_page -> fetch_rows'" in transitive.message
         assert "sqlite3.connect" in transitive.message
         assert "time.sleep" in direct.message
-
-    def test_rl009_route_path_and_kind_drift(self):
-        assert findings(f"{FIXTURES}/rl009_bad.py") == [
-            (f"{FIXTURES}/rl009_bad.py", 19, 13, "RL009"),
-            (f"{FIXTURES}/rl009_bad.py", 35, 48, "RL009"),
-            (f"{FIXTURES}/rl009_bad.py", 35, 64, "RL009"),
-        ]
-        route, path, kind = lint(f"{FIXTURES}/rl009_bad.py").diagnostics
-        assert "/v1/orphan" in route.message
-        assert "/v1/missing" in path.message
-        assert "'Ghost'" in kind.message
 
 
 # ----------------------------------------------------------------------
@@ -280,7 +256,7 @@ class TestResultCache:
 # select / ignore / registry
 # ----------------------------------------------------------------------
 class TestRuleSelection:
-    def test_registry_has_the_nine_rules(self):
+    def test_registry_has_the_eight_rules(self):
         assert sorted(CHECKERS) == [
             "RL001",
             "RL002",
@@ -290,7 +266,6 @@ class TestRuleSelection:
             "RL006",
             "RL007",
             "RL008",
-            "RL009",
         ]
 
     def test_select_restricts(self):
@@ -364,7 +339,6 @@ class TestCli:
             "RL006",
             "RL007",
             "RL008",
-            "RL009",
         ]
         assert stats["findings"] == 1
         assert stats["suppressed"] == 2

@@ -1,4 +1,5 @@
-"""The ``/v1/`` wire surface, pinned from the outside.
+"""The ``/v1/`` surface: pinned from the outside, and derived from one
+declaration (``ENDPOINTS`` and ``@message`` in ``repro.api.messages``).
 
 Golden literals fix the bytes the server sends and the key order the
 CLI prints: ``dump_json(to_wire(x))`` for one sample of every message
@@ -7,26 +8,70 @@ kind, the ``json.dumps(x.to_dict(), indent=2)`` text of the same samples
 exact response bytes of every ad-hoc envelope (the payloads no message
 class describes) from a tiny world under a frozen clock.  ``Stats`` and
 ``Metrics`` carry timings and are left out.
+
+The declaration tests check what no code path enforces by itself: that
+the typed client reaches every declared endpoint, that every message
+dataclass is registered, and that the README tables agree with
+``ENDPOINTS`` and ``ERROR_TYPES``.  Malformed input must be a typed 400.
 """
 
+import dataclasses
 import datetime as dt
+import inspect
 import json
+import os
+import re
 
 import pytest
 from test_api_messages_roundtrip import SAMPLES
 
 from repro.api import (
+    ENDPOINTS,
+    WIRE_KINDS,
+    AuditConfig,
+    InvalidRequestError,
+    ScanRequest,
     event_user_template,
     open_service,
     repeat_access_template,
     to_wire,
 )
+from repro.api import messages
+from repro.api.errors import ERROR_TYPES
 from repro.client import AuditClient
 from repro.ehr import SimulationConfig, build_careweb_graph, simulate
 from repro.server import AuditServer, dump_json
 
 FROZEN_NOW = dt.datetime(2010, 1, 9, 12, 0, 0)
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+
+def _tiny_service(**config):
+    """The tiny world with two templates (repeat access, appointment with
+    the doctor), so template payloads stay short, under a frozen clock."""
+    db = simulate(SimulationConfig.tiny(seed=7)).db
+    graph = build_careweb_graph(db)
+    templates = [
+        repeat_access_template(graph),
+        event_user_template(graph, "Appointments", "Doctor"),
+    ]
+    return open_service(
+        db,
+        templates=templates,
+        config=AuditConfig(**config),
+        clock=lambda: FROZEN_NOW,
+    )
+
+
+def _readme():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as handle:
+        return handle.read()
+
+
+# ----------------------------------------------------------------------
+# golden bytes
+# ----------------------------------------------------------------------
 SAMPLE_BYTES = {
     "AccessView": (
         b'{"data":{"date":"2010-01-04T08:18:03","explanations":["ok"],"lid":'
@@ -97,6 +142,7 @@ SAMPLE_BYTES = {
         b'ser":"Eve"},"kind":"UnexplainedView","v":1}\n'
     ),
 }
+
 SAMPLE_TEXT = {
     "AccessView": """\
 {
@@ -302,6 +348,7 @@ SAMPLE_TEXT = {
 }
 """,
 }
+
 ENVELOPE_BYTES = {
     "Health": (
         b'{"data":{"status":"ok"},"kind":"Health","v":1}\n'
@@ -419,13 +466,7 @@ ENVELOPE_CALLS = [
 
 
 def test_adhoc_envelope_bytes():
-    db = simulate(SimulationConfig.tiny(seed=7)).db
-    graph = build_careweb_graph(db)
-    templates = [
-        repeat_access_template(graph),
-        event_user_template(graph, "Appointments", "Doctor"),
-    ]
-    service = open_service(db, templates=templates, clock=lambda: FROZEN_NOW)
+    service = _tiny_service()
     served = {}
     try:
         with (
@@ -443,3 +484,227 @@ def test_adhoc_envelope_bytes():
     assert sorted(served) == sorted(ENVELOPE_BYTES)
     for kind, payload in served.items():
         assert payload == ENVELOPE_BYTES[kind], kind
+
+
+# ----------------------------------------------------------------------
+# the declaration
+# ----------------------------------------------------------------------
+def _endpoint_of(method, path):
+    """The declared endpoint serving ``method path``, or None."""
+    for endpoint in ENDPOINTS:
+        for pattern in endpoint.paths:
+            regex = re.sub(r"\{\w+\}", "[^/]+", pattern)
+            if endpoint.method == method and re.fullmatch(regex, path):
+                return endpoint
+    return None
+
+
+def test_client_reaches_every_declared_endpoint(tmp_path):
+    """Every public client method, driven against a live server, requests
+    only declared endpoints, and together they request all of them: each
+    route once (an alias path counts as its route), except a GET that
+    only restates its POST twin's request in a query string for curl
+    (same paths, same reply kind) — the client sends the typed POST."""
+    service = _tiny_service()
+    requested = []
+    try:
+        with (
+            AuditServer(service, port=0) as server,
+            AuditClient(server.host, server.port) as client,
+        ):
+            raw = client._raw_request
+
+            def recording(method, path, body=None):
+                requested.append((method, path.partition("?")[0]))
+                return raw(method, path, body)
+
+            client._raw_request = recording
+            calls = {
+                "healthz": client.healthz,
+                "metrics": client.metrics,
+                "stats": client.stats,
+                "explain": lambda: client.explain(1),
+                "explain_batch": lambda: list(client.explain_batch([1, 2])),
+                "patient_report": lambda: client.patient_report("p00035"),
+                "render_patient_report": lambda: client.render_patient_report(
+                    "p00035", limit=2
+                ),
+                "report": lambda: client.report(limit=2),
+                "summary": client.summary,
+                "coverage": client.coverage,
+                "unexplained_page": lambda: client.unexplained_page(limit=2),
+                "unexplained": lambda: list(client.unexplained(500)),
+                "unexplained_lids": lambda: client.unexplained_lids(500),
+                "scan_page": lambda: client.scan_page(page_rows=2),
+                "scan_pages": lambda: list(client.scan_pages(10_000)),
+                "scan_report": lambda: client.scan_report(page_rows=10_000),
+                "scan_explain_all": lambda: client.scan_explain_all(10_000),
+                "templates": client.templates,
+                "template_library": client.template_library,
+                "save_templates": lambda: client.save_templates(
+                    str(tmp_path / "library.json")
+                ),
+                "add_templates": lambda: client.add_templates(
+                    client.template_library()
+                ),
+                "ingest": lambda: client.ingest("u0004", "p00035"),
+                "ingest_many": lambda: client.ingest_many(
+                    [("u0004", "p00035", None)]
+                ),
+                "close": client.close,
+            }
+            public = {
+                name
+                for name, member in inspect.getmembers(AuditClient)
+                if not name.startswith("_") and callable(member)
+            }
+            assert set(calls) == public
+            for call in calls.values():
+                call()
+    finally:
+        service.close()
+
+    reached = {(m, path): _endpoint_of(m, path) for m, path in requested}
+    assert None not in reached.values(), reached
+    query_twins = {
+        endpoint
+        for endpoint in ENDPOINTS
+        if endpoint.method == "GET"
+        and any(
+            other.method == "POST"
+            and other.paths == endpoint.paths
+            and other.kind == endpoint.kind
+            for other in ENDPOINTS
+        )
+    }
+    assert {(e.method, e.paths[0]) for e in query_twins} == {
+        ("GET", "/v1/explain"),
+        ("GET", "/v1/scan"),
+    }
+    assert set(reached.values()) == set(ENDPOINTS) - query_twins
+
+
+def test_every_message_dataclass_is_a_wire_kind():
+    declared = {
+        cls
+        for _, cls in inspect.getmembers(messages, inspect.isclass)
+        if dataclasses.is_dataclass(cls) and cls.__module__ == messages.__name__
+    }
+    assert declared == set(WIRE_KINDS.values())
+
+
+def test_a_required_field_must_be_on_the_wire():
+    with pytest.raises(TypeError, match="not on the wire"):
+
+        @messages.message("a")
+        @dataclasses.dataclass(frozen=True)
+        class Partial(messages.Message):
+            a: int
+            b: int
+
+    assert "Partial" not in WIRE_KINDS
+
+
+def test_readme_error_table_matches_error_types():
+    rows = re.findall(
+        r"^\s*\|\s*`([a-z_]+)`\s*\|\s*(\d{3})\s*\|\s*`(\w+)`\s*\|",
+        _readme(),
+        re.M,
+    )
+    assert sorted(rows) == sorted(
+        (code, str(cls.http_status), cls.__name__)
+        for code, cls in ERROR_TYPES.items()
+    )
+
+
+def render_routes():
+    """The README route table, rendered from :data:`ENDPOINTS`."""
+    lines = [
+        "| Method | Path | Reply kind | Notes |",
+        "|--------|------|------------|-------|",
+    ]
+    for endpoint in ENDPOINTS:
+        paths = ", ".join(f"`{path}`" for path in endpoint.paths)
+        notes = "; ".join(
+            note
+            for note, applies in (
+                ("NDJSON stream", endpoint.streaming),
+                ("write: 501 on a fleet", endpoint.writes),
+            )
+            if applies
+        )
+        lines.append(
+            f"| {endpoint.method} | {paths} | `{endpoint.kind}` | {notes} |"
+        )
+    return lines
+
+
+def test_readme_route_table_renders_endpoints():
+    expected = render_routes()
+    lines = _readme().splitlines()
+    start = lines.index(expected[0])
+    table = []
+    for line in lines[start:]:
+        if not line.startswith("|"):
+            break
+        table.append(line)
+    assert table == expected
+
+
+# ----------------------------------------------------------------------
+# malformed input is a typed 400
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize(
+    "shards,backend",
+    [(1, "memory"), (2, "memory"), (1, "sqlite"), (2, "sqlite")],
+    ids=["shards1-memory", "shards2-memory", "shards1-sqlite", "shards2-sqlite"],
+)
+def test_malformed_ingest_is_typed_400_and_lands_nothing(shards, backend):
+    good = {"user": "u0004", "patient": "p00035"}
+    malformed = [
+        {"user": [1], "patient": "p00035"},
+        {"user": True, "patient": "p00035"},
+        {"user": "u0004", "patient": {"id": 1}},
+        {"user": "u0004", "patient": "p00035", "date": [1]},
+        {"user": "u0004", "patient": "p00035", "date": True},
+    ]
+    service = _tiny_service(shards=shards, backend=backend)
+    try:
+        rows = service.stats()["log_rows"]
+        with (
+            AuditServer(service, port=0) as server,
+            AuditClient(server.host, server.port) as client,
+        ):
+            for body in malformed:
+                with pytest.raises(InvalidRequestError, match="must be a scalar"):
+                    client._request("POST", "/v1/ingest", body)
+                with pytest.raises(InvalidRequestError, match="must be a scalar"):
+                    client._request(
+                        "POST", "/v1/ingest/batch", {"accesses": [good, body]}
+                    )
+            assert service.stats()["log_rows"] == rows
+            # well-formed JSON the log's schema rejects (a numeric user)
+            # is the service's IntegrityError, also a 400
+            with pytest.raises(InvalidRequestError, match="Log.User"):
+                client.ingest(5, "p00035")
+            client.ingest("u0004", "p00035")  # the service still serves
+    finally:
+        service.close()
+
+
+def test_bool_scan_budget_is_typed_400():
+    for budget in ({"page_rows": True}, {"quantum_seconds": True}):
+        with pytest.raises(ValueError, match="when given"):
+            ScanRequest(**budget)
+    service = _tiny_service()
+    try:
+        with (
+            AuditServer(service, port=0) as server,
+            AuditClient(server.host, server.port) as client,
+        ):
+            with pytest.raises(
+                InvalidRequestError, match="page_rows must be an integer"
+            ):
+                client._request("POST", "/v1/scan", {"page_rows": True})
+    finally:
+        service.close()
