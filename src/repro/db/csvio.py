@@ -19,11 +19,16 @@ from __future__ import annotations
 import csv
 import json
 import os
+import re
+from collections.abc import Callable, Iterable, Iterator, Sequence
+from contextlib import suppress
+from itertools import chain, islice
+from typing import Any
 
 from .database import Database
-from .errors import SchemaError
+from .errors import IntegrityError, SchemaError
 from .schema import Column, ColumnType, ForeignKey, TableSchema
-from .table import Table
+from .table import _BATCH_ROWS, Table
 
 
 def write_table_csv(table: Table, path: str) -> int:
@@ -39,13 +44,12 @@ def write_table_csv(table: Table, path: str) -> int:
     return len(table)
 
 
-def iter_table_csv(schema: TableSchema, path: str):
-    """Stream a CSV (with header) as parsed row lists, one at a time.
-
-    This is the allocation-light path the SQLite opener uses to ingest a
-    log bigger than RAM: rows are parsed and yielded without ever
-    building a :class:`Table`.  Validation is the consumer's job.
-    """
+def read_csv_batches(schema: TableSchema, path: str) -> Iterator[list[tuple]]:
+    """Stream a CSV (with header) as small batches of row tuples, a column
+    at a time through its type's parser.  A record of the wrong length or
+    a malformed cell raises :class:`IntegrityError` naming table, column
+    and line once the rows before it are yielded; NOT NULL and types are
+    the consumer's to check (:func:`~repro.db.table.check_rows`)."""
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -56,8 +60,43 @@ def iter_table_csv(schema: TableSchema, path: str):
                 f"CSV header {header} does not match schema "
                 f"{list(schema.column_names)} for table {schema.name!r}"
             )
-        for raw in reader:
-            yield [col.ctype.parse(cell) for col, cell in zip(schema.columns, raw)]
+        parsers = [col.ctype.parser for col in schema.columns]
+        first_line = reader.line_num + 1
+        # tuples, which the collector untracks (csv's lists would survive it)
+        while raw := list(map(tuple, islice(reader, _BATCH_ROWS))):
+            bad, problem, width = len(raw), "", len(parsers)
+            if set(map(len, raw)) != {width}:
+                bad = next(i for i, cells in enumerate(raw) if len(cells) != width)
+                problem = f"expects {width} values, got {len(raw[bad])}"
+            flat, columns = list(chain.from_iterable(raw[:bad])), []
+            for i, (col, parse) in enumerate(zip(schema.columns, parsers)):
+                values = _parse_column(parse, flat[i::width])
+                if len(values) < bad:
+                    bad, where = len(values), f"column {schema.name}.{col.name}"
+                    problem = f"{where} expects {col.ctype.value}, got {raw[bad][i]!r}"
+                columns.append(values)
+            if bad:
+                yield list(zip(*columns))
+            if problem:  # a quoted cell keeps the line breaks csv.reader counted
+                before = "\0".join(cell for cells in raw[:bad] for cell in cells)
+                line = first_line + bad + len(re.findall(r"\r\n?|\n", before))
+                raise IntegrityError(f"table {schema.name!r} line {line}: {problem}")
+            first_line = reader.line_num + 1
+
+
+def _parse_column(parse: Callable[[str], Any], cells: list[str]) -> Sequence[Any]:
+    """A column's cells parsed (empty -> None) up to the first malformed
+    one: the result is short exactly when a cell is malformed."""
+    if "" in cells:
+        parsed: Iterable[Any] = (None if cell == "" else parse(cell) for cell in cells)
+    elif parse is str:
+        return cells
+    else:
+        parsed = map(parse, cells)
+    values: list[Any] = []
+    with suppress(ValueError):  # extend keeps the cells parsed so far
+        values.extend(parsed)
+    return values
 
 
 def read_table_csv(
@@ -69,8 +108,8 @@ def read_table_csv(
     :class:`~repro.db.errors.CapacityError` mid-load.
     """
     table = Table(schema, max_rows=max_rows)
-    for values in iter_table_csv(schema, path):
-        table.insert(values)
+    for batch in read_csv_batches(schema, path):
+        table.insert_many(batch)
     return table
 
 
@@ -141,6 +180,6 @@ def load_database(directory: str, *, max_rows: int | None = None) -> Database:
     for schema in schemas:
         path = os.path.join(directory, f"{schema.name}.csv")
         target = db.table(schema.name)
-        for values in iter_table_csv(schema, path):
-            target.insert(values)
+        for batch in read_csv_batches(schema, path):
+            target.insert_many(batch)
     return db

@@ -12,7 +12,7 @@ from __future__ import annotations
 import datetime as _dt
 import enum
 from dataclasses import dataclass, field
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Callable, Iterable, Mapping, Sequence
 from typing import Any
 
 from .errors import SchemaError, UnknownColumnError
@@ -33,21 +33,13 @@ class ColumnType(enum.Enum):
     BOOL = "bool"
 
     def parse(self, text: str) -> Any:
-        """Parse a CSV cell into a Python value of this type.
+        """Parse a CSV cell: ``""`` is NULL, a malformed cell a ValueError."""
+        return None if text == "" else self.parser(text)
 
-        Empty strings decode to ``None`` (SQL NULL).
-        """
-        if text == "":
-            return None
-        if self is ColumnType.INT:
-            return int(text)
-        if self is ColumnType.FLOAT:
-            return float(text)
-        if self is ColumnType.BOOL:
-            return text.strip().lower() in ("1", "true", "t", "yes")
-        if self is ColumnType.DATE:
-            return _dt.datetime.fromisoformat(text)
-        return text
+    @property
+    def parser(self) -> Callable[[str], Any]:
+        """The parser of a non-empty cell (loaders pick it once per column)."""
+        return _DOMAINS[self][0]
 
     def render(self, value: Any) -> str:
         """Serialize a Python value of this type into a CSV cell."""
@@ -60,20 +52,34 @@ class ColumnType(enum.Enum):
         return str(value)
 
     def validate(self, value: Any) -> bool:
-        """Return True when ``value`` is acceptable for this column type."""
-        if value is None:
-            return True
-        if self is ColumnType.INT:
-            return isinstance(value, int) and not isinstance(value, bool)
-        if self is ColumnType.FLOAT:
-            return isinstance(value, (int, float)) and not isinstance(value, bool)
-        if self is ColumnType.STR:
-            return isinstance(value, str)
-        if self is ColumnType.DATE:
-            return isinstance(value, _dt.datetime)
-        if self is ColumnType.BOOL:
-            return isinstance(value, bool)
-        return False  # pragma: no cover - enum is exhaustive
+        """Return True when ``value`` is acceptable for this column type:
+        NULL or an instance of its value types, and no bool for a number."""
+        types = _DOMAINS[self][1]
+        return type(value) in types or (
+            isinstance(value, tuple(types)) and not isinstance(value, bool)
+        )
+
+
+_BOOL_SPELLINGS = dict.fromkeys(("1", "true", "t", "yes"), True)
+_BOOL_SPELLINGS.update(dict.fromkeys(("0", "false", "f", "no"), False))
+
+
+def _parse_bool(text: str) -> bool:
+    try:
+        return _BOOL_SPELLINGS[text.strip().lower()]
+    except KeyError:
+        raise ValueError(f"not a bool: {text!r}") from None
+
+
+#: Per column type: the parser of a non-empty CSV cell, and the types its
+#: values have, NULL's included (see :meth:`ColumnType.validate`).
+_DOMAINS: dict[ColumnType, tuple[Callable[[str], Any], frozenset[type]]] = {
+    ColumnType.INT: (int, frozenset({int, type(None)})),
+    ColumnType.FLOAT: (float, frozenset({int, float, type(None)})),
+    ColumnType.STR: (str, frozenset({str, type(None)})),
+    ColumnType.DATE: (_dt.datetime.fromisoformat, frozenset({_dt.datetime, type(None)})),
+    ColumnType.BOOL: (_parse_bool, frozenset({bool, type(None)})),
+}
 
 
 @dataclass(frozen=True)
@@ -83,10 +89,13 @@ class Column:
     name: str
     ctype: ColumnType = ColumnType.STR
     nullable: bool = True
+    #: the value types of ``ctype`` (a batch check's fast path)
+    value_types: frozenset[type] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.name or not self.name.replace("_", "").isalnum():
             raise SchemaError(f"invalid column name: {self.name!r}")
+        object.__setattr__(self, "value_types", _DOMAINS[self.ctype][1])
 
 
 @dataclass(frozen=True)

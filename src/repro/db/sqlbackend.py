@@ -8,10 +8,10 @@ surface-for-surface:
 * :class:`SqlTable` — the read/write surface of
   :class:`~repro.db.table.Table` that the audit tiers actually touch
   (``rows``/``lookup``/``distinct_values``/``insert``/``insert_many``),
-  evaluated by SQL statements instead of Python lists.  Row validation
-  runs through the *same* :func:`~repro.db.table.coerce_row` /
-  :func:`~repro.db.table.validate_row` helpers as the in-memory table,
-  so both backends reject exactly the same rows with the same errors.
+  evaluated by SQL statements instead of Python lists.  Rows are checked
+  by the *same* batch validator as the in-memory table
+  (:func:`~repro.db.table.check_rows`), so both backends reject exactly
+  the same rows with the same errors.
 * :class:`SqlDatabase` — the catalog surface of
   :class:`~repro.db.database.Database`, with every table's
   :class:`~repro.db.schema.TableSchema` persisted as JSON in the
@@ -40,7 +40,7 @@ import os
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from typing import Any
 
-from .csvio import _schema_from_json, _schema_to_json, iter_table_csv, read_manifest
+from .csvio import _schema_from_json, _schema_to_json, read_csv_batches, read_manifest
 from .database import Database
 from .dialect import (
     CompiledQuery,
@@ -60,7 +60,7 @@ from .executor import QueryResult
 from .optimizer import PlanCache, query_shape, shared_plan_cache
 from .query import AttrRef, ConjunctiveQuery, cond_attr_refs
 from .schema import ColumnType, ForeignKey, TableSchema
-from .table import coerce_row, validate_row
+from .table import batched, check_rows
 
 #: Catalog key under which the database's display name is stored (kept in
 #: ``_repro_schema`` but filtered out of the table catalog — user table
@@ -85,20 +85,21 @@ def _decode_rows(
 
 
 def _encoded_rows(
-    schema: TableSchema, rows: Iterable[Sequence[Any] | Mapping[str, Any]]
-) -> Iterator[list[Any]]:
-    """Coerce, validate, and encode rows for ingest, streaming one at a
-    time (the beyond-RAM CSV path never materializes the table)."""
-    for row in rows:
-        tup = coerce_row(schema, row)
-        validate_row(schema, tup)
-        yield [encode_value(v) for v in tup]
+    schema: TableSchema, batches: Iterable[Sequence[Sequence[Any] | Mapping[str, Any]]]
+) -> Iterator[tuple[Any, ...]]:
+    """Check and encode rows a batch at a time (the beyond-RAM CSV path never
+    materializes the table): the rows before a bad one, then its error."""
+    for batch in batches:
+        good, error = check_rows(schema, batch)
+        yield from (tuple(map(encode_value, row)) for row in good)
+        if error is not None:
+            raise error
 
 
 def _build_table(
     driver: SqliteDriver,
     schema: TableSchema,
-    rows: Iterable[Sequence[Any] | Mapping[str, Any]],
+    batches: Iterable[Sequence[Sequence[Any] | Mapping[str, Any]]],
 ) -> None:
     """Create one table and fill it, in the order that keeps both the
     load cheap and a crash detectable: bare table, bulk ingest, *then*
@@ -106,7 +107,7 @@ def _build_table(
     update per column per row), and the catalog row last — it is the
     "table is complete" marker :func:`open_sql_database` trusts."""
     driver.create_table(schema, reset=True)
-    driver.ingest_many(schema, _encoded_rows(schema, rows))
+    driver.ingest_many(schema, _encoded_rows(schema, batches))
     driver.create_indexes(schema)
     driver.register_schema(schema, _schema_to_json(schema))
 
@@ -135,25 +136,15 @@ class SqlTable:
     # mutation
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[Any] | Mapping[str, Any]) -> None:
-        """Insert one row (positional or mapping) — same validation and
-        errors as the in-memory table."""
-        tup = coerce_row(self.schema, row)
-        validate_row(self.schema, tup)
-        self.driver.ingest_many(self.schema, [[encode_value(v) for v in tup]])
+        """Insert one row (positional or mapping) via :meth:`insert_many`."""
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
-        """Insert many rows; returns the number inserted.
-
-        Mirrors the in-memory semantics: on a validation error the rows
-        validated so far are still persisted before the error propagates
-        (same observable state as repeated :meth:`insert`).
-        """
-        encoded: list[list[Any]] = []
+        """Insert many rows; returns the number inserted.  As in memory,
+        the rows before a rejected one persist, then its error propagates."""
+        encoded: list[tuple[Any, ...]] = []
         try:
-            for row in rows:
-                tup = coerce_row(self.schema, row)
-                validate_row(self.schema, tup)
-                encoded.append([encode_value(v) for v in tup])
+            encoded.extend(_encoded_rows(self.schema, batched(rows)))
         except Exception:
             self.driver.ingest_many(self.schema, encoded)
             raise
@@ -605,7 +596,7 @@ def open_sql_database(
         db = SqlDatabase(driver, name=name or source_name, schemas=schemas)
         for schema in schemas:
             csv_path = os.path.join(directory, f"{schema.name}.csv")
-            _build_table(driver, schema, iter_table_csv(schema, csv_path))
+            _build_table(driver, schema, read_csv_batches(schema, csv_path))
     else:
         db = SqlDatabase(
             driver,
@@ -613,6 +604,6 @@ def open_sql_database(
             schemas=[t.schema for t in source.tables()],
         )
         for table in source.tables():
-            _build_table(driver, table.schema, table.rows())
+            _build_table(driver, table.schema, batched(table.rows()))
     _register_name(driver, db.name)
     return db

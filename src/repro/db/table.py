@@ -35,14 +35,16 @@ the storage-level primitive behind batch semijoin evaluation.
 Delta maintenance contract
 --------------------------
 All these structures are built lazily and then **maintained in place** on
-append: :meth:`insert` patches every already-built index, distinct
-projection, NDV statistic, and projection index with just the new row
-(O(#cached structures) per append), so a streaming workload never pays a
+append.  The one write path is :meth:`insert_many` (:meth:`insert` is its
+one-row case; a CSV load hands it small batches): it checks a batch a
+column at a time (:func:`check_rows`), appends the rows before the first
+bad one, and patches every already-built structure with just those rows
+(O(#cached structures) per row), so a streaming workload never pays a
 rebuild.  Full invalidation happens only on destructive operations —
 :meth:`clear` — which drop every cached structure.  The invariants are
 exercised by ``tests/test_property_incremental.py``, which checks that a
 delta-maintained table is indistinguishable from a freshly rebuilt one
-after arbitrary interleavings of inserts and reads.
+after any interleaving of inserts, rejected batches and reads.
 """
 
 from __future__ import annotations
@@ -50,6 +52,7 @@ from __future__ import annotations
 import operator
 from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
+from itertools import chain, islice
 from typing import Any
 
 from .errors import CapacityError, IntegrityError, UnknownColumnError
@@ -58,6 +61,10 @@ from .schema import ColumnType, TableSchema
 #: Sentinel for "no typed mirror possible" in the int-array cache, so a
 #: column that once saw a NULL/overflow is not re-scanned on every call.
 _NO_TYPED_MIRROR = object()
+
+#: Rows per batch of a CSV load or ``insert_many``: small, so a batch's
+#: temporaries die young (docs/architecture.md, "Loading an extract").
+_BATCH_ROWS = 512
 
 
 def tuple_getter(positions: Sequence[int]) -> Callable[[tuple], tuple]:
@@ -79,20 +86,14 @@ def coerce_row(schema: TableSchema, row: Sequence[Any] | Mapping[str, Any]) -> t
     """Normalize a positional or mapping row to a schema-ordered tuple.
 
     Mapping rows fill absent columns with ``None`` and reject unknown
-    keys; positional rows must match the schema arity exactly.  Shared
-    by the in-memory :class:`Table` and the SQL-backed table so both
-    backends reject malformed rows with identical errors.
+    keys; positional rows must match the schema arity exactly.
     """
     if isinstance(row, Mapping):
-        values = []
-        for col in schema.columns:
-            if col.name in row:
-                values.append(row[col.name])
-            else:
-                values.append(None)
-        extra = set(row) - set(schema.column_names)
-        if extra:
-            raise UnknownColumnError(schema.name, sorted(extra)[0])
+        values = [row.get(c.name) for c in schema.columns]
+        if len(values) - values.count(None) < len(row):  # a key is no column
+            extra = set(row) - set(schema.column_names)
+            if extra:
+                raise UnknownColumnError(schema.name, sorted(extra)[0])
         return tuple(values)
     tup = tuple(row)
     if len(tup) != schema.arity():
@@ -102,22 +103,50 @@ def coerce_row(schema: TableSchema, row: Sequence[Any] | Mapping[str, Any]) -> t
     return tup
 
 
-def validate_row(schema: TableSchema, tup: tuple) -> None:
-    """Check one schema-ordered tuple against type/nullability constraints.
+def batched(rows: Iterable[Any]) -> Iterator[Sequence[Any]]:
+    """``rows`` in lists of at most ``_BATCH_ROWS`` (a short one as is)."""
+    if isinstance(rows, (list, tuple)) and len(rows) <= _BATCH_ROWS:
+        yield rows
+        return
+    it = iter(rows)
+    while batch := list(islice(it, _BATCH_ROWS)):
+        yield batch
 
-    Raises :class:`IntegrityError` with the same messages regardless of
-    which storage backend the row is headed for — constraint checking
-    stays in the Python tier so SQLite (with its lax column affinity)
-    cannot accept a row the in-memory engine would reject.
+
+def check_rows(
+    schema: TableSchema, rows: Sequence[Sequence[Any] | Mapping[str, Any]]
+) -> tuple[Sequence[tuple], Exception | None]:
+    """Coerce and validate rows a column at a time: the tuples of the rows
+    before the first bad one, and its error (None if all are good).  Both
+    backends check here, so SQLite's lax affinity never admits a row the
+    in-memory table rejects; per-value checks only locate a bad row.
     """
-    for col, value in zip(schema.columns, tup):
-        if value is None and not col.nullable:
-            raise IntegrityError(f"column {schema.name}.{col.name} is NOT NULL")
-        if not col.ctype.validate(value):
-            raise IntegrityError(
-                f"column {schema.name}.{col.name} expects "
-                f"{col.ctype.value}, got {type(value).__name__}: {value!r}"
-            )
+    error: Exception | None = None
+    tuples: Sequence[tuple] = rows  # type: ignore[assignment]
+    if set(map(type, rows)) != {tuple} or set(map(len, rows)) != {schema.arity()}:
+        tuples = []
+        for row in rows:
+            try:
+                tuples.append(coerce_row(schema, row))
+            except Exception as exc:
+                error = exc
+                break
+    # columns sliced from one flat list: zip(*rows) allocates an iterator per row
+    bad, flat = len(tuples), list(chain.from_iterable(tuples))
+    for i, col in enumerate(schema.columns):
+        values = flat[i :: len(schema.columns)]
+        if not col.nullable and None in values[:bad]:
+            bad = values.index(None)
+            error = IntegrityError(f"column {schema.name}.{col.name} is NOT NULL")
+        if not col.value_types.issuperset(map(type, values)):
+            for at, value in enumerate(values[:bad]):
+                if not col.ctype.validate(value):
+                    bad, error = at, IntegrityError(
+                        f"column {schema.name}.{col.name} expects "
+                        f"{col.ctype.value}, got {type(value).__name__}: {value!r}"
+                    )
+                    break
+    return tuples[:bad], error
 
 
 class Table:
@@ -160,39 +189,44 @@ class Table:
         self._extrema: dict[tuple[tuple[str, ...], str, bool], dict] = {}
         #: (key columns, column) -> {key -> [column values]}
         self._key_groups: dict[tuple[tuple[str, ...], str], dict[Any, list]] = {}
+        #: every cached structure an append patches (cleared, never rebound)
+        self._structures: tuple[dict, ...] = (
+            self._column_store, self._indexes, self._distinct_cache, self._ndv_cache,
+            self._proj_index_cache, self._proj_scalar_cache, self._int_arrays,
+            self._key_sets, self._extrema, self._key_groups,
+        )
 
     # ------------------------------------------------------------------
     # mutation
     # ------------------------------------------------------------------
     def insert(self, row: Sequence[Any] | Mapping[str, Any]) -> None:
-        """Insert one row, given positionally or as a column->value mapping.
-
-        Raises :class:`IntegrityError` on arity, type, or nullability
-        violations.  All cached access structures are delta-maintained in
-        place; nothing is invalidated.
-        """
-        tup = self._coerce(row)
-        self._validate(tup)
-        if self.max_rows is not None and len(self._rows) >= self.max_rows:
-            raise CapacityError(
-                f"table {self.schema.name!r} is capped at {self.max_rows} rows; "
-                "audit larger logs with the SQLite backend (--backend sqlite)"
-            )
-        pos = len(self._rows)
-        self._rows.append(tup)
-        self._apply_insert(pos, tup)
+        """Insert one row, given positionally or as a column->value mapping
+        (the one-row case of :meth:`insert_many`)."""
+        self.insert_many((row,))
 
     def insert_many(self, rows: Iterable[Sequence[Any] | Mapping[str, Any]]) -> int:
-        """Insert many rows; returns the number inserted.
-
-        Rows are validated and applied in order; on a validation error the
-        rows inserted so far remain (same semantics as repeated
-        :meth:`insert`).
-        """
-        n = 0
-        for row in rows:
-            self.insert(row)
-            n += 1
+        """Insert rows (positional or column->value mappings); returns the
+        number inserted.  The rows before the first bad one land, then its
+        :class:`IntegrityError` (arity, type, NULL) or :class:`CapacityError`
+        (past ``max_rows``) is raised.  Structures are delta-maintained."""
+        n, it = 0, iter(rows)  # not batched(): a generator slows one-row inserts
+        while batch := list(islice(it, _BATCH_ROWS)):
+            good, error = check_rows(self.schema, batch)
+            if self.max_rows is not None and len(self._rows) + len(good) > self.max_rows:
+                good = good[: self.max_rows - len(self._rows)]
+                error = CapacityError(
+                    f"table {self.schema.name!r} is capped at {self.max_rows} rows; "
+                    "audit larger logs with the SQLite backend (--backend sqlite)"
+                )
+            if any(self._structures):  # a fresh table (a load) has none
+                for pos, tup in enumerate(good, len(self._rows)):
+                    self._apply_insert(pos, tup)
+            self._rows.extend(good)
+            n += len(good)
+            if error is not None:
+                raise error
+            if len(batch) < _BATCH_ROWS:
+                break  # the input is spent
         return n
 
     def clear(self) -> None:
@@ -207,12 +241,6 @@ class Table:
         delta-maintain in place) — this exists for callers that mutate
         rows out-of-band."""
         self._invalidate()
-
-    def _coerce(self, row: Sequence[Any] | Mapping[str, Any]) -> tuple:
-        return coerce_row(self.schema, row)
-
-    def _validate(self, tup: tuple) -> None:
-        validate_row(self.schema, tup)
 
     def _apply_insert(self, pos: int, tup: tuple) -> None:
         """Patch every cached structure with one appended row (delta insert)."""
@@ -292,16 +320,8 @@ class Table:
                 groups.setdefault(key, []).append(value)
 
     def _invalidate(self) -> None:
-        self._column_store.clear()
-        self._indexes.clear()
-        self._distinct_cache.clear()
-        self._ndv_cache.clear()
-        self._proj_index_cache.clear()
-        self._proj_scalar_cache.clear()
-        self._int_arrays.clear()
-        self._key_sets.clear()
-        self._extrema.clear()
-        self._key_groups.clear()
+        for structure in self._structures:
+            structure.clear()
 
     # ------------------------------------------------------------------
     # access

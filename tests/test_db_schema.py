@@ -25,6 +25,22 @@ class TestColumnType:
             assert ColumnType.BOOL.parse(text) is True
         assert ColumnType.BOOL.parse("false") is False
 
+    def test_bool_parse_rejects_unknown_spellings(self):
+        for text in ("0", "false", " F ", "No"):
+            assert ColumnType.BOOL.parse(text) is False
+        for text in ("maybe", "2", "y", "truthy"):
+            with pytest.raises(ValueError, match="not a bool"):
+                ColumnType.BOOL.parse(text)
+
+    def test_malformed_cells_raise_value_error(self):
+        for ctype, text in (
+            (ColumnType.INT, "x1"),
+            (ColumnType.FLOAT, "1.2.3"),
+            (ColumnType.DATE, "2010-13-45"),
+        ):
+            with pytest.raises(ValueError):
+                ctype.parse(text)
+
     def test_bool_render(self):
         assert ColumnType.BOOL.render(True) == "true"
         assert ColumnType.BOOL.render(False) == "false"

@@ -17,6 +17,7 @@ from repro.core import (
 from repro.db import (
     ColumnType,
     Database,
+    IntegrityError,
     SchemaError,
     TableSchema,
     read_table_csv,
@@ -135,12 +136,33 @@ class TestDegenerateLogs:
 
 class TestFailureInjection:
     def test_corrupt_csv_wrong_arity(self, tmp_path):
+        """A malformed cell names the table, column and line."""
         schema = TableSchema.build("T", [("a", ColumnType.INT), "b"])
         path = os.path.join(tmp_path, "t.csv")
         with open(path, "w") as fh:
             fh.write("a,b\n1,x\nnot-an-int,y\n")
-        with pytest.raises(ValueError):
+        with pytest.raises(IntegrityError) as caught:
             read_table_csv(schema, path)
+        assert str(caught.value) == (
+            "table 'T' line 3: column T.a expects int, got 'not-an-int'"
+        )
+
+    @pytest.mark.parametrize(
+        "body, message",
+        [
+            ("1,x\n2\n", "table 'T' line 3: expects 2 values, got 1"),
+            ("1,x,EXTRA\n", "table 'T' line 2: expects 2 values, got 3"),
+        ],
+    )
+    def test_corrupt_csv_row_length(self, tmp_path, body, message):
+        """A record of the wrong length is rejected, not truncated."""
+        schema = TableSchema.build("T", [("a", ColumnType.INT), "b"])
+        path = os.path.join(tmp_path, "t.csv")
+        with open(path, "w") as fh:
+            fh.write("a,b\n" + body)
+        with pytest.raises(IntegrityError) as caught:
+            read_table_csv(schema, path)
+        assert str(caught.value) == message
 
     def test_corrupt_csv_bad_header(self, tmp_path):
         schema = TableSchema.build("T", ["a", "b"])

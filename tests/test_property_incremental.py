@@ -25,8 +25,10 @@ from repro.audit.handcrafted import (
     repeat_access_template,
 )
 from repro.core import ExplanationEngine
-from repro.db import ColumnType, Database, TableSchema
-from repro.db.table import Table
+from repro.db import ColumnType, Database, IntegrityError, TableSchema
+from repro.db.drivers.sqlite import SqliteDriver
+from repro.db.sqlbackend import SqlDatabase
+from repro.db.table import _BATCH_ROWS, Table
 
 # ----------------------------------------------------------------------
 # table-level properties
@@ -129,6 +131,31 @@ def test_table_delta_equals_rebuild_after_batches(seed):
         _random_read(rng, table)
         table.insert_many(_random_row(rng) for _ in range(rng.randrange(0, 9)))
     assert_structures_fresh(table)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_row_rejected_mid_batch_leaves_structures_of_the_landed_prefix(seed):
+    """A batch rejected part-way lands the rows before the bad one: every
+    built structure equals a rebuild over that prefix, and the SQL table
+    holds the same rows."""
+    rng = random.Random(4800 + seed)
+    table = Table(_schema())
+    sql = SqlDatabase(SqliteDriver(None)).create_table(_schema())
+    landed: list[tuple] = []
+    for _ in range(rng.randrange(3, 7)):
+        _random_read(rng, table)
+        batch = [tuple(_random_row(rng)) for _ in range(rng.randrange(1, 2 * _BATCH_ROWS))]
+        bad_at = rng.randrange(len(batch))
+        batch[bad_at] = rng.choice([("x", 0, 0), (0, 0), (0, 0, 1.5)])
+        for target in (table, sql):
+            with pytest.raises(IntegrityError):
+                target.insert_many(iter(batch))
+        landed.extend(batch[:bad_at])
+    assert table.rows() == landed
+    assert_structures_fresh(table)
+    assert sql.rows() == landed
+    for column in COLS:
+        assert sql.distinct_values(column) == table.distinct_values(column)
 
 
 def test_table_clear_drops_all_structures():
