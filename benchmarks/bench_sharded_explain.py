@@ -8,10 +8,9 @@ exactly that:
 
 * **single** — :class:`~repro.api.AuditService` on one shard: one
   engine, one ``explain_all`` semijoin pass over the whole log;
-* **sharded** — the same class on ``shards = cpu_count`` (capped),
-  ``executor_kind="process"``: each shard runs its own semijoin pass
-  concurrently in a dedicated worker process; the partitions union in
-  the parent.
+* **sharded** — the same class on ``shards = cpu_count`` (capped):
+  each shard runs its own semijoin pass concurrently in a dedicated
+  worker process; the partitions union in the parent.
 
 Shard construction (partitioning, worker start-up, payload shipping) is
 deliberately *outside* the measured region — it is a once-per-deployment
@@ -89,9 +88,7 @@ def bench_sharded_explain_speedup(report):
     single_seconds = time.perf_counter() - started
 
     # --- sharded scatter-gather (workers up, caches cold) --------------
-    sharded_config = AuditConfig(
-        eager_warm=False, shards=shards, executor_kind="process"
-    )
+    sharded_config = AuditConfig(eager_warm=False, shards=shards)
     with AuditService.open(
         fresh_db(), templates=templates, config=sharded_config
     ) as sharded:

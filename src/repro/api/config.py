@@ -4,7 +4,8 @@
 :meth:`repro.api.AuditService.open` consumes — one place to read a
 deployment's layout (log table, backend, shards, serving fleet) and its
 bounds (plan cache, scan slices, table rows), one dict to put in a
-config file.
+config file.  The shard count is the whole placement: one shard runs
+inline, more run one worker process each.
 """
 
 from __future__ import annotations
@@ -38,18 +39,9 @@ class AuditConfig:
     #: Placement of the one :class:`~repro.api.service.AuditService`:
     #: the number of patient-hash shards.  1 is one in-process shard over
     #: the database itself (no copy, no pool, ops called inline); >1
-    #: partitions the log, each shard database with its own indexes and
-    #: plan cache, on thread or process shards (``executor_kind``).
+    #: partitions the log and pins each shard database, with its own
+    #: indexes and plan cache, to its own worker process.
     shards: int = 1
-    #: Shard executor: ``"thread"`` keeps every shard in-process and
-    #: scatters over a thread pool (cheap, shares the GIL); ``"process"``
-    #: pins each shard to its own worker process (true multi-core
-    #: evaluation; shard state lives in the worker).
-    executor_kind: str = "thread"
-    #: Concurrent scatter width for the thread executor (the process
-    #: executor always runs one worker per shard).  None means one thread
-    #: per shard.
-    parallelism: int | None = None
 
     #: HTTP serving fleet width for ``repro-audit serve`` — number of
     #: worker processes sharing one listening port (SO_REUSEPORT, or a
@@ -102,10 +94,6 @@ class AuditConfig:
             raise ValueError("plan_cache_size must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.executor_kind not in ("thread", "process"):
-            raise ValueError("executor_kind must be 'thread' or 'process'")
-        if self.parallelism is not None and self.parallelism < 1:
-            raise ValueError("parallelism must be >= 1 when given")
         if self.workers is not None and self.workers < 1:
             raise ValueError("workers must be >= 1 when given")
         if self.scan_page_rows < 1:
@@ -119,13 +107,6 @@ class AuditConfig:
             and not self.scan_quantum_seconds > 0
         ):
             raise ValueError("scan_quantum_seconds must be > 0 when given")
-
-    @property
-    def effective_parallelism(self) -> int:
-        """The scatter width the thread executor actually uses."""
-        if self.parallelism is not None:
-            return min(self.parallelism, self.shards)
-        return self.shards
 
     @property
     def effective_workers(self) -> int:

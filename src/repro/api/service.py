@@ -25,10 +25,10 @@ picks the placement:
   partition copy, no pool, ops called inline, and the single gathered
   result returned as-is.  Only this placement mines, builds groups, and
   answers ``explain(wait=False)``;
-* ``shards > 1`` — patient-hash partitions on thread or process shards
-  (``executor_kind``).  Log ids are assigned here, not by the shards, so
-  ingest results are byte-identical to the one-shard service; mining and
-  group inference rewrite the whole database and answer a typed 501.
+* ``shards > 1`` — patient-hash partitions, one worker process per
+  shard.  Log ids are assigned here, not by the shards, so ingest
+  results are byte-identical to the one-shard service; mining and group
+  inference rewrite the whole database and answer a typed 501.
 
 Concurrency model
 -----------------
@@ -52,7 +52,6 @@ from __future__ import annotations
 
 import datetime as dt
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
@@ -224,8 +223,6 @@ class AuditService:
         clock: Callable[[], Any] | None = None,
     ) -> None:
         templates = list(templates)
-        shards: list[LocalShard | ProcessShard] = []
-        pool: ThreadPoolExecutor | None = None
         if config.shards == 1:
             self._attach(db, config, clock, build_shard_state(0, db, templates, config))
         elif isinstance(db, SqlDatabase):
@@ -239,21 +236,8 @@ class AuditService:
             parts = partition_by_patient(
                 db, config.shards, log_table=config.log_table
             )
-            if config.executor_kind == "process":
-                shards.extend(
-                    ProcessShard(i, part, templates, config)
-                    for i, part in enumerate(parts)
-                )
-            else:
-                pool = ThreadPoolExecutor(
-                    max_workers=config.effective_parallelism,
-                    thread_name_prefix="repro-shard",
-                )
-                shards.extend(
-                    LocalShard(build_shard_state(i, part, templates, config), pool)
-                    for i, part in enumerate(parts)
-                )
-            self._attach(db, config, clock, None, shards, pool)
+            procs = [ProcessShard(i, p, templates, config) for i, p in enumerate(parts)]
+            self._attach(db, config, clock, None, procs)
         if config.eager_warm:
             self._warm()
         else:
@@ -267,19 +251,20 @@ class AuditService:
         config: AuditConfig,
         clock: Callable[[], Any] | None,
         local: ShardState | None,
-        shards: list[LocalShard | ProcessShard] | None = None,
-        pool: ThreadPoolExecutor | None = None,
+        procs: Sequence[ProcessShard] = (),
     ) -> None:
         """The state every placement shares; ``local`` is the one shard of
-        a one-shard service (None when sharded)."""
+        a one-shard service (None when sharded), ``procs`` the worker
+        processes of a sharded one."""
         #: On a sharded service, the unpartitioned source as of open time.
         self.db = db
         self.config = config
         self._local = local
-        self._shards: list[LocalShard | ProcessShard] = (
-            [LocalShard(local)] if local is not None else shards or []
+        self._procs = list(procs)
+        #: Every shard in index order: the inline one, or the processes.
+        self._shards: Sequence[LocalShard | ProcessShard] = (
+            [LocalShard(local)] if local is not None else self._procs
         )
-        self._pool = pool
         #: The database the caller handed in; close() closes every other.
         self._given: object = db
         self._clock = clock if clock is not None else dt.datetime.now
@@ -372,8 +357,6 @@ class AuditService:
         self._closed = True
         for shard in self._shards:
             shard.close(self._given)
-        if self._pool is not None:
-            self._pool.shutdown(wait=True, cancel_futures=True)
 
     def __enter__(self) -> "AuditService":
         return self
@@ -418,7 +401,7 @@ class AuditService:
         one-shard service calls the op inline: no pool, no Future."""
         if self._local is not None:
             return [self._shards[0].call(op, *args)]
-        futures = [shard.submit(op, *args) for shard in self._shards]
+        futures = [shard.submit(op, *args) for shard in self._procs]
         return [f.result() for f in futures]
 
     def _on_shard(self, index: int, op: str, *args: Any) -> Any:
@@ -758,9 +741,7 @@ class AuditService:
         last = [per_shard[i]["ingest"] for i in self._last_ingest]
         return {
             "shards": len(per_shard),
-            "executor_kind": (
-                "inline" if self._local is not None else self.config.executor_kind
-            ),
+            "executor_kind": "inline" if self._local is not None else "process",
             "log_rows": sum(s["log_rows"] for s in per_shard),
             "templates": per_shard[0]["templates"],
             "queries_executed": sum(s["queries_executed"] for s in per_shard),
@@ -820,7 +801,7 @@ class AuditService:
                 gathered = {shard: self._on_shard(shard, "ingest_rows", rows)}
             else:
                 futures = {
-                    shard: self._shards[shard].submit("ingest_rows", rows)
+                    shard: self._procs[shard].submit("ingest_rows", rows)
                     for shard, rows in routed.items()
                 }
                 gathered = {shard: f.result() for shard, f in futures.items()}

@@ -9,36 +9,31 @@ locally, and a single node is just the one-shard case.
 
 A shard is a :class:`ShardState` (database, engine, monitor) plus the
 table of op functions over it.  The service writes each facade method
-once, as a scatter of one op followed by a merge, over one of three
-placements (``AuditConfig.shards`` and ``executor_kind``):
+once, as a scatter of one op followed by a merge, over one of two
+placements (``AuditConfig.shards``):
 
 * **one shard** — the state wraps the caller's database as-is: no
   partition copy, no pool, and every op is a plain call on the calling
-  thread;
-* **thread shards** — partitions held in this process, ops scattered
-  over a ``ThreadPoolExecutor``: cheap to open, but CPU-bound evaluation
-  shares the GIL;
+  thread (:class:`LocalShard`);
 * **process shards** — each partition pinned to a dedicated
   single-worker ``ProcessPoolExecutor`` whose initializer builds the
-  state inside the worker: true multi-core evaluation, paid for once by
-  shipping each partition to its worker.
+  state inside the worker (:class:`ProcessShard`): true multi-core
+  evaluation, paid for once by handing each partition to its worker.
 
-Every placement calls the very same op functions, which is what makes
-their equivalence structural rather than a testing aspiration; every op
-returns picklable values.  Shard logs are disjoint, so merging is set
-union, count addition and an order-preserving re-sort.
+There is no thread placement: the join pipeline is pure Python, so
+shards on threads share one GIL and evaluate no faster than one shard
+(``docs/architecture.md`` has the measurement).  Both placements call
+the very same op functions, which is what makes their equivalence
+structural rather than a testing aspiration; every op returns picklable
+values.  Shard logs are disjoint, so merging is set union, count
+addition and an order-preserving re-sort.
 """
 
 from __future__ import annotations
 
 import contextlib
 import multiprocessing as mp
-from concurrent.futures import (
-    BrokenExecutor,
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-)
+from concurrent.futures import BrokenExecutor, Future, ProcessPoolExecutor
 from dataclasses import dataclass
 from collections.abc import Callable, Sequence
 from typing import Any
@@ -251,22 +246,14 @@ _OPS: dict[str, Callable] = {
 # placements
 # ----------------------------------------------------------------------
 class LocalShard:
-    """Shard state in this process.  :meth:`call` runs an op on the
-    calling thread; :meth:`submit` hands it to the service's scatter pool
-    (thread shards only — a one-shard service has no pool)."""
+    """The one shard of a one-shard service: ops run on the calling
+    thread, over the state the service built in this process."""
 
-    def __init__(
-        self, state: ShardState, pool: ThreadPoolExecutor | None = None
-    ) -> None:
+    def __init__(self, state: ShardState) -> None:
         self.state = state
-        self._pool = pool
 
     def call(self, op: str, *args: Any) -> Any:
         return _OPS[op](self.state, *args)
-
-    def submit(self, op: str, *args: Any) -> Future:
-        assert self._pool is not None, "a one-shard service calls ops inline"
-        return self._pool.submit(_OPS[op], self.state, *args)
 
     def close(self, keep: object) -> None:
         """Close the shard's database, unless it is ``keep``: the

@@ -193,11 +193,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     — each slice its own short lock hold, the preemptable path a busy
     deployment serves over ``GET /v1/scan``.
     """
-    config = AuditConfig(
-        shards=args.shards,
-        executor_kind=args.executor_kind,
-        **_backend_config(args),
-    )
+    config = AuditConfig(shards=args.shards, **_backend_config(args))
     with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
@@ -228,11 +224,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """``evaluate``: the paper's headline coverage measurement."""
-    config = AuditConfig(
-        shards=args.shards,
-        executor_kind=args.executor_kind,
-        **_backend_config(args),
-    )
+    config = AuditConfig(shards=args.shards, **_backend_config(args))
     with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
@@ -249,8 +241,8 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: the v1 wire API over an opened service.
 
-    ``--shards N --executor-kind process`` places the service on N
-    process shards transparently — the wire contract is identical.  ``--port 0``
+    ``--shards N`` places the service on N process shards
+    transparently — the wire contract is identical.  ``--port 0``
     binds an ephemeral port; the ``listening on http://...`` line names
     it (scripts parse that line).  SIGINT/SIGTERM shut down cleanly
     (graceful drain: in-flight requests finish, new dials are refused).
@@ -263,7 +255,6 @@ def cmd_serve(args: argparse.Namespace) -> int:
 
     config = AuditConfig(
         shards=args.shards,
-        executor_kind=args.executor_kind,
         workers=args.workers,
         **_backend_config(args),
     )
@@ -283,8 +274,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
                 db, templates=templates, config=config.replace(workers=None)
             ).close()
         # Each worker opens its own replica post-fork — never share one
-        # live service (thread pools, locks, shard subprocesses) across
-        # server processes.
+        # live service (locks, shard subprocesses) across server processes.
         return run_fleet(
             lambda: AuditService.open(db, templates=templates, config=config),
             host=args.host,
@@ -365,22 +355,14 @@ def _backend_config(args: argparse.Namespace) -> dict:
 
 
 def _add_sharding_args(p: argparse.ArgumentParser) -> None:
-    """The scatter-gather knobs shared by audit/evaluate."""
+    """The ``--shards`` flag shared by audit/evaluate/serve."""
     p.add_argument(
         "--shards",
         type=int,
         default=1,
-        help="hash-partition the log by patient into N shards and "
-        "scatter-gather evaluation over them (1 = one in-process shard "
-        "over the database itself)",
-    )
-    p.add_argument(
-        "--executor-kind",
-        choices=["thread", "process"],
-        default="thread",
-        help="shard executor: 'thread' keeps shards in-process, "
-        "'process' pins each shard to its own worker process "
-        "(multi-core evaluation)",
+        help="hash-partition the log by patient into N shards, one worker "
+        "process each, and scatter-gather evaluation over them (1 = one "
+        "in-process shard over the database itself)",
     )
 
 

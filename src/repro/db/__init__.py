@@ -50,7 +50,7 @@ from .query import (
     canonical_query_signature,
 )
 from .schema import Column, ColumnType, ForeignKey, TableSchema
-from .sharding import partition_by_patient, shard_of, shard_row_counts
+from .sharding import partition_by_patient, shard_of
 from .parser import parse_query, template_from_sql
 from .sql import render_query, render_query_reduced
 from .sqlbackend import (
@@ -107,7 +107,6 @@ __all__ = [
     "partition_by_patient",
     "query_shape",
     "shard_of",
-    "shard_row_counts",
     "shared_plan_cache",
     "parse_query",
     "read_table_csv",

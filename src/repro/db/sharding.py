@@ -12,9 +12,9 @@ clinical event tables.
 into ``n`` shard databases.  Each shard owns a private ``Log``
 :class:`~repro.db.table.Table` (with its own hash indexes, distinct
 projections, and delta maintenance), while the non-log tables are shared
-by reference — they are read-only under the auditing workload, and a
-process-pool backend deep-copies them implicitly when the shard payload
-is pickled into its worker.
+by reference with the source until the shard reaches its worker process,
+which holds its own copy from then on (inherited at fork, or unpickled
+under spawn).
 
 The shard function must be stable across processes and Python
 invocations (``PYTHONHASHSEED`` randomizes ``hash`` for strings), so it
@@ -54,10 +54,10 @@ def partition_by_patient(
 
     Each shard database holds its own :class:`Table` for ``log_table``
     (rows whose ``patient_attr`` hashes to the shard, insertion order
-    preserved) and shares every other table object with the original.
-    The union of the shard logs is exactly the original log; shards are
-    disjoint.  ``n_shards=1`` still builds a private log copy so the
-    single-shard service never aliases the caller's table.
+    preserved) and shares every other table object with the original, by
+    reference, until it is handed to a worker process.  The union of the
+    shard logs is exactly the original log; shards are disjoint.  Every
+    shard's log is a copy, ``n_shards=1`` included.
     """
     log = db.table(log_table)
     patient_i = log.schema.column_index(patient_attr)
@@ -76,19 +76,3 @@ def partition_by_patient(
                 shard_db.add_table(db.table(name))
         shards.append(shard_db)
     return shards
-
-
-def shard_row_counts(
-    db: Database,
-    n_shards: int,
-    log_table: str = "Log",
-    patient_attr: str = "Patient",
-) -> list[int]:
-    """Log rows per shard under :func:`partition_by_patient` (a skew
-    diagnostic — no shard databases are built)."""
-    log = db.table(log_table)
-    patient_i = log.schema.column_index(patient_attr)
-    counts = [0] * n_shards
-    for row in log.rows():
-        counts[shard_of(row[patient_i], n_shards)] += 1
-    return counts

@@ -369,20 +369,11 @@ def template_stability(
 # ----------------------------------------------------------------------
 # headline: overall coverage ("over 94% of accesses")
 # ----------------------------------------------------------------------
-def overall_coverage(
-    study: CareWebStudy,
-    group_depth: int = 1,
-    shards: int = 1,
-    executor_kind: str = "thread",
-) -> float:
+def overall_coverage(study: CareWebStudy, group_depth: int = 1) -> float:
     """Fraction of all accesses explained by appointments, visits,
     documents, repeat accesses, and depth-``group_depth`` collaborative
     groups — the paper's headline number (Section 5.3.2: "we are able to
     explain over 94% of all accesses").
-
-    ``shards > 1`` computes the same number on patient-hash shards
-    evaluated concurrently (counts add across disjoint shards) — the
-    placement is invisible to the metric.
     """
     graph = study.graph
     templates = dataset_a_doctor_templates(graph)
@@ -390,7 +381,6 @@ def overall_coverage(
     templates.extend(group_templates(graph, depth=group_depth))
     # One set-at-a-time pass through the public API: opening the service
     # warms the aggregates via one batch semijoin per template
-    # (ExplanationEngine.explain_all under the hood, on every shard).
-    config = AuditConfig(shards=shards, executor_kind=executor_kind)
-    with AuditService.open(study.db, templates=templates, config=config) as service:
+    # (ExplanationEngine.explain_all under the hood).
+    with AuditService.open(study.db, templates=templates) as service:
         return service.coverage()

@@ -134,8 +134,8 @@ class FleetSupervisor:
     ``service_factory`` must be a zero-argument callable invoked *inside*
     each worker process (picklable on spawn-only platforms; any callable
     under ``fork``).  Passing an already-open service object is rejected:
-    a live service carries thread pools, locks, and possibly per-shard
-    subprocesses that cannot be shared across worker processes.
+    a live service carries locks, and possibly per-shard subprocesses,
+    that cannot be shared across worker processes.
     """
 
     def __init__(
@@ -151,7 +151,7 @@ class FleetSupervisor:
             raise InvalidRequestError(
                 "multi-worker serving needs a zero-argument service "
                 "*factory*, not an open service instance: a live "
-                "in-process service (thread pools, RW locks, per-shard "
+                "in-process service (RW locks, per-shard "
                 "worker processes) cannot be shared across server "
                 "processes. Pass e.g. `lambda: open_service(db, "
                 "templates, config=config)` so each worker opens its own "

@@ -24,8 +24,6 @@ class TestAuditConfig:
             plan_cache_size=7,
             alert_on_unexplained=False,
             shards=3,
-            executor_kind="process",
-            parallelism=2,
             scan_page_rows=64,
             backend="sqlite",
             db_path="audit.db",
@@ -82,7 +80,6 @@ class TestAuditConfig:
             {"log_id_attr": ""},
             {"shards": 0},
             {"plan_cache_size": 0},
-            {"executor_kind": "fiber"},
         ],
     )
     def test_validation(self, kwargs):
@@ -177,7 +174,8 @@ class TestConfigDrivesService:
 
 
 #: ``AuditConfig().to_dict()`` as stored by a build whose config still
-#: carried the seven evaluation-path toggles.
+#: carried the seven evaluation-path toggles and the two thread-shard
+#: knobs.
 STORED_21_KEY_CONFIG = {
     "log_table": "Log",
     "log_id_attr": "Lid",
@@ -204,7 +202,9 @@ STORED_21_KEY_CONFIG = {
 REMOVED_TOGGLES = [
     "batch_ingest",
     "distinct_reduction",
+    "executor_kind",
     "incremental_ingest",
+    "parallelism",
     "predicate_pushdown",
     "semijoin_batch_min",
     "use_batch_path",
@@ -227,3 +227,16 @@ class TestStoredConfigCompatibility:
         with pytest.raises(ValueError) as raised:
             AuditConfig.from_dict(STORED_21_KEY_CONFIG)
         assert str(REMOVED_TOGGLES) in str(raised.value)
+
+    def test_lenient_load_of_a_thread_shard_config_opens_process_shards(
+        self, hospital_db
+    ):
+        with pytest.warns(UserWarning, match="executor_kind"):
+            config = AuditConfig.from_dict(
+                {"shards": 4, "executor_kind": "thread"}, strict=False
+            )
+        assert config == AuditConfig(shards=4)
+        with AuditService.open(hospital_db, templates=(), config=config) as service:
+            stats = service.stats()
+        assert stats["executor_kind"] == "process"
+        assert stats["shards"] == len(stats["per_shard"]) == 4

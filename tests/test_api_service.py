@@ -348,11 +348,10 @@ class TestPlacement:
         assert groups.group_rows == len(db.table("Groups")) > 0
         assert service.stats()["executor_kind"] == "inline"
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_sharded_refuses_whole_database_writers(self, kind):
+    def test_sharded_refuses_whole_database_writers(self):
         from repro.api import UnsupportedOperationError
 
-        config = AuditConfig(shards=2, executor_kind=kind)
+        config = AuditConfig(shards=2)
         with AuditService.open(
             _build_hospital(), templates=_templates(_build_hospital()), config=config
         ) as service:

@@ -266,3 +266,15 @@ class TestParser:
     def test_unknown_command_rejected(self):
         with pytest.raises(SystemExit):
             main(["bogus"])
+
+    @pytest.mark.parametrize("command", ["audit", "evaluate", "serve"])
+    def test_executor_kind_flag_is_gone(self, dbdir, command, capsys):
+        """``--shards N`` alone picks process shards; there is no
+        executor flag left to pass.  (``--shards 0`` makes a parser that
+        still took the flag fail at config validation, not serve.)"""
+        with pytest.raises(SystemExit) as exited:
+            main(
+                [command, "--db", dbdir, "--shards", "0", "--executor-kind", "process"]
+            )
+        assert exited.value.code == 2
+        assert "unrecognized arguments: --executor-kind" in capsys.readouterr().err

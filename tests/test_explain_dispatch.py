@@ -118,29 +118,24 @@ class TestNonWaitingExplain:
             assert svc.explain(3, wait=False) is None
             assert svc.explain(3).lid == 3
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_declines_on_shards(self, tiny_db, kind):
-        config = AuditConfig(shards=2, executor_kind=kind)
+    def test_declines_on_shards(self, tiny_db):
+        config = AuditConfig(shards=2)
         with open_service(tiny_db, config=config) as svc:
             assert svc.explain(3, wait=False) is None
             assert svc.explain(3).lid == 3
 
-    @pytest.mark.parametrize("kind", ["thread", "process"])
-    def test_one_shard_answers_inline_without_a_pool(self, tiny_db, kind, monkeypatch):
+    def test_one_shard_answers_inline_without_a_pool(self, tiny_db, monkeypatch):
         """One shard is the caller's database with its ops called on the
-        calling thread, whatever ``executor_kind`` says: no pool, no
-        partition copy."""
+        calling thread: no worker process, no partition copy."""
         import repro.api.service as service_mod
         import repro.api.sharded as sharded_mod
 
         def forbidden(*args, **kwargs):
             raise AssertionError("a one-shard service builds no pool or partition")
 
-        monkeypatch.setattr(service_mod, "ThreadPoolExecutor", forbidden)
         monkeypatch.setattr(service_mod, "partition_by_patient", forbidden)
         monkeypatch.setattr(sharded_mod, "ProcessPoolExecutor", forbidden)
-        config = AuditConfig(executor_kind=kind)
-        with open_service(tiny_db, config=config) as svc:
+        with open_service(tiny_db) as svc:
             assert svc.db is tiny_db
             for lid in LIDS:
                 assert svc.explain(lid, wait=False) == svc.explain(lid)

@@ -1,8 +1,8 @@
 """Differential suite: every placement of the service must be
 indistinguishable from a bare engine over the unpartitioned log.
 
-For every shard count in {1, 2, 7} and both executor kinds
-("thread", "process"), `AuditService` must return results byte-identical
+For every shard count in {1, 2, 7} (one inline shard, or one worker
+process per shard), `AuditService` must return results byte-identical
 (via ``to_dict()`` / set equality) to :class:`Reference` — an
 ``ExplanationEngine`` and ``AccessMonitor`` over the same database,
 rendered through the same message dataclasses — for explain_all,
@@ -42,7 +42,6 @@ from repro.core.engine import SEMIJOIN_BATCH_MIN, ExplanationEngine
 from repro.ehr import SimulationConfig, simulate
 
 SHARD_COUNTS = (1, 2, 7)
-EXECUTOR_KINDS = ("thread", "process")
 
 
 def _fresh_db():
@@ -184,10 +183,9 @@ def reference():
     return Reference()
 
 
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_sharded_reads_identical(reference, shards, kind):
-    config = AuditConfig(shards=shards, executor_kind=kind)
+def test_sharded_reads_identical(reference, shards):
+    config = AuditConfig(shards=shards)
     with AuditService.open(_fresh_db(), config=config) as sharded:
         # aggregate views
         assert sharded.coverage() == reference.coverage()
@@ -225,13 +223,12 @@ def test_sharded_reads_identical(reference, shards, kind):
         assert sharded.templates() == reference.templates()
 
 
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", (1, 2))
-def test_sqlite_backend_sharded_reads_identical(reference, shards, kind):
+def test_sqlite_backend_sharded_reads_identical(reference, shards):
     """The SQLite backend under sharding: every shard converts its
     partition to a private (in-memory) SQLite database, and every read
     surface stays byte-identical to the single-node memory service."""
-    config = AuditConfig(shards=shards, executor_kind=kind, backend="sqlite")
+    config = AuditConfig(shards=shards, backend="sqlite")
     with open_service(_fresh_db(), config=config) as service:
         assert service.coverage() == reference.coverage()
         assert service.unexplained_lids() == reference.unexplained_lids()
@@ -272,11 +269,10 @@ def test_sqlite_backend_sharded_ingest_identical(shards):
         assert service.report().to_dict() == base.report().to_dict()
 
 
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
 @pytest.mark.parametrize("shards", (2, 7))
-def test_sharded_ingest_identical(shards, kind):
+def test_sharded_ingest_identical(shards):
     base = Reference(clock=_ticking_clock())
-    config = AuditConfig(shards=shards, executor_kind=kind)
+    config = AuditConfig(shards=shards)
     with AuditService.open(
         _fresh_db(), config=config, clock=_ticking_clock()
     ) as sharded:
@@ -297,13 +293,12 @@ def test_sharded_ingest_identical(shards, kind):
         assert sharded.unexplained_lids() == base.unexplained_lids()
 
 
-@pytest.mark.parametrize("kind", EXECUTOR_KINDS)
-def test_sharded_batch_semijoin_ingest_identical(kind):
+def test_sharded_batch_semijoin_ingest_identical():
     """The batch-semijoin ingest strategy survives sharding: each of the
     four patients has SEMIJOIN_BATCH_MIN rows in the batch, so every shard
     that owns one maintains its share by semijoin."""
     base = Reference(clock=_ticking_clock())
-    sharded_config = AuditConfig(shards=3, executor_kind=kind)
+    sharded_config = AuditConfig(shards=3)
     with AuditService.open(
         _fresh_db(), config=sharded_config, clock=_ticking_clock()
     ) as sharded:
@@ -318,16 +313,14 @@ def test_sharded_batch_semijoin_ingest_identical(kind):
 
 
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-@pytest.mark.parametrize(
-    "shards,kind", [(1, "thread"), (2, "thread"), (2, "process")]
-)
-def test_failed_mid_batch_ingest_keeps_engine_in_step_with_log(shards, kind, backend):
+@pytest.mark.parametrize("shards", (1, 2))
+def test_failed_mid_batch_ingest_keeps_engine_in_step_with_log(shards, backend):
     """Row 3 of 4 is rejected: rows 1-2 stay in the log table, so the
     engine must hear of them — coverage, the lid universe and the
     unexplained queue all count them — before the error propagates."""
     from repro.db.errors import IntegrityError
 
-    config = AuditConfig(shards=shards, executor_kind=kind, backend=backend)
+    config = AuditConfig(shards=shards, backend=backend)
     with open_service(_fresh_db(), config=config) as service:
         before = service.stats()["log_rows"]
         patient = _sample_patients(_fresh_db(), k=1)[0]  # one owning shard
@@ -406,7 +399,7 @@ def test_sharded_stats_aggregate(reference):
     ) as sharded:
         stats = sharded.stats()
         assert stats["shards"] == 4
-        assert stats["executor_kind"] == "thread"
+        assert stats["executor_kind"] == "process"
         assert stats["log_rows"] == reference.log_rows()
         assert len(stats["per_shard"]) == 4
         assert stats["ingest"] is None  # nothing ingested yet
@@ -456,36 +449,72 @@ def test_cli_audit_json_identical_across_shards(tmp_path, capsys):
     save_database(_fresh_db(), db_dir)
     assert main(["audit", "--db", db_dir, "--json"]) == 0
     single_out = capsys.readouterr().out
-    sharded_args = ["--shards", "3", "--executor-kind", "thread"]
-    assert main(["audit", "--db", db_dir, "--json"] + sharded_args) == 0
+    assert main(["audit", "--db", db_dir, "--json", "--shards", "3"]) == 0
     assert capsys.readouterr().out == single_out
     assert main(["evaluate", "--db", db_dir, "--json", "--shards", "2"]) == 0
     assert "coverage" in capsys.readouterr().out
+
+
+def test_more_than_one_shard_means_process_shards(tmp_path, monkeypatch):
+    """``shards > 1`` places one worker process per shard, whether the
+    config comes from Python or from ``repro-audit audit --shards``."""
+    from repro import cli
+    from repro.api import save_database
+
+    with AuditService.open(_fresh_db(), config=AuditConfig(shards=2)) as service:
+        assert service.stats()["executor_kind"] == "process"
+
+    kinds = []
+
+    class Recording(AuditService):
+        def report(self, limit=None):
+            kinds.append(self.stats()["executor_kind"])
+            return super().report(limit)
+
+    monkeypatch.setattr(cli, "AuditService", Recording)
+    db_dir = str(tmp_path / "hospital")
+    save_database(_fresh_db(), db_dir)
+    assert cli.main(["audit", "--db", db_dir, "--shards", "2"]) == 0
+    assert kinds == ["process"]
 
 
 @pytest.mark.parametrize("shards", (1, 2))
 def test_close_closes_every_database_the_service_opened(
     tmp_path, monkeypatch, shards
 ):
-    """Each shard's SQLite database closes with the service — thread
-    shards included — while a database the caller passed in stays open."""
+    """Each shard's SQLite database closes with the service — the one
+    inline shard's and every worker process's — while a database the
+    caller passed in stays open.  Closes are logged to a file, so a shard
+    worker (forked with the patched driver) reports its own."""
+    from repro.api.sharded import _mp_context
     from repro.db.drivers.sqlite import SqliteDriver
+    from repro.db.sqlbackend import shard_db_path
 
-    drivers = []
-    init = SqliteDriver.__init__
+    if shards > 1 and _mp_context() is None:
+        pytest.skip("shard workers inherit the patched driver only under fork")
+    closes = tmp_path / "closes.log"
+    close = SqliteDriver.close
 
-    def recording_init(self, *args, **kwargs):
-        init(self, *args, **kwargs)
-        drivers.append(self)
+    def recording_close(self):
+        stats = self.snapshot_stats()
+        with open(closes, "a") as log:
+            log.write(f"{stats['path']} connected={stats['connected']}\n")
+        close(self)
 
-    monkeypatch.setattr(SqliteDriver, "__init__", recording_init)
-    config = AuditConfig(
-        shards=shards, backend="sqlite", db_path=str(tmp_path / "audit.db")
-    )
+    monkeypatch.setattr(SqliteDriver, "close", recording_close)
+    db_path = str(tmp_path / "audit.db")
+    config = AuditConfig(shards=shards, backend="sqlite", db_path=db_path)
     service = open_service(_fresh_db(), config=config)
-    assert [d.snapshot_stats()["connected"] for d in drivers] == [True] * shards
+    assert not closes.exists()
     service.close()
-    assert [d.snapshot_stats()["connected"] for d in drivers] == [False] * shards
+    paths = (
+        [db_path]
+        if shards == 1
+        else [shard_db_path(db_path, i) for i in range(shards)]
+    )
+    assert sorted(closes.read_text().splitlines()) == [
+        f"{path} connected=True" for path in sorted(paths)
+    ]
 
     given = open_sql_database(_fresh_db(), None)
     with AuditService.open(given, config=AuditConfig(backend="sqlite")):
@@ -509,16 +538,13 @@ STATS_KEYS = (
 )
 
 
-@pytest.mark.parametrize(
-    "shards,kind", [(1, "thread"), (2, "thread"), (1, "process"), (2, "process")]
-)
+@pytest.mark.parametrize("shards,kind", [(1, "inline"), (2, "process")])
 def test_stats_has_one_shape_at_every_placement(shards, kind):
-    """The same keys at every shard count and executor kind, before and
-    after ingest; ingest counters add and averages recompute."""
-    with AuditService.open(
-        _fresh_db(), config=AuditConfig(shards=shards, executor_kind=kind)
-    ) as service:
+    """The same keys at every placement, before and after ingest; ingest
+    counters add and averages recompute."""
+    with AuditService.open(_fresh_db(), config=AuditConfig(shards=shards)) as service:
         before = service.stats()
+        assert before["executor_kind"] == kind
         assert before["ingest"] is None
         assert before["shards"] == shards
         assert len(before["per_shard"]) == shards

@@ -10,7 +10,7 @@ import pytest
 
 from repro.api import AuditConfig
 from repro.core import ExplanationEngine
-from repro.db import partition_by_patient, shard_of, shard_row_counts
+from repro.db import partition_by_patient, shard_of
 
 sys.path.insert(
     0, os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks")
@@ -70,38 +70,18 @@ def test_partition_single_shard_still_copies_log(fig3_db):
     assert shard.table("Log").rows() == fig3_db.table("Log").rows()
 
 
-def test_shard_row_counts_matches_partition(fig3_db):
-    counts = shard_row_counts(fig3_db, 3)
-    shards = partition_by_patient(fig3_db, 3)
-    assert counts == [len(s.table("Log")) for s in shards]
-    assert sum(counts) == len(fig3_db.table("Log"))
-
-
 # ----------------------------------------------------------------------
 # config knobs
 # ----------------------------------------------------------------------
 def test_config_sharding_defaults_round_trip():
-    config = AuditConfig(shards=4, executor_kind="process", parallelism=2)
+    config = AuditConfig(shards=4)
     assert AuditConfig.from_dict(config.to_dict()) == config
 
 
-@pytest.mark.parametrize(
-    "kwargs",
-    [
-        {"shards": 0},
-        {"executor_kind": "fiber"},
-        {"parallelism": 0},
-    ],
-)
+@pytest.mark.parametrize("kwargs", [{"shards": 0}])
 def test_config_rejects_bad_sharding_knobs(kwargs):
     with pytest.raises(ValueError):
         AuditConfig(**kwargs)
-
-
-def test_effective_parallelism_caps_at_shards():
-    assert AuditConfig(shards=4).effective_parallelism == 4
-    assert AuditConfig(shards=4, parallelism=2).effective_parallelism == 2
-    assert AuditConfig(shards=2, parallelism=16).effective_parallelism == 2
 
 
 # ----------------------------------------------------------------------
