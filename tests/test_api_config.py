@@ -86,6 +86,11 @@ class TestAuditConfig:
         with pytest.raises(ValueError):
             AuditConfig(**kwargs)
 
+    def test_has_no_thread_placement_knobs(self):
+        names = {f.name for f in dataclasses.fields(AuditConfig)}
+        assert not names & {"executor_kind", "parallelism"}
+        assert not hasattr(AuditConfig(shards=4), "effective_parallelism")
+
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
             AuditConfig().plan_cache_size = 5
@@ -227,6 +232,17 @@ class TestStoredConfigCompatibility:
         with pytest.raises(ValueError) as raised:
             AuditConfig.from_dict(STORED_21_KEY_CONFIG)
         assert str(REMOVED_TOGGLES) in str(raised.value)
+
+    @pytest.mark.parametrize(
+        "key,value", [("executor_kind", "process"), ("parallelism", 2)]
+    )
+    def test_a_removed_shard_knob_alone_is_named_or_dropped(self, key, value):
+        stored = {"shards": 2, key: value}
+        with pytest.raises(ValueError, match=key):
+            AuditConfig.from_dict(stored)
+        with pytest.warns(UserWarning, match=key):
+            config = AuditConfig.from_dict(stored, strict=False)
+        assert config == AuditConfig(shards=2)
 
     def test_lenient_load_of_a_thread_shard_config_opens_process_shards(
         self, hospital_db

@@ -10,7 +10,7 @@ coverage, reports, per-access explanation, mining support, and stay
 identical after incremental ``ingest_many``/``ingest`` with
 service-assigned global log ids.
 
-The SQLite storage backend rides the same treatment: at shards {1, 2}
+The SQLite storage backend rides the same treatment: at shards {1, 2, 7}
 every read and ingest surface must match the in-memory reference
 byte-identically.
 """
@@ -223,7 +223,7 @@ def test_sharded_reads_identical(reference, shards):
         assert sharded.templates() == reference.templates()
 
 
-@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sqlite_backend_sharded_reads_identical(reference, shards):
     """The SQLite backend under sharding: every shard converts its
     partition to a private (in-memory) SQLite database, and every read
@@ -248,7 +248,7 @@ def test_sqlite_backend_sharded_reads_identical(reference, shards):
         assert service.support_many(templates) == reference.support_many(templates)
 
 
-@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sqlite_backend_sharded_ingest_identical(shards):
     """Ingest through the SQLite backend (single-node and sharded)
     matches the memory reference: ids, dates, explanations, alerts."""
@@ -269,7 +269,7 @@ def test_sqlite_backend_sharded_ingest_identical(shards):
         assert service.report().to_dict() == base.report().to_dict()
 
 
-@pytest.mark.parametrize("shards", (2, 7))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_sharded_ingest_identical(shards):
     base = Reference(clock=_ticking_clock())
     config = AuditConfig(shards=shards)
@@ -293,12 +293,53 @@ def test_sharded_ingest_identical(shards):
         assert sharded.unexplained_lids() == base.unexplained_lids()
 
 
-def test_sharded_batch_semijoin_ingest_identical():
+#: The smallest shard count at which the tiny world leaves a shard with
+#: no patient (its 36 patients hash into 10 of 11 shards).
+EMPTY_SHARD_COUNT = 11
+
+
+def test_a_shard_without_patients_merges_and_ingests_identically(reference):
+    """A worker whose partition holds no log row answers every read with
+    nothing, the merges stay byte-identical, and the first patient routed
+    to it lands there and is audited like anywhere else."""
+    from repro.db import shard_of
+
+    base = Reference(clock=_ticking_clock())
+    config = AuditConfig(shards=EMPTY_SHARD_COUNT)
+    with AuditService.open(
+        _fresh_db(), config=config, clock=_ticking_clock()
+    ) as sharded:
+        rows = [s["log_rows"] for s in sharded.stats()["per_shard"]]
+        assert rows.count(0) == 1
+        empty = rows.index(0)
+        assert sharded.coverage() == reference.coverage()
+        assert sharded.report().to_dict() == reference.report().to_dict()
+        ours = sharded.explain_all()
+        assert ours.explained == reference.explain_all().explained
+        assert ours.unexplained == reference.explain_all().unexplained
+        newcomer = next(
+            p
+            for p in (f"newcomer-{i}" for i in range(1000))
+            if shard_of(p, EMPTY_SHARD_COUNT) == empty
+        )
+        batch = [("u0001", newcomer, None), ("u0001", newcomer, None)]
+        ours = [r.to_dict() for r in sharded.ingest_many(batch)]
+        assert ours == [r.to_dict() for r in base.ingest_many(batch)]
+        assert sharded.stats()["per_shard"][empty]["log_rows"] == 2
+        assert sharded.report().to_dict() == base.report().to_dict()
+        assert (
+            sharded.patient_report(newcomer).to_dict()
+            == base.patient_report(newcomer).to_dict()
+        )
+
+
+@pytest.mark.parametrize("shards", (1, 3))
+def test_sharded_batch_semijoin_ingest_identical(shards):
     """The batch-semijoin ingest strategy survives sharding: each of the
     four patients has SEMIJOIN_BATCH_MIN rows in the batch, so every shard
     that owns one maintains its share by semijoin."""
     base = Reference(clock=_ticking_clock())
-    sharded_config = AuditConfig(shards=3)
+    sharded_config = AuditConfig(shards=shards)
     with AuditService.open(
         _fresh_db(), config=sharded_config, clock=_ticking_clock()
     ) as sharded:
@@ -313,7 +354,7 @@ def test_sharded_batch_semijoin_ingest_identical():
 
 
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_failed_mid_batch_ingest_keeps_engine_in_step_with_log(shards, backend):
     """Row 3 of 4 is rejected: rows 1-2 stay in the log table, so the
     engine must hear of them — coverage, the lid universe and the
@@ -369,9 +410,10 @@ def test_capacity_error_mid_batch_keeps_engine_in_step_with_log():
     assert ingest["last_ingest_seconds"] > 0
 
 
-def test_sharded_alerts_fire_in_ingest_order():
+@pytest.mark.parametrize("shards", (1, 3))
+def test_sharded_alerts_fire_in_ingest_order(shards):
     events = []
-    config = AuditConfig(shards=3)
+    config = AuditConfig(shards=shards)
     with AuditService.open(_fresh_db(), config=config) as sharded:
         sharded.on_alert(lambda r: events.append(r.lid))
         results = sharded.ingest_many(
@@ -382,9 +424,10 @@ def test_sharded_alerts_fire_in_ingest_order():
         assert len(events) == 4  # ghost patients have no explanations
 
 
-def test_sharded_add_templates_broadcasts(reference):
+@pytest.mark.parametrize("shards", (1, 3))
+def test_sharded_add_templates_broadcasts(reference, shards):
     with AuditService.open(
-        _fresh_db(), templates=(), config=AuditConfig(shards=3)
+        _fresh_db(), templates=(), config=AuditConfig(shards=shards)
     ) as sharded:
         before = sharded.coverage()
         assert before == 0.0
@@ -441,7 +484,8 @@ def test_open_service_opens_the_one_service_class():
         assert type(sharded) is AuditService and sharded.shards == 2
 
 
-def test_cli_audit_json_identical_across_shards(tmp_path, capsys):
+@pytest.mark.parametrize("shards", (2, 3, 7))
+def test_cli_audit_json_identical_across_shards(tmp_path, capsys, shards):
     from repro.api import save_database
     from repro.cli import main
 
@@ -449,9 +493,9 @@ def test_cli_audit_json_identical_across_shards(tmp_path, capsys):
     save_database(_fresh_db(), db_dir)
     assert main(["audit", "--db", db_dir, "--json"]) == 0
     single_out = capsys.readouterr().out
-    assert main(["audit", "--db", db_dir, "--json", "--shards", "3"]) == 0
+    assert main(["audit", "--db", db_dir, "--json", "--shards", str(shards)]) == 0
     assert capsys.readouterr().out == single_out
-    assert main(["evaluate", "--db", db_dir, "--json", "--shards", "2"]) == 0
+    assert main(["evaluate", "--db", db_dir, "--json", "--shards", str(shards)]) == 0
     assert "coverage" in capsys.readouterr().out
 
 
@@ -478,7 +522,7 @@ def test_more_than_one_shard_means_process_shards(tmp_path, monkeypatch):
     assert kinds == ["process"]
 
 
-@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_close_closes_every_database_the_service_opened(
     tmp_path, monkeypatch, shards
 ):
@@ -538,7 +582,9 @@ STATS_KEYS = (
 )
 
 
-@pytest.mark.parametrize("shards,kind", [(1, "inline"), (2, "process")])
+@pytest.mark.parametrize(
+    "shards,kind", [(1, "inline"), (2, "process"), (7, "process")]
+)
 def test_stats_has_one_shape_at_every_placement(shards, kind):
     """The same keys at every placement, before and after ingest; ingest
     counters add and averages recompute."""
@@ -562,11 +608,15 @@ def test_stats_has_one_shape_at_every_placement(shards, kind):
     assert ingest["last_ingest_queries"] > 0
 
 
-def test_explain_merge_ranks_what_every_shard_returns(reference, monkeypatch):
+@pytest.mark.parametrize("shards", (2, 3))
+def test_explain_merge_ranks_what_every_shard_returns(
+    reference, monkeypatch, shards
+):
     """The explain merge ranks the union of the shards' answers instead of
     trusting that only the owner answers: with overlapping partitions
-    (both shards hold the whole log) each instance arrives twice, and the
-    merged list is the reference ranking with every entry doubled."""
+    (every shard holds the whole log) each instance arrives once per
+    shard, and the merged list is the reference ranking with every entry
+    repeated that many times."""
     import repro.api.service as service_mod
 
     monkeypatch.setattr(
@@ -577,7 +627,9 @@ def test_explain_merge_ranks_what_every_shard_returns(reference, monkeypatch):
         for lid in sorted(reference.engine.all_lids())
         if len(reference.explain(lid).explanations) > 1
     )
-    with AuditService.open(_fresh_db(), config=AuditConfig(shards=2)) as service:
+    with AuditService.open(
+        _fresh_db(), config=AuditConfig(shards=shards)
+    ) as service:
         merged = service.explain(lid).explanations
     expected = reference.explain(lid).explanations
-    assert merged == tuple(view for view in expected for _ in range(2))
+    assert merged == tuple(view for view in expected for _ in range(shards))

@@ -78,7 +78,7 @@ def test_config_sharding_defaults_round_trip():
     assert AuditConfig.from_dict(config.to_dict()) == config
 
 
-@pytest.mark.parametrize("kwargs", [{"shards": 0}])
+@pytest.mark.parametrize("kwargs", [{"shards": 0}, {"shards": -1}])
 def test_config_rejects_bad_sharding_knobs(kwargs):
     with pytest.raises(ValueError):
         AuditConfig(**kwargs)
