@@ -19,43 +19,12 @@ def dotted_name(node: ast.expr) -> str | None:
     return ".".join(reversed(parts))
 
 
-def attribute_root(node: ast.expr) -> str | None:
-    """The base name of an attribute/subscript chain: ``self`` for
-    ``self._cache[k].x``, ``db`` for ``db.table(...)``."""
-    cur: ast.expr = node
-    while isinstance(cur, (ast.Attribute, ast.Subscript)):
-        cur = cur.value
-    if isinstance(cur, ast.Name):
-        return cur.id
-    return None
-
-
-def self_attribute(node: ast.expr) -> str | None:
-    """``'self._cache'`` for a chain rooted at ``self``, else None.
-
-    Subscripts are transparent, so ``self._cache[k]`` and
-    ``self._shards[i]._engine`` both resolve (to their dotted spine)."""
-    parts: list[str] = []
-    cur: ast.expr = node
-    while True:
-        if isinstance(cur, ast.Attribute):
-            parts.append(cur.attr)
-            cur = cur.value
-        elif isinstance(cur, ast.Subscript):
-            cur = cur.value
-        else:
-            break
-    if isinstance(cur, ast.Name) and cur.id == "self" and parts:
-        return "self." + ".".join(reversed(parts))
-    return None
-
-
 def rooted_attribute(node: ast.expr) -> tuple[str, str] | None:
     """``('svc', 'svc._cache')`` for an attribute/subscript chain rooted
-    at any plain name — the generalization of :func:`self_attribute` the
-    flow rules use to track state owned by *parameters* as well as
-    ``self``.  Requires at least one attribute hop (a bare local name is
-    not shared state)."""
+    at any plain name, so the flow rules track state owned by
+    *parameters* as well as ``self``.  Subscripts are transparent
+    (``self._cache[k]`` resolves to ``self._cache``).  Requires at least
+    one attribute hop (a bare local name is not shared state)."""
     parts: list[str] = []
     cur: ast.expr = node
     while True:

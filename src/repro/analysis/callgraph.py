@@ -424,8 +424,8 @@ class CallGraph:
         )
 
 
-#: One graph per project instance — RL006 and RL008 both need it, and a
-#: cached lint run may lint several projects in one process.
+#: One graph per project instance — RL006 and RL008 both need it, and
+#: one process (the test suite) may lint several projects.
 _GRAPHS: "weakref.WeakKeyDictionary[Project, CallGraph]"
 _GRAPHS = weakref.WeakKeyDictionary()
 

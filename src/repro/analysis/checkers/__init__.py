@@ -6,12 +6,9 @@ registration).  See ``src/repro/analysis/README.md`` for the recipe.
 """
 
 from . import (  # noqa: F401  (imported for their registration side effect)
-    rl001_locks,
     rl002_wire,
-    rl003_errors,
     rl004_forksafe,
     rl005_bench,
     rl006_lockflow,
-    rl007_sqltaint,
     rl008_asyncflow,
 )

@@ -1,8 +1,7 @@
 """RL006 — interprocedural lock-state flow on the RWLock protocol.
 
-RL001 polices one class at a time through its transitive *self-call*
-closure; this rule runs the same discipline over the whole-project call
-graph with per-function lock-state dataflow.  Three violation shapes:
+Per-function lock-state dataflow over the whole-project call graph.
+Three violation shapes:
 
 * **reentrant / upgrading acquisition** — acquiring the writer-
   preferring :class:`repro.api.locks.RWLock` (either mode) on a token
@@ -13,11 +12,13 @@ graph with per-function lock-state dataflow.  Three violation shapes:
   .write_locked()``) and through any resolvable call chain, with
   object identity matched through parameter binding (``helper(self)``
   acquiring ``svc._lock`` is the caller's own lock).
-* **reader-path mutation through foreign helpers** — shared-state
-  writes reached from a read-locked region through calls that *leave*
-  the class (module-level helpers mutating a parameter, base-class
-  methods in other modules).  Same-class chains are RL001's
-  jurisdiction and are deliberately not re-reported here.
+* **reader-path mutation** — a write to state owned by the object
+  whose lock is held only in read mode: directly in the read-locked
+  region (``self._n += 1``, ``self._seen.add(k)``) or through any
+  resolvable call chain (a ``self.`` helper, a module-level helper
+  mutating a parameter, a base-class method in another module).  Two
+  readers run concurrently, so such a write is unsynchronized.  Calls
+  to ``release_*`` are exempt: they are the lock's own bookkeeping.
 * **fork while holding a lock** — ``os.fork`` /
   ``ProcessPoolExecutor`` construction / ``FleetSupervisor`` /
   ``run_fleet`` / ``.submit`` on a known process pool, reached on any
@@ -35,7 +36,7 @@ from __future__ import annotations
 
 import ast
 from collections.abc import Iterator
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 from ..astutil import dotted_name, rooted_attribute
@@ -44,9 +45,34 @@ from ..diagnostics import Diagnostic
 from ..flow import CFG, WITH_ENTER, WITH_EXIT, CFGNode, forward, node_calls
 from ..project import Project, SourceFile
 from ..registry import register
-from .rl001_locks import MUTATOR_METHODS
 
 SCOPE = ("src/repro",)
+
+#: Method names that mutate their receiver — calling one of these on an
+#: attribute chain counts as a write to the state that chain owns.
+MUTATOR_METHODS = frozenset(
+    {
+        "add",
+        "add_template",
+        "add_templates",
+        "append",
+        "clear",
+        "discard",
+        "extend",
+        "ingest",
+        "ingest_many",
+        "ingest_prepared",
+        "insert",
+        "invalidate_cache",
+        "pop",
+        "popitem",
+        "remove",
+        "setdefault",
+        "sort",
+        "update",
+        "write",
+    }
+)
 
 #: Context-manager / imperative spellings of the RWLock protocol.
 ENTER_MODES = {"read_locked": "read", "write_locked": "write"}
@@ -81,8 +107,6 @@ class _Effect:
     detail: str  #: attr path after root / token suffix / fork primitive
     mode: str  #: lock mode for "acquire", "" otherwise
     chain: tuple[str, ...]  #: call chain from the summarized fn downward
-    origin_rel: str
-    origin_class: Optional[str]
 
     @property
     def key(self) -> tuple[str, str, str, str]:
@@ -201,6 +225,12 @@ def _binding(site: CallSite) -> dict[str, str]:
     return out
 
 
+def _read_only_roots(state: LockState) -> set[str]:
+    """Owners (token roots) whose lock is held in read mode only."""
+    read = {t.split(".")[0] for t, m in state if m == "read"}
+    return read - {t.split(".")[0] for t, m in state if m == "write"}
+
+
 def _mapped_token(root: str, suffix: str) -> str:
     return f"{root}.{suffix}" if suffix else root
 
@@ -210,8 +240,8 @@ class LockFlowChecker:
     code = "RL006"
     name = "lock-flow"
     description = (
-        "no reentrant/upgrading RWLock acquisition, reader-path mutation "
-        "via foreign helpers, or fork/pool-submit while holding a lock — "
+        "no reentrant/upgrading RWLock acquisition, shared-state mutation "
+        "under the read lock, or fork/pool-submit while holding a lock — "
         "tracked through the project call graph"
     )
 
@@ -282,7 +312,24 @@ class LockFlowChecker:
             if not state:
                 continue
 
-            # 2. call-site effects under a held lock
+            # 2. direct writes to state whose owner is only read-locked
+            read_only = _read_only_roots(state)
+            for root, detail, (line, col) in self._direct_mutations(node):
+                if root in read_only:
+                    yield Diagnostic(
+                        path=file.rel,
+                        line=line,
+                        col=col,
+                        code=self.code,
+                        message=(
+                            f"{info.name!r} mutates shared state "
+                            f"{root + '.' + detail!r} under the read lock — "
+                            "concurrent readers race on it; move the write "
+                            "under the write lock"
+                        ),
+                    )
+
+            # 3. call-site effects under a held lock
             for call in node_calls(node):
                 site = graph.call_site(call, info)
                 primitive = self._fork_primitive(site, pools)
@@ -300,10 +347,10 @@ class LockFlowChecker:
                         ),
                     )
                     continue
-                if site.target is None:
+                if site.target is None or site.target.name in RELEASE_MODES:
                     continue
                 binding = _binding(site)
-                for effect in self._summary(site.target, graph, file):
+                for effect in self._summary(site.target, graph):
                     yield from self._apply_effect(
                         file, info, call, site, effect, binding, state
                     )
@@ -356,17 +403,8 @@ class LockFlowChecker:
                 )
             return
         # mutate: only under a read-locked (and not write-locked) region
-        # of the same object, and only for chains that leave the class —
-        # same-class closures are RL001's jurisdiction.
-        if (
-            effect.origin_rel == info.rel
-            and effect.origin_class is not None
-            and effect.origin_class == info.class_name
-        ):
-            return
-        read_roots = {t.split(".")[0] for t, m in state if m == "read"}
-        write_roots = {t.split(".")[0] for t, m in state if m == "write"}
-        if mapped_root in read_roots and mapped_root not in write_roots:
+        # of the same object
+        if mapped_root in _read_only_roots(state):
             target = f"{mapped_root}.{effect.detail}"
             yield Diagnostic(
                 path=file.rel,
@@ -374,9 +412,10 @@ class LockFlowChecker:
                 col=pos[1],
                 code=self.code,
                 message=(
-                    f"reader-locked call chain {chain!r} mutates shared "
-                    f"state {target!r} — concurrent readers race on it; "
-                    "move the write under the write lock"
+                    f"{info.name!r} holds the read lock while call chain "
+                    f"{chain!r} mutates shared state {target!r} — "
+                    "concurrent readers race on it; move the write under "
+                    "the write lock"
                 ),
             )
 
@@ -384,7 +423,7 @@ class LockFlowChecker:
     # function summaries
     # ------------------------------------------------------------------
     def _summary(
-        self, info: FunctionInfo, graph: CallGraph, file: SourceFile
+        self, info: FunctionInfo, graph: CallGraph
     ) -> tuple[_Effect, ...]:
         cached = self._summaries.get(info.qname)
         if cached is not None:
@@ -427,8 +466,6 @@ class LockFlowChecker:
                             detail=detail,
                             mode="",
                             chain=(info.name,),
-                            origin_rel=info.rel,
-                            origin_class=info.class_name,
                         )
                     )
             for token, mode, _anchor in _acquisitions(node):
@@ -442,8 +479,6 @@ class LockFlowChecker:
                             detail=suffix,
                             mode=mode,
                             chain=(info.name,),
-                            origin_rel=info.rel,
-                            origin_class=info.class_name,
                         )
                     )
             for call in node_calls(node):
@@ -457,60 +492,26 @@ class LockFlowChecker:
                             detail=primitive,
                             mode="",
                             chain=(info.name,),
-                            origin_rel=info.rel,
-                            origin_class=info.class_name,
                         )
                     )
                 if site.target is None:
                     continue
                 binding = _binding(site)
-                for effect in self._summary(
-                    site.target, graph, file=None  # type: ignore[arg-type]
-                ):
+                for effect in self._summary(site.target, graph):
                     chain = (info.name, site.target.name, *effect.chain[1:])
                     if effect.kind == "fork":
                         if not state:
-                            add(
-                                _Effect(
-                                    kind="fork",
-                                    root="",
-                                    detail=effect.detail,
-                                    mode="",
-                                    chain=chain,
-                                    origin_rel=effect.origin_rel,
-                                    origin_class=effect.origin_class,
-                                )
-                            )
+                            add(replace(effect, chain=chain))
                         continue
                     mapped = binding.get(effect.root)
                     if mapped is None or mapped not in roots:
                         continue
                     if effect.kind == "acquire":
-                        token = _mapped_token(mapped, effect.detail)
-                        if token not in held_tokens:
-                            add(
-                                _Effect(
-                                    kind="acquire",
-                                    root=mapped,
-                                    detail=effect.detail,
-                                    mode=effect.mode,
-                                    chain=chain,
-                                    origin_rel=effect.origin_rel,
-                                    origin_class=effect.origin_class,
-                                )
-                            )
-                    elif mapped not in held_roots:
-                        add(
-                            _Effect(
-                                kind="mutate",
-                                root=mapped,
-                                detail=effect.detail,
-                                mode="",
-                                chain=chain,
-                                origin_rel=effect.origin_rel,
-                                origin_class=effect.origin_class,
-                            )
-                        )
+                        held = _mapped_token(mapped, effect.detail) in held_tokens
+                    else:
+                        held = mapped in held_roots
+                    if not held:
+                        add(replace(effect, root=mapped, chain=chain))
         return tuple(out.values())
 
     # ------------------------------------------------------------------

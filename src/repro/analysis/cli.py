@@ -1,13 +1,12 @@
 """The ``repro-lint`` command line.
 
-Runs as ``python -m repro.analysis`` or ``repro-audit lint``; exits 0
-on a clean tree, 1 when any diagnostic survives suppression, 2 on
-usage errors (argparse's convention).
+Runs as ``python -m repro.analysis``; exits 0 on a clean tree, 1 on any
+finding, 2 on usage errors (argparse's convention).
 
 Inside GitHub Actions (``GITHUB_ACTIONS=true``) findings are
 additionally emitted as ``::error`` workflow commands on stderr, so
-every diagnostic renders as an inline annotation on the PR no matter
-which ``--output`` mode CI asked for.
+every diagnostic renders as an inline annotation on the PR whichever
+``--output`` mode CI asked for.
 """
 
 from __future__ import annotations
@@ -16,9 +15,7 @@ import argparse
 import json
 import os
 import sys
-from pathlib import Path
 
-from .cache import DEFAULT_CACHE_DIR
 from .diagnostics import render_github, render_json, render_text
 from .registry import CHECKERS
 from .runner import run_lint
@@ -29,9 +26,9 @@ def build_parser() -> argparse.ArgumentParser:
         prog="repro-lint",
         description=(
             "AST- and dataflow-based invariant checks for the repro tree: "
-            "lock discipline (syntactic and flow-sensitive), wire contracts "
-            "and route drift, typed errors, fork/asyncio safety including "
-            "transitive blocking, SQL taint, and bench envelopes."
+            "flow-sensitive lock discipline, the wire error contract, fork "
+            "safety, transitive blocking in server coroutines, and bench "
+            "envelopes."
         ),
     )
     parser.add_argument(
@@ -49,23 +46,12 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--output",
-        choices=("text", "json", "github"),
+        choices=("text", "json"),
         default="text",
         help=(
             "text = ruff-style path:line:col CODE message; json = versioned "
-            "machine-readable findings+stats; github = ::error workflow "
-            "commands"
+            "machine-readable findings+stats"
         ),
-    )
-    parser.add_argument(
-        "--select",
-        metavar="CODES",
-        help="comma-separated rule codes to run (default: all registered)",
-    )
-    parser.add_argument(
-        "--ignore",
-        metavar="CODES",
-        help="comma-separated rule codes to skip",
     )
     parser.add_argument(
         "--stats",
@@ -76,31 +62,11 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--cache-dir",
-        metavar="DIR",
-        default=DEFAULT_CACHE_DIR,
-        help=(
-            "directory for the incremental result cache, resolved against "
-            f"--root (default: {DEFAULT_CACHE_DIR})"
-        ),
-    )
-    parser.add_argument(
-        "--no-cache",
-        action="store_true",
-        help="disable the result cache for this run",
-    )
-    parser.add_argument(
         "--list-rules",
         action="store_true",
         help="print the registered rules and exit",
     )
     return parser
-
-
-def _codes(raw: str | None) -> frozenset[str]:
-    if not raw:
-        return frozenset()
-    return frozenset(code.strip() for code in raw.split(",") if code.strip())
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -112,47 +78,26 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{code}  {cls.name:<22} {cls.description}")
         return 0
 
-    select = _codes(args.select) or None
-    ignore = _codes(args.ignore)
-    cache_dir: Path | None = None
-    if not args.no_cache:
-        cache_dir = Path(args.root) / args.cache_dir
     try:
-        result = run_lint(
-            args.root, tuple(args.paths), select, ignore, cache_dir=cache_dir
-        )
-    except ValueError as exc:
-        print(f"repro-lint: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+        result = run_lint(args.root, tuple(args.paths))
+    except (ValueError, OSError) as exc:
         print(f"repro-lint: {exc}", file=sys.stderr)
         return 2
 
     stats = result.stats()
     if args.output == "json":
         print(render_json(result.diagnostics, stats))
-    elif args.output == "github":
-        if result.diagnostics:
-            print(render_github(result.diagnostics))
     elif result.diagnostics:
         print(render_text(result.diagnostics))
 
-    if (
-        args.output != "github"
-        and os.environ.get("GITHUB_ACTIONS") == "true"
-        and result.diagnostics
-    ):
+    if os.environ.get("GITHUB_ACTIONS") == "true" and result.diagnostics:
         print(render_github(result.diagnostics), file=sys.stderr)
 
     if args.output == "text":
         summary = (
             f"{len(result.diagnostics)} finding(s), "
-            f"{result.suppressed} suppressed, "
             f"{result.files_scanned} file(s) scanned"
         )
-        if result.unused_suppressions:
-            unused = len(result.unused_suppressions)
-            summary += f", {unused} unused suppression(s)"
         print(summary if result.diagnostics else f"clean — {summary}")
     if args.stats:
         print(json.dumps(stats, sort_keys=True))

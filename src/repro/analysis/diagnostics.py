@@ -1,32 +1,15 @@
 """Diagnostics: what a checker reports and how it is rendered.
 
 A :class:`Diagnostic` is one finding anchored to a source position; the
-module also owns the ``# repro-lint: ignore[...]`` suppression syntax
-and the three output renderers (ruff-style text, machine-readable JSON,
-GitHub workflow annotations).
+module also owns the three renderers (ruff-style text, machine-readable
+JSON, and the GitHub workflow annotations the CLI mirrors to stderr
+inside GitHub Actions).
 """
 
 from __future__ import annotations
 
-import io
 import json
-import re
-import tokenize
 from dataclasses import dataclass
-
-#: Same-line suppression comment, ruff ``noqa`` style::
-#:
-#:     risky_line()  # repro-lint: ignore[RL003]
-#:     risky_line()  # repro-lint: ignore[RL001, RL003]
-#:     risky_line()  # repro-lint: ignore
-#:
-#: A bare ``ignore`` (no bracket list) silences every rule on the line.
-#: The directive must *open* a real comment token — mentions inside
-#: docstrings or embedded in a larger comment are documentation, not
-#: suppressions (and therefore never show up as unused).
-SUPPRESSION_RE = re.compile(
-    r"#\s*repro-lint:\s*ignore(?:\[(?P<codes>[A-Z0-9,\s]*)\])?"
-)
 
 
 @dataclass(frozen=True, order=True)
@@ -71,45 +54,6 @@ class Diagnostic:
         )
 
 
-def parse_suppressions(text: str) -> dict[int, frozenset[str] | None]:
-    """Map 1-based line number -> suppressed codes (``None`` = all).
-
-    Tokenizes so only genuine comments count; on a syntax error the
-    suppressions seen before the break are kept (the file will carry an
-    RL000 finding anyway)."""
-    out: dict[int, frozenset[str] | None] = {}
-    if "repro-lint" not in text:
-        return out
-    tokens = tokenize.generate_tokens(io.StringIO(text).readline)
-    while True:
-        try:
-            tok = next(tokens)
-        except StopIteration:
-            break
-        except (tokenize.TokenError, IndentationError, SyntaxError, ValueError):
-            break
-        if tok.type != tokenize.COMMENT:
-            continue
-        match = SUPPRESSION_RE.match(tok.string)
-        if match is None:
-            continue
-        codes = match.group("codes")
-        if codes is None:
-            out[tok.start[0]] = None
-        else:
-            out[tok.start[0]] = frozenset(
-                code.strip() for code in codes.split(",") if code.strip()
-            )
-    return out
-
-
-def is_suppressed(
-    diag: Diagnostic, suppressions: dict[int, frozenset[str] | None]
-) -> bool:
-    codes = suppressions.get(diag.line, frozenset())
-    return codes is None or diag.code in codes
-
-
 def render_text(diagnostics: tuple[Diagnostic, ...]) -> str:
     return "\n".join(diag.render() for diag in diagnostics)
 
@@ -118,7 +62,7 @@ def render_json(
     diagnostics: tuple[Diagnostic, ...], stats: dict[str, object]
 ) -> str:
     payload = {
-        "version": 1,
+        "version": 2,
         "findings": [diag.to_dict() for diag in diagnostics],
         "stats": stats,
     }

@@ -1,9 +1,8 @@
 """Per-function control-flow graphs and a forward dataflow solver.
 
-The flow rules (RL006-RL008) need more than a statement walk: whether a
-lock is held *at* a call site, or whether a tainted string *reaches* an
-``execute()`` sink, depends on the path taken through the function.
-This module gives checkers the two pieces that question needs:
+The lock-flow rule (RL006) needs more than a statement walk: whether a
+lock is held *at* a call site depends on the path taken through the
+function.  This module gives it the two pieces that question needs:
 
 * :class:`CFG` — a statement-level control-flow graph for one function.
   ``with`` blocks get synthetic ``with-enter``/``with-exit`` nodes so a

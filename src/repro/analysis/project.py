@@ -10,21 +10,18 @@ Selection semantics mirror ruff: directories are walked with a default
 exclude list (caches, VCS metadata, and ``tests/fixtures`` — the lint
 suite's own deliberately-broken fixture modules), while explicitly
 named files are always scanned, even inside an excluded tree.  Checkers
-that scope themselves to a package (RL003 only patrols ``server/``,
-``api/``, ``client/``) treat explicitly named files as in scope, which
-is what lets the fixture tests exercise every rule.
+that scope themselves to a package (RL008 only patrols ``server/``)
+treat explicitly named files as in scope, which is what lets the
+fixture tests exercise every rule.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
 import os
-from collections.abc import Callable, Iterator
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from dataclasses import dataclass
 from pathlib import Path
-
-from .diagnostics import parse_suppressions
 
 #: Directory names never walked during discovery.
 EXCLUDED_DIR_NAMES = frozenset(
@@ -35,7 +32,6 @@ EXCLUDED_DIR_NAMES = frozenset(
         "venv",
         "htmlcov",
         ".pytest_cache",
-        ".repro-lint-cache",
         "build",
     }
 )
@@ -45,21 +41,15 @@ EXCLUDED_DIR_NAMES = frozenset(
 EXCLUDED_REL_PREFIXES = ("tests/fixtures",)
 
 
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 @dataclass(frozen=True)
 class SourceFile:
-    """One parsed Python file plus its suppression map."""
+    """One parsed Python file."""
 
     rel: str
     text: str
-    lines: tuple[str, ...]
     tree: ast.Module | None
     parse_error: str | None
     explicit: bool
-    suppressions: dict[int, frozenset[str] | None] = field(hash=False)
 
     def under(self, *prefixes: str) -> bool:
         """True if the file lives under any of the given rel prefixes."""
@@ -79,20 +69,17 @@ class SourceFile:
 
 
 class Project:
-    """The file set for one run, rooted at the repository checkout.
-
-    Discovery (walking directories) is eager; *parsing* is lazy — a run
-    that is answered from the result cache hashes file contents via
-    :meth:`manifest` without ever building an AST.
-    """
+    """The file set for one run, rooted at the repository checkout;
+    every selected file is read and parsed once, up front."""
 
     def __init__(
         self, root: str | os.PathLike[str], paths: tuple[str, ...] = ()
     ) -> None:
         self.root = Path(root).resolve()
-        self._selected = self._discover(paths)  # rel -> explicit
-        self._parsed: dict[str, SourceFile] = {}
-        self._all: tuple[SourceFile, ...] | None = None
+        self._files = {
+            rel: self._parse(rel, explicit)
+            for rel, explicit in self._discover(paths).items()
+        }
 
     # ------------------------------------------------------------------
     # discovery
@@ -137,7 +124,6 @@ class Project:
 
     def _parse(self, rel: str, explicit: bool) -> SourceFile:
         text = (self.root / rel).read_text(encoding="utf-8")
-        lines = tuple(text.splitlines())
         tree: ast.Module | None = None
         parse_error: str | None = None
         try:
@@ -147,55 +133,29 @@ class Project:
         return SourceFile(
             rel=rel,
             text=text,
-            lines=lines,
             tree=tree,
             parse_error=parse_error,
             explicit=explicit,
-            suppressions=parse_suppressions(text),
         )
-
-    def _ensure(self, rel: str) -> SourceFile:
-        file = self._parsed.get(rel)
-        if file is None:
-            file = self._parse(rel, explicit=self._selected[rel])
-            self._parsed[rel] = file
-        return file
 
     # ------------------------------------------------------------------
     # checker-facing API
     # ------------------------------------------------------------------
     @property
     def files(self) -> tuple[SourceFile, ...]:
-        if self._all is None:
-            self._all = tuple(self._ensure(rel) for rel in self._selected)
-        return self._all
+        return tuple(self._files.values())
 
     def file(self, rel: str) -> SourceFile | None:
-        if rel not in self._selected:
-            return None
-        return self._ensure(rel)
+        return self._files.get(rel)
 
     def __len__(self) -> int:
-        return len(self._selected)
-
-    def manifest(
-        self, digest: Callable[[Path], str] | None = None
-    ) -> tuple[tuple[str, bool, str], ...]:
-        """``(rel, explicit, sha256)`` per selected file, without
-        parsing — the identity the result cache keys on.  ``digest``
-        lets the cache substitute an mtime/size-memoized hasher."""
-        if digest is None:
-            digest = _sha256_file
-        out = []
-        for rel, explicit in self._selected.items():
-            out.append((rel, explicit, digest(self.root / rel)))
-        return tuple(out)
+        return len(self._files)
 
     def read_text(self, rel: str) -> str | None:
         """Context files (README, round-trip tests) outside the selected
         set — returns None when absent so rules can degrade gracefully."""
-        if rel in self._selected:
-            return self._ensure(rel).text
+        if rel in self._files:
+            return self._files[rel].text
         path = self.root / rel
         if not path.is_file():
             return None

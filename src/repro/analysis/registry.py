@@ -3,9 +3,9 @@
 A checker is a class with a ``code`` (``RLxxx``), a short ``name``, a
 one-line ``description``, and a ``check(project)`` generator yielding
 :class:`~repro.analysis.diagnostics.Diagnostic` objects.  Decorating it
-with :func:`register` makes ``repro-lint`` pick it up — the CLI, the
-``--select``/``--ignore`` flags, ``--list-rules``, and the stats
-summary all read this registry and nothing else.
+with :func:`register` makes ``repro-lint`` pick it up — the runner,
+``--list-rules``, and the stats summary all read this registry and
+nothing else.
 """
 
 from __future__ import annotations
@@ -41,20 +41,6 @@ def register(cls: type[Checker]) -> type[Checker]:
     return cls
 
 
-def resolve_checkers(
-    select: frozenset[str] | None = None,
-    ignore: frozenset[str] = frozenset(),
-) -> tuple[Checker, ...]:
-    """Instantiate the registered checkers in code order.
-
-    ``select`` restricts to the named codes (None = all); ``ignore``
-    drops codes from whatever ``select`` produced.  Unknown codes raise
-    ``ValueError`` so typos fail loudly instead of silently passing.
-    """
-    known = frozenset(CHECKERS)
-    requested = known if select is None else select
-    unknown = (requested | ignore) - known
-    if unknown:
-        raise ValueError(f"unknown rule code(s): {', '.join(sorted(unknown))}")
-    active = sorted(requested - ignore)
-    return tuple(CHECKERS[code]() for code in active)
+def resolve_checkers() -> tuple[Checker, ...]:
+    """Instantiate every registered checker, in code order."""
+    return tuple(CHECKERS[code]() for code in sorted(CHECKERS))

@@ -1,39 +1,23 @@
-"""One-pass lint driver: parse the tree once, run every checker.
-
-With a ``cache_dir`` the runner is incremental: the project manifest
-(content hashes, no parsing) plus the active rule set key a stored
-result, so an unchanged tree is answered without building a single AST.
-"""
+"""One-pass lint driver: parse the tree once, run every checker."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any
 
-from . import cache as _cache
 from . import checkers as _checkers  # noqa: F401  (registers the built-ins)
-from .diagnostics import Diagnostic, is_suppressed
+from .diagnostics import Diagnostic
 from .project import Project
 from .registry import resolve_checkers
 
 
 @dataclass(frozen=True)
 class LintResult:
-    """Everything one run produced, pre-sorted and pre-filtered.
-
-    ``unused_suppressions`` lists ``(path, line, codes)`` for every
-    ``# repro-lint: ignore`` comment that silenced nothing this run
-    (``codes`` is the bracket list verbatim, empty for a bare ignore).
-    Coded comments whose rules were not active are left alone — the run
-    cannot judge them.
-    """
+    """Everything one run produced, pre-sorted."""
 
     diagnostics: tuple[Diagnostic, ...]
-    suppressed: int
     files_scanned: int
     rules: tuple[str, ...]
-    unused_suppressions: tuple[tuple[str, int, str], ...] = ()
 
     @property
     def exit_code(self) -> int:
@@ -48,117 +32,24 @@ class LintResult:
             "rules": list(self.rules),
             "findings": len(self.diagnostics),
             "findings_by_code": by_code,
-            "suppressed": self.suppressed,
-            "unused_suppressions": [
-                f"{path}:{line}" + (f" [{codes}]" if codes else "")
-                for path, line, codes in self.unused_suppressions
-            ],
         }
 
 
-def _to_payload(result: LintResult) -> dict[str, Any]:
-    return {
-        "diagnostics": [
-            [d.path, d.line, d.col, d.code, d.message]
-            for d in result.diagnostics
-        ],
-        "suppressed": result.suppressed,
-        "files_scanned": result.files_scanned,
-        "rules": list(result.rules),
-        "unused_suppressions": [list(u) for u in result.unused_suppressions],
-    }
-
-
-def _from_payload(payload: dict[str, Any]) -> LintResult | None:
-    try:
-        return LintResult(
-            diagnostics=tuple(
-                Diagnostic(str(p), int(ln), int(col), str(code), str(msg))
-                for p, ln, col, code, msg in payload["diagnostics"]
-            ),
-            suppressed=int(payload["suppressed"]),
-            files_scanned=int(payload["files_scanned"]),
-            rules=tuple(str(r) for r in payload["rules"]),
-            unused_suppressions=tuple(
-                (str(p), int(ln), str(codes))
-                for p, ln, codes in payload["unused_suppressions"]
-            ),
-        )
-    except (KeyError, TypeError, ValueError):
-        return None  # unreadable entry == miss
-
-
-def run_lint(
-    root: str | Path,
-    paths: tuple[str, ...] = (),
-    select: frozenset[str] | None = None,
-    ignore: frozenset[str] = frozenset(),
-    cache_dir: str | Path | None = None,
-) -> LintResult:
+def run_lint(root: str | Path, paths: tuple[str, ...] = ()) -> LintResult:
     """Lint ``paths`` (default ``src``+``benchmarks``) under ``root``."""
     project = Project(root, paths)
-    active = resolve_checkers(select, ignore)
-    rules = tuple(type(c).code for c in active)
-
-    key: str | None = None
-    cdir: Path | None = None
-    if cache_dir is not None:
-        cdir = Path(cache_dir)
-        hasher = _cache.FileHasher(cdir)
-        key = _cache.cache_key(project.root, project.manifest(hasher.digest), rules)
-        payload = _cache.load(cdir, key)
-        hasher.save()
-        if payload is not None:
-            cached = _from_payload(payload)
-            if cached is not None:
-                return cached
-
-    raw: list[Diagnostic] = []
-    for file in project.files:
-        if file.parse_error is not None:
-            raw.append(
-                Diagnostic(
-                    path=file.rel,
-                    line=1,
-                    col=1,
-                    code="RL000",
-                    message=file.parse_error,
-                )
-            )
+    active = resolve_checkers()
+    found: list[Diagnostic] = [
+        Diagnostic(
+            path=file.rel, line=1, col=1, code="RL000", message=file.parse_error
+        )
+        for file in project.files
+        if file.parse_error is not None
+    ]
     for checker in active:
-        raw.extend(checker.check(project))
-
-    kept: list[Diagnostic] = []
-    suppressed = 0
-    used: set[tuple[str, int]] = set()
-    for diag in raw:
-        file = project.file(diag.path)
-        if file is not None and is_suppressed(diag, file.suppressions):
-            suppressed += 1
-            used.add((diag.path, diag.line))
-        else:
-            kept.append(diag)
-
-    # RL000 always runs, so suppressions aimed at it are judgeable too.
-    judgeable = frozenset(rules) | {"RL000"}
-    unused: list[tuple[str, int, str]] = []
-    for file in project.files:
-        for line, codes in sorted(file.suppressions.items()):
-            if (file.rel, line) in used:
-                continue
-            if codes is not None and not (codes & judgeable):
-                continue
-            unused.append(
-                (file.rel, line, "" if codes is None else ",".join(sorted(codes)))
-            )
-
-    result = LintResult(
-        diagnostics=tuple(sorted(kept)),
-        suppressed=suppressed,
+        found.extend(checker.check(project))
+    return LintResult(
+        diagnostics=tuple(sorted(found)),
         files_scanned=len(project),
-        rules=rules,
-        unused_suppressions=tuple(sorted(unused)),
+        rules=tuple(type(c).code for c in active),
     )
-    if cdir is not None and key is not None:
-        _cache.store(cdir, key, _to_payload(result))
-    return result

@@ -13,8 +13,7 @@ Subcommands mirror the system's lifecycle:
 * ``explain``  — explain one access, or print a patient's access report;
 * ``audit``    — print the compliance summary and the unexplained queue;
 * ``evaluate`` — run the paper's headline coverage measurement;
-* ``serve``    — expose the service as the v1 HTTP/NDJSON wire API;
-* ``lint``     — run the repro-lint invariant checkers over the tree.
+* ``serve``    — expose the service as the v1 HTTP/NDJSON wire API.
 
 Example session::
 
@@ -303,21 +302,6 @@ def cmd_reproduce(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_lint(args: argparse.Namespace) -> int:
-    """``lint``: the repro-lint static-analysis suite (RL001-RL008).
-
-    A thin delegate to :mod:`repro.analysis` — the same checkers run via
-    ``python -m repro.analysis``; this subcommand exists so the whole
-    toolkit stays reachable from one binary.
-    """
-    from .analysis.cli import main as lint_main
-
-    forward = list(args.lint_args)
-    if forward[:1] == ["--"]:
-        forward = forward[1:]
-    return lint_main(forward)
-
-
 def _add_backend_args(p: argparse.ArgumentParser) -> None:
     """The storage-backend knobs shared by explain/audit/evaluate/serve."""
     p.add_argument(
@@ -482,19 +466,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_sharding_args(p)
     _add_backend_args(p)
     p.set_defaults(func=cmd_serve)
-
-    p = sub.add_parser(
-        "lint",
-        help="run the repro-lint invariant checkers (RL001-RL008)",
-        description="Forwards every argument to the repro-lint CLI; "
-        "try `repro-audit lint -- --list-rules`.",
-    )
-    p.add_argument(
-        "lint_args",
-        nargs=argparse.REMAINDER,
-        help="arguments forwarded to repro-lint (prefix with -- to pass flags)",
-    )
-    p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
         "reproduce", help="run every paper experiment into a markdown report"

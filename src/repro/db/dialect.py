@@ -94,8 +94,12 @@ _AFFINITY: dict[ColumnType, str] = {
 
 
 def quote_ident(name: str) -> str:
-    """Double-quote an identifier (schema names are pre-validated to be
-    alphanumeric/underscore, so quoting cannot be subverted)."""
+    """Double-quote an identifier, doubling any ``"`` inside it.
+
+    Table and column names are validated by the schema, but tuple-variable
+    aliases (``TupleVar``/``AttrRef``) are not; the doubling is what keeps
+    any alias one identifier.  Every name reaches SQL text through here,
+    and no value does: literals bind as parameters."""
     return '"' + name.replace('"', '""') + '"'
 
 

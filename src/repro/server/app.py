@@ -756,7 +756,7 @@ class AuditServer:
             asyncio.set_event_loop(loop)
             try:
                 loop.run_until_complete(self.start_async())
-            except BaseException as exc:  # surface bind errors to start()
+            except BaseException as exc:  # noqa: BLE001 - start() raises from it
                 self._startup_error = exc
                 self._started.set()
                 loop.close()

@@ -1,8 +1,8 @@
-"""Seeded RL001 violation: a reader-path helper mutates shared state.
+"""Seeded RL006 violation: a same-class helper reached under the read
+lock mutates shared state.
 
 ``lookup`` enters the read lock and calls ``_fetch``, which writes to
-``self._cache`` — two concurrent readers would race on that dict.
-"""
+``self._cache`` — two concurrent readers would race on that dict."""
 
 
 class BadFacade:
@@ -13,11 +13,11 @@ class BadFacade:
 
     def lookup(self, key):
         with self._lock.read_locked():
-            return self._fetch(key)
+            return self._fetch(key)  # line 16: RL006 flags the call
 
     def _fetch(self, key):
         if key not in self._cache:
-            self._cache[key] = len(self._rows)  # line 20: the race
+            self._cache[key] = len(self._rows)  # the write it reaches
         return self._cache[key]
 
     def ingest(self, row):

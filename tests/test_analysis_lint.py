@@ -1,13 +1,14 @@
 """The repro-lint suite linting itself: fixture modules under
 ``tests/fixtures/lint/`` seed one violation per rule (plus a clean
-twin); these tests pin the exact codes and positions, the suppression
-comment, the CLI surface, and — the acceptance bar — that the real
-tree lints clean."""
+twin); these tests pin the exact codes and positions, the CLI surface,
+and — the acceptance bar — that the real tree lints clean."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -18,37 +19,29 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 FIXTURES = "tests/fixtures/lint"
 
 
-def lint(*paths, **kwargs):
-    return run_lint(ROOT, tuple(paths), **kwargs)
+def lint(*paths):
+    return run_lint(ROOT, paths)
 
 
-def findings(*paths, **kwargs):
-    return [
-        (d.path, d.line, d.col, d.code)
-        for d in lint(*paths, **kwargs).diagnostics
-    ]
+def findings(*paths):
+    return [(d.path, d.line, d.col, d.code) for d in lint(*paths).diagnostics]
 
 
 # ----------------------------------------------------------------------
 # one seeded violation per rule, exact code and position
 # ----------------------------------------------------------------------
 class TestSeededViolations:
-    def test_rl001_reader_path_mutation(self):
+    def test_same_class_reader_path_mutation_is_rl006(self):
+        # reported at the read-locked call that reaches the helper's write
         assert findings(f"{FIXTURES}/rl001_bad.py") == [
-            (f"{FIXTURES}/rl001_bad.py", 20, 13, "RL001")
+            (f"{FIXTURES}/rl001_bad.py", 16, 20, "RL006")
         ]
 
-    def test_rl001_message_names_the_call_chain(self):
+    def test_same_class_message_names_the_call_chain(self):
         (diag,) = lint(f"{FIXTURES}/rl001_bad.py").diagnostics
         assert "'lookup'" in diag.message
         assert "'_fetch'" in diag.message
         assert "'self._cache'" in diag.message
-
-    def test_rl003_swallow_and_bare_raise(self):
-        assert findings(f"{FIXTURES}/rl003_bad.py") == [
-            (f"{FIXTURES}/rl003_bad.py", 7, 5, "RL003"),
-            (f"{FIXTURES}/rl003_bad.py", 12, 5, "RL003"),
-        ]
 
     def test_rl004_lock_closure_and_blocking_call(self):
         # the direct blocking call on line 16 moved to RL008's
@@ -72,11 +65,10 @@ class TestSeededViolations:
         "twin",
         [
             "rl001_clean.py",
-            "rl003_clean.py",
             "rl004_clean.py",
             "bench_rl005_clean.py",
             "rl006_clean.py",
-            "rl007_clean.py",
+            "rl006_release_clean.py",
             "rl008_clean.py",
         ],
     )
@@ -86,11 +78,11 @@ class TestSeededViolations:
     def test_each_violation_is_nonzero_exit(self):
         for bad in (
             "rl001_bad.py",
-            "rl003_bad.py",
             "rl004_bad.py",
             "bench_rl005_bad.py",
             "rl006_bad.py",
-            "rl007_bad.py",
+            "rl006_direct_bad.py",
+            "rl006_try_bad.py",
             "rl008_bad.py",
         ):
             assert lint(f"{FIXTURES}/{bad}").exit_code == 1
@@ -110,7 +102,7 @@ class TestFlowRules:
 
     def test_rl006_messages_name_the_chain_and_the_lock(self):
         mutate, upgrade_chain, fork, upgrade = lint(
-            f"{FIXTURES}/rl006_bad.py", select=frozenset({"RL006"})
+            f"{FIXTURES}/rl006_bad.py"
         ).diagnostics
         assert "'warm_cache'" in mutate.message
         assert "'self._cache'" in mutate.message
@@ -131,18 +123,25 @@ class TestFlowRules:
         assert "'self._seen.add()'" in mutate.message
         assert "re-acquiring the read lock" in reentrant.message
 
-    def test_rl007_taint_reaches_every_sink_spelling(self):
-        assert findings(f"{FIXTURES}/rl007_bad.py") == [
-            (f"{FIXTURES}/rl007_bad.py", 6, 18, "RL007"),
-            (f"{FIXTURES}/rl007_bad.py", 11, 24, "RL007"),
-            (f"{FIXTURES}/rl007_bad.py", 15, 20, "RL007"),
-            (f"{FIXTURES}/rl007_bad.py", 19, 22, "RL007"),
+    def test_rl006_flags_direct_writes_in_a_read_region(self):
+        path = f"{FIXTURES}/rl006_direct_bad.py"
+        assert findings(path) == [
+            (path, 15, 13, "RL006"),
+            (path, 16, 13, "RL006"),
+            (path, 22, 13, "RL006"),
         ]
+        augmented, mutator, imperative = lint(path).diagnostics
+        assert "'count'" in augmented.message
+        assert "'self._n'" in augmented.message
+        assert "'self._seen.add()'" in mutator.message
+        assert "'bump'" in imperative.message
+        assert "read lock" in imperative.message
 
-    def test_rl007_message_points_at_the_fix(self):
-        diag = lint(f"{FIXTURES}/rl007_bad.py").diagnostics[0]
-        assert "quote_ident()" in diag.message
-        assert "parameters" in diag.message
+    def test_rl006_exempts_the_locks_own_release(self):
+        # read_locked() -> release_read() updates the reader count under
+        # the lock's own condition variable; RWLock itself has the shape
+        assert findings(f"{FIXTURES}/rl006_release_clean.py") == []
+        assert findings("src/repro/api/locks.py") == []
 
     def test_rl008_transitive_and_direct_blocking(self):
         assert findings(f"{FIXTURES}/rl008_bad.py") == [
@@ -156,195 +155,81 @@ class TestFlowRules:
 
 
 # ----------------------------------------------------------------------
-# suppression comments
+# registry
 # ----------------------------------------------------------------------
-class TestSuppression:
-    def test_coded_and_bare_ignores_silence_wrong_code_does_not(self):
-        result = lint(f"{FIXTURES}/suppressed.py")
-        assert [(d.line, d.code) for d in result.diagnostics] == [(21, "RL003")]
-        assert result.suppressed == 2
-
-    def test_suppressed_findings_do_not_fail_the_run(self):
-        result = lint(f"{FIXTURES}/suppressed.py", select=frozenset({"RL001"}))
-        assert result.exit_code == 0
-
-    def test_ignore_for_the_wrong_code_is_reported_unused(self):
-        result = lint(f"{FIXTURES}/suppressed.py")
-        assert result.unused_suppressions == (
-            (f"{FIXTURES}/suppressed.py", 21, "RL001"),
-        )
-
-    def test_unused_suppressions_never_affect_the_exit_code(self):
-        # With only RL001 active, nothing fires: the bare ignore and the
-        # RL001-coded ignore both silence nothing, yet the run is clean.
-        result = lint(f"{FIXTURES}/suppressed.py", select=frozenset({"RL001"}))
-        assert result.unused_suppressions == (
-            (f"{FIXTURES}/suppressed.py", 14, ""),
-            (f"{FIXTURES}/suppressed.py", 21, "RL001"),
-        )
-        assert result.exit_code == 0
-
-    def test_coded_ignore_for_an_inactive_rule_is_not_judged(self):
-        # ignore[RL001] cannot be called unused by a run that never ran
-        # RL001; the bare/RL003 ignores are used by the RL003 findings.
-        result = lint(f"{FIXTURES}/suppressed.py", select=frozenset({"RL003"}))
-        assert result.unused_suppressions == ()
-
-    def test_doc_mentions_of_the_syntax_are_not_suppressions(self):
-        # The linter's own diagnostics module *documents* the ignore
-        # comment in docstrings and doc-comments; only genuine comment
-        # tokens opening with the directive may count.
-        result = lint("src/repro/analysis/diagnostics.py")
-        assert result.unused_suppressions == ()
-        assert result.suppressed == 0
+RULES = ["RL002", "RL004", "RL005", "RL006", "RL008"]
 
 
-# ----------------------------------------------------------------------
-# the incremental result cache
-# ----------------------------------------------------------------------
-class TestResultCache:
-    def test_warm_hit_reproduces_the_result_without_parsing(
-        self, tmp_path, monkeypatch
-    ):
-        cdir = tmp_path / "cache"
-        cold = lint(f"{FIXTURES}/rl003_bad.py", cache_dir=cdir)
-        assert cold.diagnostics
+class TestRegistry:
+    def test_registry_has_the_five_rules(self):
+        assert sorted(CHECKERS) == RULES
 
-        from repro.analysis.project import Project
-
-        def no_parse(self, rel, explicit):  # pragma: no cover - must not run
-            raise AssertionError("a cache hit must not parse any file")
-
-        monkeypatch.setattr(Project, "_parse", no_parse)
-        warm = lint(f"{FIXTURES}/rl003_bad.py", cache_dir=cdir)
-        assert warm == cold
-
-    def test_editing_a_file_invalidates_the_entry(self, tmp_path):
-        mod = tmp_path / "src" / "broken.py"
-        mod.parent.mkdir()
-        mod.write_text("def f(:\n", encoding="utf-8")
-        cdir = tmp_path / ".cache"
-
-        first = run_lint(tmp_path, ("src/broken.py",), cache_dir=cdir)
-        assert [d.code for d in first.diagnostics] == ["RL000"]
-        assert run_lint(tmp_path, ("src/broken.py",), cache_dir=cdir) == first
-
-        mod.write_text("def f():\n    return 1\n", encoding="utf-8")
-        fixed = run_lint(tmp_path, ("src/broken.py",), cache_dir=cdir)
-        assert fixed.diagnostics == ()
-
-    def test_rule_selection_is_part_of_the_key(self, tmp_path):
-        cdir = tmp_path / "cache"
-        full = lint(f"{FIXTURES}/rl003_bad.py", cache_dir=cdir)
-        narrow = lint(
-            f"{FIXTURES}/rl003_bad.py",
-            select=frozenset({"RL001"}),
-            cache_dir=cdir,
-        )
-        assert full.diagnostics and not narrow.diagnostics
-
-    def test_corrupt_entry_is_treated_as_a_miss(self, tmp_path):
-        cdir = tmp_path / "cache"
-        cold = lint(f"{FIXTURES}/rl003_bad.py", cache_dir=cdir)
-        for entry in cdir.glob("*.json"):
-            entry.write_text("not json", encoding="utf-8")
-        rerun = lint(f"{FIXTURES}/rl003_bad.py", cache_dir=cdir)
-        assert rerun == cold
-
-
-# ----------------------------------------------------------------------
-# select / ignore / registry
-# ----------------------------------------------------------------------
-class TestRuleSelection:
-    def test_registry_has_the_eight_rules(self):
-        assert sorted(CHECKERS) == [
-            "RL001",
-            "RL002",
-            "RL003",
-            "RL004",
-            "RL005",
-            "RL006",
-            "RL007",
-            "RL008",
-        ]
-
-    def test_select_restricts(self):
-        result = lint(f"{FIXTURES}/rl003_bad.py", select=frozenset({"RL001"}))
-        assert result.diagnostics == ()
-        assert result.rules == ("RL001",)
-
-    def test_ignore_drops(self):
-        result = lint(f"{FIXTURES}/rl003_bad.py", ignore=frozenset({"RL003"}))
-        assert result.diagnostics == ()
-
-    def test_unknown_code_raises(self):
-        with pytest.raises(ValueError, match="RL999"):
-            lint(f"{FIXTURES}/rl003_bad.py", select=frozenset({"RL999"}))
+    def test_every_run_runs_every_rule(self):
+        assert lint(f"{FIXTURES}/rl006_clean.py").rules == tuple(RULES)
 
 
 # ----------------------------------------------------------------------
 # the CLI surface
 # ----------------------------------------------------------------------
 class TestCli:
-    @pytest.fixture(autouse=True)
-    def _cache_in_tmp(self, tmp_path, monkeypatch):
-        """Keep the default-on result cache out of the real checkout."""
-        monkeypatch.setattr(
-            "repro.analysis.cli.DEFAULT_CACHE_DIR", str(tmp_path / "cache")
-        )
-
     def test_exit_codes(self, monkeypatch):
         monkeypatch.chdir(ROOT)
-        assert lint_main([f"{FIXTURES}/rl003_clean.py"]) == 0
-        assert lint_main([f"{FIXTURES}/rl003_bad.py"]) == 1
-        assert lint_main(["--select", "NOPE"]) == 2
+        assert lint_main([f"{FIXTURES}/rl006_clean.py"]) == 0
+        assert lint_main([f"{FIXTURES}/rl006_bad.py"]) == 1
+        assert lint_main([f"{FIXTURES}/no_such_fixture.py"]) == 2
 
     def test_text_output_is_ruff_style(self, monkeypatch, capsys):
         monkeypatch.chdir(ROOT)
-        lint_main([f"{FIXTURES}/rl003_bad.py"])
+        lint_main([f"{FIXTURES}/rl006_bad.py"])
         out = capsys.readouterr().out
-        assert f"{FIXTURES}/rl003_bad.py:7:5 RL003 " in out
+        assert f"{FIXTURES}/rl006_bad.py:31:17 RL006 " in out
+        assert out.splitlines()[-1] == "4 finding(s), 1 file(s) scanned"
 
     def test_json_output_shape(self, monkeypatch, capsys):
         monkeypatch.chdir(ROOT)
-        lint_main(["--output", "json", f"{FIXTURES}/rl003_bad.py"])
+        lint_main(["--output", "json", f"{FIXTURES}/rl004_bad.py"])
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == 1
-        assert [f["code"] for f in payload["findings"]] == ["RL003", "RL003"]
+        assert payload["version"] == 2
+        assert [f["code"] for f in payload["findings"]] == [
+            "RL004",
+            "RL004",
+            "RL008",
+        ]
         assert payload["findings"][0]["line"] == 7
-        assert payload["stats"]["findings_by_code"] == {"RL003": 2}
+        assert payload["stats"]["findings_by_code"] == {"RL004": 2, "RL008": 1}
 
-    def test_github_output_renders_error_annotations(self, monkeypatch, capsys):
+    @pytest.mark.parametrize("output", ["text", "json"])
+    def test_github_actions_mirrors_findings_to_stderr(
+        self, monkeypatch, capsys, output
+    ):
         monkeypatch.chdir(ROOT)
-        lint_main(["--output", "github", f"{FIXTURES}/rl003_bad.py"])
-        out = capsys.readouterr().out
+        monkeypatch.setenv("GITHUB_ACTIONS", "true")
+        lint_main(["--output", output, f"{FIXTURES}/rl006_bad.py"])
+        err = capsys.readouterr().err
         assert (
-            f"::error file={FIXTURES}/rl003_bad.py,line=7,col=5,title=RL003::"
-            in out
+            f"::error file={FIXTURES}/rl006_bad.py,line=31,col=17,title=RL006::"
+            in err
         )
+        assert len(err.splitlines()) == 4
+
+    def test_no_mirror_outside_github_actions(self, monkeypatch, capsys):
+        monkeypatch.chdir(ROOT)
+        monkeypatch.delenv("GITHUB_ACTIONS", raising=False)
+        lint_main([f"{FIXTURES}/rl006_bad.py"])
+        assert capsys.readouterr().err == ""
 
     def test_stats_mode_emits_machine_readable_summary(
         self, monkeypatch, capsys
     ):
         monkeypatch.chdir(ROOT)
-        lint_main(["--stats", f"{FIXTURES}/suppressed.py"])
+        lint_main(["--stats", f"{FIXTURES}/rl001_bad.py"])
         stats = json.loads(capsys.readouterr().out.splitlines()[-1])
-        assert stats["files_scanned"] == 1
-        assert stats["rules"] == [
-            "RL001",
-            "RL002",
-            "RL003",
-            "RL004",
-            "RL005",
-            "RL006",
-            "RL007",
-            "RL008",
-        ]
-        assert stats["findings"] == 1
-        assert stats["suppressed"] == 2
-        assert stats["unused_suppressions"] == [
-            f"{FIXTURES}/suppressed.py:21 [RL001]"
-        ]
+        assert stats == {
+            "files_scanned": 1,
+            "rules": RULES,
+            "findings": 1,
+            "findings_by_code": {"RL006": 1},
+        }
 
     def test_list_rules(self, capsys):
         assert lint_main(["--list-rules"]) == 0
@@ -352,14 +237,21 @@ class TestCli:
         for code in CHECKERS:
             assert code in out
 
-    def test_cache_dir_flag_and_no_cache(self, monkeypatch, tmp_path):
-        monkeypatch.chdir(ROOT)
-        cdir = tmp_path / "lint-cache"
-        args = ["--cache-dir", str(cdir), f"{FIXTURES}/rl003_bad.py"]
-        assert lint_main(args) == 1
-        assert any(p.name != "stat.json" for p in cdir.glob("*.json"))
-        assert lint_main(args) == 1  # warm hit, same verdict
-        assert lint_main(["--no-cache", f"{FIXTURES}/rl003_bad.py"]) == 1
+    @pytest.mark.parametrize(
+        "flag",
+        [
+            ["--select", "RL006"],
+            ["--ignore", "RL006"],
+            ["--cache-dir", "lint-cache"],
+            ["--no-cache"],
+            ["--output", "github"],
+        ],
+        ids=lambda flag: flag[0] + (f"={flag[1]}" if len(flag) > 1 else ""),
+    )
+    def test_removed_flags_are_usage_errors(self, flag, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            lint_main([*flag, "--list-rules"])
+        assert excinfo.value.code == 2
 
     def test_module_entry_point(self):
         proc = subprocess.run(
@@ -371,14 +263,14 @@ class TestCli:
             timeout=60,
         )
         assert proc.returncode == 0
-        assert "RL001" in proc.stdout
+        assert "RL006" in proc.stdout
 
-    def test_repro_audit_lint_subcommand(self, monkeypatch, capsys):
+    def test_repro_audit_has_no_lint_subcommand(self, capsys):
         from repro.cli import main as cli_main
 
-        monkeypatch.chdir(ROOT)
-        assert cli_main(["lint", "--", "--list-rules"]) == 0
-        assert "RL005" in capsys.readouterr().out
+        with pytest.raises(SystemExit) as excinfo:
+            cli_main(["lint", "--", "--list-rules"])
+        assert excinfo.value.code == 2
 
 
 # ----------------------------------------------------------------------
@@ -394,3 +286,54 @@ class TestRealTree:
     def test_discovery_skips_the_seeded_fixtures(self):
         result = lint("tests")
         assert all(FIXTURES not in d.path for d in result.diagnostics)
+
+
+# ----------------------------------------------------------------------
+# typed errors on the wire tier (ruff's E722/BLE001/TRY002 in CI)
+# ----------------------------------------------------------------------
+WIRE_TIER = ("src/repro/server", "src/repro/api", "src/repro/client")
+
+
+def untyped_error_sites(source):
+    """``(line, what)`` for every bare ``except:`` and every ``raise
+    Exception``/``raise BaseException``, called or not."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ExceptHandler) and node.type is None:
+            out.append((node.lineno, "bare except"))
+        elif isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id in (
+                "Exception",
+                "BaseException",
+            ):
+                out.append((node.lineno, f"raise {exc.id}"))
+    return out
+
+
+class TestWireTierErrors:
+    @pytest.mark.parametrize("package", WIRE_TIER)
+    def test_no_bare_except_or_untyped_raise(self, package):
+        sites = [
+            (path.relative_to(ROOT).as_posix(), line, what)
+            for path in sorted(Path(ROOT, package).rglob("*.py"))
+            for line, what in untyped_error_sites(path.read_text("utf-8"))
+        ]
+        assert sites == []
+
+    @pytest.mark.parametrize(
+        "source, expected",
+        [
+            ("try:\n    f()\nexcept:\n    pass\n", [(3, "bare except")]),
+            ("raise Exception('boom')\n", [(1, "raise Exception")]),
+            ("raise BaseException\n", [(1, "raise BaseException")]),
+            (
+                "try:\n    f()\nexcept Exception as exc:\n"
+                "    raise TypedError(str(exc)) from exc\n",
+                [],
+            ),
+        ],
+        ids=["bare-except", "raise-exception", "raise-base", "typed"],
+    )
+    def test_the_check_sees_each_shape(self, source, expected):
+        assert untyped_error_sites(source) == expected

@@ -1,4 +1,4 @@
-"""Renderer contracts: GitHub workflow-command escaping, the version-1
+"""Renderer contracts: GitHub workflow-command escaping, the version-2
 JSON payload's key set (consumed by CI — additive changes only without a
 version bump), and the CLI's usage exit codes."""
 
@@ -25,7 +25,6 @@ def diag(**overrides):
 def result(*diagnostics):
     return LintResult(
         diagnostics=tuple(diagnostics),
-        suppressed=0,
         files_scanned=1,
         rules=("RL001",),
     )
@@ -52,7 +51,7 @@ class TestJsonSchema:
     def test_payload_key_set_is_stable(self):
         payload = json.loads(render_json((diag(),), result(diag()).stats()))
         assert set(payload) == {"version", "findings", "stats"}
-        assert payload["version"] == 1
+        assert payload["version"] == 2
         assert set(payload["findings"][0]) == {
             "path",
             "line",
@@ -65,8 +64,6 @@ class TestJsonSchema:
             "rules",
             "findings",
             "findings_by_code",
-            "suppressed",
-            "unused_suppressions",
         }
 
     def test_text_render_is_ruff_style_one_line_per_finding(self):
@@ -79,12 +76,10 @@ class TestJsonSchema:
 
 class TestUsageExitCodes:
     def test_empty_tree_is_clean_exit_zero(self, tmp_path):
-        assert lint_main(["--no-cache", "--root", str(tmp_path)]) == 0
+        assert lint_main(["--root", str(tmp_path)]) == 0
 
     def test_missing_explicit_path_is_a_usage_error(self, tmp_path, capsys):
-        code = lint_main(
-            ["--no-cache", "--root", str(tmp_path), "does/not/exist.py"]
-        )
+        code = lint_main(["--root", str(tmp_path), "does/not/exist.py"])
         assert code == 2
         assert "does not exist" in capsys.readouterr().err
 

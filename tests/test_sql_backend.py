@@ -62,6 +62,7 @@ from repro.db import (
 from repro.db.dialect import (
     IN_MARKER,
     compile_count_distinct,
+    compile_distinct_values,
     compile_distinct_values_in,
     compile_execute,
     condition_params,
@@ -234,7 +235,101 @@ def _single_table_query():
     )
 
 
+#: A tuple-variable alias carrying ``"`` (aliases are not validated), and
+#: condition literals that would rewrite the statement if spliced into it.
+HOSTILE_ALIAS = 'L"; DROP TABLE "Log'
+HOSTILE_LITERALS = ("x' OR '1'='1", '"; DROP TABLE Log; --')
+HOSTILE_SCHEMA = TableSchema.build(
+    "Log", [("Lid", ColumnType.INT), "User", "Note"]
+)
+
+
+def _hostile_query():
+    """``A.Lid`` for the hostile alias ``A`` whose User is the first
+    literal and who shares that User with some row (alias ``B"``) whose
+    Note is the second; ``B"`` is existential, so the distinct forms
+    compile it into ``EXISTS``."""
+    a, b = HOSTILE_ALIAS, 'B"'
+    return ConjunctiveQuery.build(
+        (TupleVar(a, "Log"), TupleVar(b, "Log")),
+        (
+            Condition(AttrRef(a, "User"), "=", Literal(HOSTILE_LITERALS[0])),
+            Condition(AttrRef(a, "User"), "=", AttrRef(b, "User")),
+            Condition(AttrRef(b, "Note"), "=", Literal(HOSTILE_LITERALS[1])),
+        ),
+        (AttrRef(a, "Lid"),),
+        distinct=True,
+    )
+
+
+_HOSTILE_IN = AttrRef(HOSTILE_ALIAS, "User")
+
+#: form -> (compile it, run it on an executor); every SQL form the
+#: executor lowers splices aliases through ``quote_ident``.
+HOSTILE_FORMS = {
+    "execute": (
+        lambda q: compile_execute(q, {"Log": HOSTILE_SCHEMA}),
+        lambda ex, q: sorted(ex.execute(q).rows),
+    ),
+    "count_distinct": (
+        lambda q: compile_count_distinct(
+            q, {"Log": HOSTILE_SCHEMA}, q.projection[0]
+        ),
+        lambda ex, q: ex.count_distinct(q),
+    ),
+    "distinct_values": (
+        lambda q: compile_distinct_values(
+            q, {"Log": HOSTILE_SCHEMA}, q.projection[0]
+        ),
+        lambda ex, q: ex.distinct_values(q),
+    ),
+    "distinct_values_in": (
+        lambda q: compile_distinct_values_in(
+            q, {"Log": HOSTILE_SCHEMA}, q.projection[0], _HOSTILE_IN
+        ),
+        lambda ex, q: ex.distinct_values_in(
+            q, q.projection[0], _HOSTILE_IN, HOSTILE_LITERALS
+        ),
+    ),
+}
+
+
 class TestCompilation:
+    @pytest.mark.parametrize("form", sorted(HOSTILE_FORMS))
+    def test_hostile_alias_and_literals_cannot_rewrite_the_statement(
+        self, form
+    ):
+        """``quote_ident`` is the one chokepoint names pass into SQL text,
+        and literals never reach it: an alias holding ``"`` stays one
+        identifier, and hostile strings bind as parameters."""
+        compile_form, run = HOSTILE_FORMS[form]
+        query = _hostile_query()
+        compiled = compile_form(query)
+        for literal in HOSTILE_LITERALS:
+            assert literal not in compiled.sql
+        assert '"L""; DROP TABLE ""Log"' in compiled.sql
+        assert sorted(condition_params(compiled, query)) == sorted(
+            HOSTILE_LITERALS
+        )
+
+        mem = Database("hostile")
+        mem.create_table(HOSTILE_SCHEMA).insert_many(
+            [
+                (1, HOSTILE_LITERALS[0], HOSTILE_LITERALS[1]),
+                (2, HOSTILE_LITERALS[0], "ok"),
+                (3, "bob", HOSTILE_LITERALS[1]),
+            ]
+        )
+        sql = open_sql_database(mem, None)
+        before = {name: len(sql.table(name)) for name in sql.table_names()}
+        answer = run(SqlExecutor(sql), query)
+        assert answer == run(Executor(mem), query)
+        assert answer in ([(1,), (2,)], 2, {1, 2})
+        assert {name: len(sql.table(name)) for name in sql.table_names()} == (
+            before
+        )
+        assert before == {"Log": 3}
+
     def test_count_distinct_counts_null_as_a_value(self):
         """COUNT(*) over a DISTINCT subquery, not COUNT(DISTINCT col) —
         the in-memory count_distinct counts NULL as a distinct value."""
