@@ -6,10 +6,10 @@ Two sub-checks, both aimed at state that must never cross a ``fork()``:
   service constructed at module level is inherited by every forked
   worker in an undefined state (a held lock stays held forever in the
   child).  Scope: all of ``src/repro``.
-* **closure captures** — a factory passed to ``FleetSupervisor`` /
-  ``run_fleet`` / ``ProcessPoolExecutor`` must construct its resources
-  *inside* the child; a lambda that captures a service/lock/socket
-  built in the parent ships parent-process state through ``fork``.
+* **closure captures** — a factory passed to a ``ProcessPoolExecutor``
+  (an ``initializer``, say) must construct its resources *inside* the
+  child; a lambda that captures a service/lock/socket built in the
+  parent ships parent-process state through ``fork``.
 
 Blocking calls inside ``async def`` bodies were RL004's third check
 until the call graph existed; RL008 now finds them *transitively*
@@ -56,9 +56,7 @@ FORBIDDEN_FACTORIES = frozenset(
 
 #: Call targets a factory closure must not hand to — these ship the
 #: closure (and everything it captures) into another process.
-FACTORY_SINKS = frozenset(
-    {"FleetSupervisor", "run_fleet", "ProcessPoolExecutor", "ThreadPoolExecutor"}
-)
+FACTORY_SINKS = frozenset({"ProcessPoolExecutor", "ThreadPoolExecutor"})
 
 #: ``dotted.name`` call patterns that block the event loop (consumed by
 #: RL008's transitive reachability check).

@@ -20,10 +20,9 @@ Three violation shapes:
   readers run concurrently, so such a write is unsynchronized.  Calls
   to ``release_*`` are exempt: they are the lock's own bookkeeping.
 * **fork while holding a lock** — ``os.fork`` /
-  ``ProcessPoolExecutor`` construction / ``FleetSupervisor`` /
-  ``run_fleet`` / ``.submit`` on a known process pool, reached on any
-  path where any lock is held: the child inherits the mutex state but
-  not the thread that would release it.
+  ``ProcessPoolExecutor`` construction / ``.submit`` on a known process
+  pool, reached on any path where any lock is held: the child inherits
+  the mutex state but not the thread that would release it.
 
 Lock state is tracked per CFG node as a set of ``(token, mode)`` pairs
 where the token is the receiver's dotted spine (``self._lock``,
@@ -86,9 +85,7 @@ ACQUIRE_MODES = {
 RELEASE_MODES = {"release_read": "read", "release_write": "write"}
 
 #: Call spellings that fork (or submit work to a forked pool).
-FORK_TAILS = frozenset(
-    {"fork", "ProcessPoolExecutor", "FleetSupervisor", "run_fleet"}
-)
+FORK_TAILS = frozenset({"fork", "ProcessPoolExecutor"})
 
 #: ``(token, mode)`` pairs held on some path into a node.
 LockState = frozenset[tuple[str, str]]
@@ -225,7 +222,7 @@ def _binding(site: CallSite) -> dict[str, str]:
     return out
 
 
-def _read_only_roots(state: LockState) -> set[str]:
+def _read_held_roots(state: LockState) -> set[str]:
     """Owners (token roots) whose lock is held in read mode only."""
     read = {t.split(".")[0] for t, m in state if m == "read"}
     return read - {t.split(".")[0] for t, m in state if m == "write"}
@@ -313,9 +310,9 @@ class LockFlowChecker:
                 continue
 
             # 2. direct writes to state whose owner is only read-locked
-            read_only = _read_only_roots(state)
+            read_held = _read_held_roots(state)
             for root, detail, (line, col) in self._direct_mutations(node):
-                if root in read_only:
+                if root in read_held:
                     yield Diagnostic(
                         path=file.rel,
                         line=line,
@@ -404,7 +401,7 @@ class LockFlowChecker:
             return
         # mutate: only under a read-locked (and not write-locked) region
         # of the same object
-        if mapped_root in _read_only_roots(state):
+        if mapped_root in _read_held_roots(state):
             target = f"{mapped_root}.{effect.detail}"
             yield Diagnostic(
                 path=file.rel,

@@ -9,8 +9,7 @@ importable from here:
   (``AuditConfig.shards``); :func:`open_service` is the same call as a
   plain function;
 * :class:`AuditConfig` — the single frozen config object (log table,
-  plan-cache size, alert policy, backend, shards, serving fleet, scan
-  budgets);
+  plan-cache size, alert policy, backend, shards, scan budgets);
 * the typed request/response dataclasses of :mod:`repro.api.messages`,
   all JSON-ready via ``to_dict()``, and ``ENDPOINTS``, the declaration
   of the ``/v1/`` routes that serve them;

@@ -2,10 +2,10 @@
 
 :class:`AuditConfig` is a single frozen, serializable dataclass that
 :meth:`repro.api.AuditService.open` consumes — one place to read a
-deployment's layout (log table, backend, shards, serving fleet) and its
-bounds (plan cache, scan slices, table rows), one dict to put in a
-config file.  The shard count is the whole placement: one shard runs
-inline, more run one worker process each.
+deployment's layout (log table, backend, shards) and its bounds (plan
+cache, scan slices, table rows), one dict to put in a config file.
+The shard count is the whole placement: one shard runs inline, more
+run one worker process each.
 """
 
 from __future__ import annotations
@@ -42,14 +42,6 @@ class AuditConfig:
     #: partitions the log and pins each shard database, with its own
     #: indexes and plan cache, to its own worker process.
     shards: int = 1
-
-    #: HTTP serving fleet width for ``repro-audit serve`` — number of
-    #: worker processes sharing one listening port (SO_REUSEPORT, or a
-    #: parent-bound inherited socket where unavailable).  None means one:
-    #: the single in-process server.  Values > 1 require a service spec
-    #: every worker process can open for itself (see
-    #: :mod:`repro.server.supervisor`).
-    workers: int | None = None
 
     #: Resumable-scan budgets (see :meth:`AuditService.scan`): the
     #: default row budget of one scan slice, and an optional wall-clock
@@ -94,8 +86,6 @@ class AuditConfig:
             raise ValueError("plan_cache_size must be >= 1")
         if self.shards < 1:
             raise ValueError("shards must be >= 1")
-        if self.workers is not None and self.workers < 1:
-            raise ValueError("workers must be >= 1 when given")
         if self.scan_page_rows < 1:
             raise ValueError("scan_page_rows must be >= 1")
         if self.backend not in ("memory", "sqlite"):
@@ -107,11 +97,6 @@ class AuditConfig:
             and not self.scan_quantum_seconds > 0
         ):
             raise ValueError("scan_quantum_seconds must be > 0 when given")
-
-    @property
-    def effective_workers(self) -> int:
-        """The serving-fleet width actually used (None means one)."""
-        return self.workers if self.workers is not None else 1
 
     # ------------------------------------------------------------------
     def replace(self, **changes: Any) -> "AuditConfig":

@@ -18,9 +18,8 @@ The wire layer wraps each message in a versioned envelope::
 via :func:`to_wire`/:func:`from_wire`; version or kind mismatches raise
 the typed :class:`~repro.api.errors.WireFormatError` instead of
 producing a half-parsed object.  :data:`ENDPOINTS` lists the routes that
-serve these envelopes; the server's routing, its metrics labels and
-read-only fleet rule, and every :class:`~repro.client.AuditClient` call
-are derived from it.
+serve these envelopes; the server's routing, its metrics labels, and
+every :class:`~repro.client.AuditClient` call are derived from it.
 """
 
 from __future__ import annotations
@@ -677,9 +676,7 @@ class Endpoint(NamedTuple):
     :class:`~repro.server.AuditAPI` method that serves it and is the
     name clients look the endpoint up by; ``kind`` is the envelope kind
     of a successful reply (a :data:`WIRE_KINDS` message, or an ad-hoc
-    payload).  A ``streaming`` reply is NDJSON, one envelope per line; a
-    ``writes`` endpoint mutates the audit state, so a multi-worker fleet
-    of independent replicas answers it with a typed 501.
+    payload).  A ``streaming`` reply is NDJSON, one envelope per line.
     """
 
     method: str
@@ -687,7 +684,6 @@ class Endpoint(NamedTuple):
     handler: str
     kind: str
     streaming: bool = False
-    writes: bool = False
 
 
 ENDPOINTS: tuple[Endpoint, ...] = (
@@ -711,14 +707,10 @@ ENDPOINTS: tuple[Endpoint, ...] = (
     Endpoint("GET", ("/v1/report",), "h_report", "AuditReport"),
     Endpoint("GET", ("/v1/coverage",), "h_coverage", "Coverage"),
     Endpoint("GET", ("/v1/stats",), "h_stats", "Stats"),
-    Endpoint("POST", ("/v1/ingest",), "h_ingest", "IngestResult", writes=True),
-    Endpoint(
-        "POST", ("/v1/ingest/batch",), "h_ingest_batch", "IngestBatch", writes=True
-    ),
+    Endpoint("POST", ("/v1/ingest",), "h_ingest", "IngestResult"),
+    Endpoint("POST", ("/v1/ingest/batch",), "h_ingest_batch", "IngestBatch"),
     Endpoint("GET", ("/v1/templates",), "h_templates_list", "Templates"),
-    Endpoint(
-        "POST", ("/v1/templates",), "h_templates_add", "TemplatesAdded", writes=True
-    ),
+    Endpoint("POST", ("/v1/templates",), "h_templates_add", "TemplatesAdded"),
     Endpoint("GET", ("/v1/templates/dump",), "h_templates_dump", "TemplateLibrary"),
     Endpoint("GET", ("/v1/unexplained",), "h_unexplained", "UnexplainedPage"),
     Endpoint("GET", ("/v1/scan",), "h_scan_get", "ScanSlice"),

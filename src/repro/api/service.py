@@ -933,6 +933,6 @@ class AuditService:
 
 
 def open_service(*args: Any, **kwargs: Any) -> AuditService:
-    """:meth:`AuditService.open` as a plain function, for CLIs, web tiers
-    and fleet factories (the classmethod is looked up on every call)."""
+    """:meth:`AuditService.open` as a plain function, for CLIs and web
+    tiers (the classmethod is looked up on every call)."""
     return AuditService.open(*args, **kwargs)

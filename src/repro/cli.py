@@ -37,7 +37,6 @@ from .api import (
     ExplainRequest,
     MineRequest,
     TemplateLibrary,
-    load_database,
     save_database,
     with_careweb_description,
     write_report,
@@ -238,49 +237,20 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
 
 def cmd_serve(args: argparse.Namespace) -> int:
-    """``serve``: the v1 wire API over an opened service.
+    """``serve``: the v1 wire API over an opened service, in one process.
 
     ``--shards N`` places the service on N process shards
     transparently — the wire contract is identical.  ``--port 0``
     binds an ephemeral port; the ``listening on http://...`` line names
     it (scripts parse that line).  SIGINT/SIGTERM shut down cleanly
     (graceful drain: in-flight requests finish, new dials are refused).
-
-    ``--workers N`` (N > 1) serves a read-only multi-core fleet: one
-    port shared via SO_REUSEPORT (or a fork-inherited fd), one service
-    replica per worker process, ``/v1/metrics`` aggregated fleet-wide.
     """
-    from .server import run_fleet, serve
+    from .server import serve
 
-    config = AuditConfig(
-        shards=args.shards,
-        workers=args.workers,
-        **_backend_config(args),
-    )
-    templates = _templates_for(args.db, args.templates)
-    # The memory backend loads the CSV directory once here (workers fork
-    # the loaded tables); the sqlite backend hands the path through so
-    # the service reuses an existing audited --db-path file or builds a
-    # private in-memory SQLite database per replica.
-    db: str | object = args.db
-    if config.backend == "memory":
-        db = load_database(args.db, max_rows=config.max_table_rows)
-    if config.effective_workers > 1:
-        if config.backend == "sqlite" and config.db_path is not None:
-            # Materialize the SQLite file(s) once before forking the
-            # fleet, so replicas reuse instead of racing to ingest.
-            AuditService.open(
-                db, templates=templates, config=config.replace(workers=None)
-            ).close()
-        # Each worker opens its own replica post-fork — never share one
-        # live service (locks, shard subprocesses) across server processes.
-        return run_fleet(
-            lambda: AuditService.open(db, templates=templates, config=config),
-            host=args.host,
-            port=args.port,
-            workers=config.effective_workers,
-        )
-    with AuditService.open(db, templates=templates, config=config) as service:
+    config = AuditConfig(shards=args.shards, **_backend_config(args))
+    with AuditService.open(
+        args.db, templates=_templates_for(args.db, args.templates), config=config
+    ) as service:
         return serve(service, host=args.host, port=args.port)
 
 
@@ -456,13 +426,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listening port (0 binds an ephemeral one, printed on stdout)",
     )
     p.add_argument("--templates", help="reviewed SQL/JSON template library")
-    p.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        help="worker processes sharing the port (default 1; >1 serves a "
-        "read-only fleet via SO_REUSEPORT with fleet-merged /v1/metrics)",
-    )
     _add_sharding_args(p)
     _add_backend_args(p)
     p.set_defaults(func=cmd_serve)

@@ -6,7 +6,8 @@ contract.  Design points that matter for the audit workload:
 * **Lazy connection** — the ``sqlite3`` connection is opened on first
   use, never in ``__init__``.  A driver object can therefore be built in
   a parent process and shipped to a shard worker (the process-sharded
-  service forks/spawns workers whose initializer builds shard state);
+  service starts one worker process per shard, whose initializer builds
+  that shard's state);
   the connection is only ever created in the process that uses it.
 * **One connection, one lock** — the audit service serializes writers
   behind its own readers-writer lock, but readers run concurrently from

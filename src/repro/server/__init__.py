@@ -19,11 +19,6 @@ Production-style (the ``repro-audit serve`` subcommand)::
 
     from repro.server import serve
     serve(service, host="0.0.0.0", port=8080)      # blocks until SIGINT
-
-Multi-core (the ``repro-audit serve --workers N`` subcommand)::
-
-    from repro.server import run_fleet
-    run_fleet(lambda: open_service("hospital/"), workers=4)
 """
 
 from .app import (
@@ -44,8 +39,7 @@ from .cursor import (
     encode_scan_cursor,
 )
 from .http import ChunkedWriter, Request, dump_json, read_request, response_bytes
-from .metrics import ServerMetrics, merge_snapshots
-from .supervisor import FleetSupervisor, reuseport_available, run_fleet
+from .metrics import ServerMetrics
 
 __all__ = [
     "CURSOR_VERSION",
@@ -55,7 +49,6 @@ __all__ = [
     "AuditAPI",
     "AuditServer",
     "ChunkedWriter",
-    "FleetSupervisor",
     "Request",
     "ServerMetrics",
     "decode_cursor",
@@ -64,11 +57,8 @@ __all__ = [
     "encode_cursor",
     "encode_scan_cursor",
     "envelope",
-    "merge_snapshots",
     "parse_scalar",
     "read_request",
     "response_bytes",
-    "reuseport_available",
-    "run_fleet",
     "serve",
 ]

@@ -10,8 +10,7 @@ Every response is a versioned envelope (``{"v": 1, "kind": ..., "data":
 ...}``); every failure is a typed wire error from
 :mod:`repro.api.errors` with its mapped HTTP status — including
 :class:`~repro.api.errors.UnsupportedOperationError` → 501 for
-operations a placement cannot host (a ``writes`` endpoint on a fleet,
-mining on shards).
+operations a placement cannot host (mining on shards).
 
 Service calls are blocking (they take the service's RWLock), so they
 run in two tiers.  A point explain — ``GET``/``POST /v1/explain`` and
@@ -55,7 +54,6 @@ from ..api.errors import (
     InvalidRequestError,
     MethodNotAllowedError,
     NotFoundError,
-    UnsupportedOperationError,
 )
 from ..api.messages import (
     ENDPOINTS,
@@ -76,7 +74,7 @@ from .cursor import (
     encode_scan_cursor,
 )
 from .http import ChunkedWriter, Request, dump_json, read_request, response_bytes
-from .metrics import ServerMetrics, merge_snapshots
+from .metrics import ServerMetrics
 
 log = logging.getLogger("repro.server")
 
@@ -90,6 +88,9 @@ MAX_SCAN_PAGE_ROWS = 10_000
 
 #: Route label metrics use for requests matching no route.
 UNMATCHED = "<unmatched>"
+
+#: Seconds a graceful drain waits for in-flight requests to finish.
+DRAIN_GRACE_SECONDS = 10.0
 
 
 def parse_scalar(raw: str) -> Any:
@@ -142,27 +143,6 @@ def _parse_access(obj: Any) -> tuple[Any, Any, Any]:
     return user, patient, date
 
 
-def _fetch_worker_snapshot(port: int, timeout: float = 2.0) -> dict:
-    """One peer worker's own metrics snapshot (with raw latency samples),
-    fetched over its loopback control listener.  Blocking — runs on the
-    API's worker thread pool."""
-    import http.client
-
-    conn = http.client.HTTPConnection("127.0.0.1", port, timeout=timeout)
-    try:
-        conn.request("GET", "/metrics?scope=worker&samples=1")
-        response = conn.getresponse()
-        payload = json.loads(response.read().decode("utf-8"))
-    finally:
-        conn.close()
-    data = payload.get("data")
-    if response.status != 200 or not isinstance(data, dict):
-        raise InternalServerError(
-            f"peer metrics fetch from port {port} failed: {response.status}"
-        )
-    return data
-
-
 class AuditAPI:
     """The route table and handlers over one opened audit service."""
 
@@ -170,21 +150,10 @@ class AuditAPI:
         self,
         service: Any,
         *,
-        metrics: ServerMetrics | None = None,
         max_workers: int = 8,
-        read_only: bool = False,
     ) -> None:
         self.service = service
-        self.metrics = metrics if metrics is not None else ServerMetrics()
-        #: Multi-worker fleets serve read-only replicas: a write landing
-        #: on one worker would silently diverge its copy of the log from
-        #: every other worker's, so mutating endpoints answer 501.
-        self.read_only = read_only
-        #: Peer metrics ports (one control listener per fleet worker,
-        #: this worker's own port included) — set post-start by the
-        #: supervisor rendezvous; empty means single-server mode.
-        self._peer_metrics_ports: list[int] = []
-        self._own_metrics_port: int | None = None
+        self.metrics = ServerMetrics()
         self._executor = ThreadPoolExecutor(
             max_workers=max_workers, thread_name_prefix="repro-serve"
         )
@@ -211,15 +180,6 @@ class AuditAPI:
 
     def close(self) -> None:
         self._executor.shutdown(wait=False, cancel_futures=True)
-
-    def configure_fleet(
-        self, peer_metrics_ports: list[int], own_metrics_port: int
-    ) -> None:
-        """Wire this worker into a fleet: the full peer control-port list
-        (own port included) makes ``/v1/metrics`` aggregate across every
-        worker instead of answering locally."""
-        self._peer_metrics_ports = list(peer_metrics_ports)
-        self._own_metrics_port = own_metrics_port
 
     # ------------------------------------------------------------------
     # dispatch
@@ -269,34 +229,7 @@ class AuditAPI:
         return envelope("Health", {"status": "ok"})
 
     async def h_metrics(self, request: Request) -> dict:
-        """Local counters — or, on a fleet worker, the merged fleet view.
-
-        ``?scope=worker`` always answers with this worker's own snapshot
-        (what the aggregation fan-out requests, so it cannot recurse);
-        ``?samples=1`` includes the raw latency reservoir (what the
-        merge needs).  Unreachable peers are skipped — the ``workers``
-        count in the merged payload says how many answered.
-        """
-        scope = request.query.get("scope")
-        include_samples = request.query.get("samples") == "1"
-        if scope == "worker" or not self._peer_metrics_ports:
-            return envelope(
-                "Metrics", self.metrics.snapshot(include_samples=include_samples)
-            )
-        snapshots = [self.metrics.snapshot(include_samples=True)]
-        peers = [
-            port
-            for port in self._peer_metrics_ports
-            if port != self._own_metrics_port
-        ]
-        fetched = await asyncio.gather(
-            *[self._call(_fetch_worker_snapshot, port) for port in peers],
-            return_exceptions=True,
-        )
-        snapshots.extend(snap for snap in fetched if isinstance(snap, dict))
-        merged = merge_snapshots(snapshots)
-        merged["scope"] = "fleet"
-        return envelope("Metrics", merged)
+        return envelope("Metrics", self.metrics.snapshot())
 
     async def h_explain_get(self, request: Request) -> dict:
         raw = request.query.get("lid")
@@ -457,9 +390,8 @@ class AuditAPI:
         """One bounded slice of the resumable full-log scan.  A fresh
         request (no cursor) starts at the head of the stable ``(date,
         lid)`` order; the returned cursor carries the whole suspended
-        scan state, so the next page may land on any replica — or on a
-        freshly restarted server — and continue exactly where this one
-        stopped."""
+        scan state, so the next page may land on a freshly restarted
+        server and continue exactly where this one stopped."""
         page_rows = request.query_int("page_rows", None, minimum=1)
         quantum_ms = request.query_int("quantum_ms", None, minimum=1)
         cursor = request.query.get("cursor")
@@ -536,22 +468,10 @@ class AuditServer:
         port: int = 0,
         *,
         max_workers: int = 8,
-        sock: Any = None,
-        api: AuditAPI | None = None,
     ) -> None:
-        #: ``api`` lets two servers share one route table, thread pool,
-        #: and metrics instance — a fleet worker's main listener and its
-        #: loopback control listener are the same API on two sockets.
-        self.api = api if api is not None else AuditAPI(service, max_workers=max_workers)
+        self.api = AuditAPI(service, max_workers=max_workers)
         self.host = host
         self.port = port
-        #: A pre-bound listening socket (SO_REUSEPORT sibling or an
-        #: inherited parent-bound fd); when given, host/port are taken
-        #: from it and no new bind happens.
-        self._sock = sock
-        if sock is not None:
-            name = sock.getsockname()
-            self.host, self.port = name[0], name[1]
         self._server: asyncio.base_events.Server | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._thread: threading.Thread | None = None
@@ -632,15 +552,6 @@ class AuditServer:
         chunked = request.version != "HTTP/1.0"
         try:
             endpoint, route, handler = self.api.resolve(request)
-            if endpoint.writes and self.api.read_only:
-                raise UnsupportedOperationError(
-                    f"{route} is not available on a multi-worker fleet: "
-                    f"every worker serves an independent replica of the "
-                    f"audit state, so a write accepted by one worker would "
-                    f"silently diverge it from the others; run `repro-audit "
-                    f"serve` with --workers 1 (or ingest offline and "
-                    f"restart the fleet) to mutate"
-                )
             if endpoint.streaming:
                 chunks = ChunkedWriter(
                     writer, keep_alive=keep_alive, chunked=chunked
@@ -698,32 +609,22 @@ class AuditServer:
     # lifecycle
     # ------------------------------------------------------------------
     async def start_async(self) -> None:
-        """Bind the listening socket inside the running loop (or adopt
-        the pre-bound one)."""
-        if self._sock is not None:
-            self._server = await asyncio.start_server(
-                self._handle_connection, sock=self._sock
-            )
-        else:
-            self._server = await asyncio.start_server(
-                self._handle_connection, self.host, self.port
-            )
+        """Bind the listening socket inside the running loop."""
+        self._server = await asyncio.start_server(
+            self._handle_connection, self.host, self.port
+        )
         sockets = self._server.sockets or []
         if sockets:
             self.port = sockets[0].getsockname()[1]
 
-    async def stop_async(
-        self,
-        drain: bool = False,
-        grace_seconds: float = 10.0,
-        close_api: bool = True,
-    ) -> None:
+    async def stop_async(self, drain: bool = False) -> None:
         """Stop the listener.  With ``drain=True`` this is the graceful
         SIGTERM path: close the listening socket first (new dials are
         refused), let every in-flight request — streaming responses
-        included — run to completion (bounded by ``grace_seconds``),
-        then close idle keep-alive connections.  Responses sent while
-        draining carry ``Connection: close``.
+        included — run to completion (bounded by
+        :data:`DRAIN_GRACE_SECONDS`), then close idle keep-alive
+        connections.  Responses sent while draining carry ``Connection:
+        close``.
         """
         if self._server is not None:
             self._server.close()
@@ -732,7 +633,7 @@ class AuditServer:
         if drain:
             self._draining = True
             loop = asyncio.get_running_loop()
-            deadline = loop.time() + grace_seconds
+            deadline = loop.time() + DRAIN_GRACE_SECONDS
             while self.api.metrics.in_flight > 0 and loop.time() < deadline:
                 await asyncio.sleep(0.02)
             for task in list(self._conn_tasks):
@@ -741,8 +642,7 @@ class AuditServer:
                 await asyncio.gather(
                     *list(self._conn_tasks), return_exceptions=True
                 )
-        if close_api:
-            self.api.close()
+        self.api.close()
 
     # --- background-thread mode (tests, benchmarks) -------------------
     def start(self) -> "AuditServer":

@@ -14,12 +14,6 @@ probability ``capacity / observed`` — so the reservoir stays a uniform
 sample over the *whole process lifetime* in constant memory, not a
 recency window.  ``mean`` and ``max`` are tracked exactly alongside and
 are not subject to sampling error.
-
-Multi-worker serving aggregates one snapshot per worker into a fleet
-view with :func:`merge_snapshots`: counters and per-route breakdowns
-sum, exact means combine observation-weighted, and the per-worker
-reservoirs merge into one fleet reservoir (weighted by how many
-observations each worker's sample represents).
 """
 
 from __future__ import annotations
@@ -96,22 +90,16 @@ class ServerMetrics:
         rank = math.ceil(fraction * len(ordered)) - 1
         return ordered[min(len(ordered) - 1, max(0, rank))]
 
-    def snapshot(self, include_samples: bool = False) -> dict:
+    def snapshot(self) -> dict:
         """The ``GET /metrics`` payload: counters, per-route breakdown,
         latency percentiles over the reservoir, and benchlib-style
-        ``throughput`` rates.
-
-        ``include_samples=True`` adds the raw reservoir under
-        ``latency_seconds.samples`` — the form one worker ships to the
-        aggregator so :func:`merge_snapshots` can merge reservoirs
-        instead of guessing fleet percentiles from per-worker ones.
-        """
+        ``throughput`` rates."""
         with self._lock:
             uptime = time.monotonic() - self._started_monotonic
             ordered = sorted(self._samples)
             observed = self._observed
             requests_total = self.requests_total
-            latency: dict = {
+            latency = {
                 "count": observed,
                 "sampled": len(ordered),
                 "mean": self._latency_sum / observed if observed else 0.0,
@@ -120,8 +108,6 @@ class ServerMetrics:
                 "p99": self._percentile(ordered, 0.99),
                 "max": self._latency_max if observed else 0.0,
             }
-            if include_samples:
-                latency["samples"] = list(self._samples)
             snapshot = {
                 "started_at": self._started_at,
                 "uptime_seconds": uptime,
@@ -142,94 +128,4 @@ class ServerMetrics:
         return snapshot
 
 
-def merge_snapshots(
-    snapshots: list[dict], reservoir: int = 4096, seed: int = 0
-) -> dict:
-    """One fleet view from per-worker :meth:`ServerMetrics.snapshot` dicts.
-
-    Counters and per-route breakdowns sum; ``started_at`` is the earliest
-    worker start and ``uptime_seconds`` the longest (the fleet has been up
-    as long as its oldest worker); means combine weighted by each worker's
-    observation count (exact); ``max`` is the exact fleet max.  The
-    latency reservoirs merge into one: when every worker's sample is still
-    exhaustive (reservoir never overflowed) and they fit, the merge is the
-    exact concatenation — otherwise a weighted re-sample (seeded, with
-    replacement) draws each slot from worker *i* with probability
-    proportional to the ``observed_i`` requests its reservoir represents.
-    Snapshots lacking ``latency_seconds.samples`` contribute their
-    counters but no samples.
-    """
-    if not snapshots:
-        raise ValueError("merge_snapshots needs at least one snapshot")
-    routes: dict[str, dict[str, int]] = {}
-    for snap in snapshots:
-        for route, counts in snap.get("routes", {}).items():
-            agg = routes.setdefault(route, {"count": 0, "errors": 0})
-            agg["count"] += counts.get("count", 0)
-            agg["errors"] += counts.get("errors", 0)
-
-    observed_total = sum(s["latency_seconds"]["count"] for s in snapshots)
-    mean = (
-        sum(
-            s["latency_seconds"]["mean"] * s["latency_seconds"]["count"]
-            for s in snapshots
-        )
-        / observed_total
-        if observed_total
-        else 0.0
-    )
-    contributors = [
-        (s["latency_seconds"]["samples"], s["latency_seconds"]["count"])
-        for s in snapshots
-        if s["latency_seconds"].get("samples") and s["latency_seconds"]["count"]
-    ]
-    exhaustive = all(len(samples) == count for samples, count in contributors)
-    total_samples = sum(len(samples) for samples, _ in contributors)
-    if exhaustive and total_samples <= reservoir:
-        merged = [v for samples, _ in contributors for v in samples]
-    elif contributors:
-        rng = random.Random(seed)
-        population = [v for samples, _ in contributors for v in samples]
-        # Each sample stands in for observed/len(samples) real requests.
-        weights = [
-            count / len(samples)
-            for samples, count in contributors
-            for _ in samples
-        ]
-        merged = rng.choices(population, weights=weights, k=reservoir)
-    else:
-        merged = []
-    ordered = sorted(merged)
-
-    uptime = max(s["uptime_seconds"] for s in snapshots)
-    requests_total = sum(s["requests_total"] for s in snapshots)
-    pct = ServerMetrics._percentile
-    return {
-        "started_at": min(s["started_at"] for s in snapshots),
-        "uptime_seconds": uptime,
-        "workers": len(snapshots),
-        "requests_total": requests_total,
-        "errors_total": sum(s["errors_total"] for s in snapshots),
-        "in_flight": sum(s["in_flight"] for s in snapshots),
-        "routes": {route: routes[route] for route in sorted(routes)},
-        "latency_seconds": {
-            "count": observed_total,
-            "sampled": len(ordered),
-            "mean": mean,
-            "p50": pct(ordered, 0.50),
-            "p90": pct(ordered, 0.90),
-            "p99": pct(ordered, 0.99),
-            "max": max(
-                (s["latency_seconds"]["max"] for s in snapshots),
-                default=0.0,
-            )
-            if observed_total
-            else 0.0,
-        },
-        "throughput": {
-            "requests_per_second": requests_total / uptime if uptime > 0 else 0.0,
-        },
-    }
-
-
-__all__ = ["ServerMetrics", "merge_snapshots"]
+__all__ = ["ServerMetrics"]

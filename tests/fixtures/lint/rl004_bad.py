@@ -3,14 +3,15 @@ closure capture, and a blocking call on the event loop."""
 
 import threading
 import time
+from concurrent.futures import ProcessPoolExecutor
 
-LOCK = threading.Lock()  # line 7: inherited by forked workers
+LOCK = threading.Lock()  # line 8: inherited by forked workers
 
 
-def launch(run_fleet, open_service, db):
+def launch(open_service, db):
     service = open_service(db)
-    return run_fleet(lambda: service)  # line 12: ships parent state
+    return ProcessPoolExecutor(initializer=lambda: service)  # line 13: ships parent state
 
 
 async def poll():
-    time.sleep(0.1)  # line 16: stalls the event loop
+    time.sleep(0.1)  # line 17: stalls the event loop

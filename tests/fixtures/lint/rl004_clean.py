@@ -3,6 +3,7 @@ factory, and the async body awaits instead of blocking."""
 
 import asyncio
 import threading
+from concurrent.futures import ProcessPoolExecutor
 
 
 class Worker:
@@ -10,8 +11,8 @@ class Worker:
         self.lock = threading.Lock()
 
 
-def launch(run_fleet, open_service, db):
-    return run_fleet(lambda: open_service(db))
+def launch(open_service, db):
+    return ProcessPoolExecutor(initializer=lambda: open_service(db))
 
 
 async def poll():

@@ -44,12 +44,12 @@ class TestSeededViolations:
         assert "'self._cache'" in diag.message
 
     def test_rl004_lock_closure_and_blocking_call(self):
-        # the direct blocking call on line 16 moved to RL008's
+        # the direct blocking call on line 17 moved to RL008's
         # jurisdiction when the transitive check subsumed RL004's
         assert findings(f"{FIXTURES}/rl004_bad.py") == [
-            (f"{FIXTURES}/rl004_bad.py", 7, 8, "RL004"),
-            (f"{FIXTURES}/rl004_bad.py", 12, 22, "RL004"),
-            (f"{FIXTURES}/rl004_bad.py", 16, 5, "RL008"),
+            (f"{FIXTURES}/rl004_bad.py", 8, 8, "RL004"),
+            (f"{FIXTURES}/rl004_bad.py", 13, 44, "RL004"),
+            (f"{FIXTURES}/rl004_bad.py", 17, 5, "RL008"),
         ]
 
     def test_rl005_missing_envelope_and_smoke(self):
@@ -195,7 +195,7 @@ class TestCli:
             "RL004",
             "RL008",
         ]
-        assert payload["findings"][0]["line"] == 7
+        assert payload["findings"][0]["line"] == 8
         assert payload["stats"]["findings_by_code"] == {"RL004": 2, "RL008": 1}
 
     @pytest.mark.parametrize("output", ["text", "json"])

@@ -179,8 +179,8 @@ class TestConfigDrivesService:
 
 
 #: ``AuditConfig().to_dict()`` as stored by a build whose config still
-#: carried the seven evaluation-path toggles and the two thread-shard
-#: knobs.
+#: carried the seven evaluation-path toggles, the two thread-shard knobs
+#: and the serving-fleet width.
 STORED_21_KEY_CONFIG = {
     "log_table": "Log",
     "log_id_attr": "Lid",
@@ -214,6 +214,7 @@ REMOVED_TOGGLES = [
     "semijoin_batch_min",
     "use_batch_path",
     "vectorized",
+    "workers",
 ]
 
 
@@ -234,7 +235,8 @@ class TestStoredConfigCompatibility:
         assert str(REMOVED_TOGGLES) in str(raised.value)
 
     @pytest.mark.parametrize(
-        "key,value", [("executor_kind", "process"), ("parallelism", 2)]
+        "key,value",
+        [("executor_kind", "process"), ("parallelism", 2), ("workers", 2)],
     )
     def test_a_removed_shard_knob_alone_is_named_or_dropped(self, key, value):
         stored = {"shards": 2, key: value}

@@ -267,14 +267,21 @@ class TestParser:
         with pytest.raises(SystemExit):
             main(["bogus"])
 
-    @pytest.mark.parametrize("command", ["audit", "evaluate", "serve"])
-    def test_executor_kind_flag_is_gone(self, dbdir, command, capsys):
-        """``--shards N`` alone picks process shards; there is no
-        executor flag left to pass.  (``--shards 0`` makes a parser that
-        still took the flag fail at config validation, not serve.)"""
+    @pytest.mark.parametrize(
+        "command,flag,value",
+        [
+            pytest.param("audit", "--executor-kind", "process", id="audit"),
+            pytest.param("evaluate", "--executor-kind", "process", id="evaluate"),
+            pytest.param("serve", "--executor-kind", "process", id="serve"),
+            pytest.param("serve", "--workers", "2", id="serve-workers"),
+        ],
+    )
+    def test_executor_kind_flag_is_gone(self, dbdir, command, flag, value, capsys):
+        """``--shards N`` alone picks process shards, and ``serve`` is one
+        process; there is no executor or worker flag left to pass.
+        (``--shards 0`` makes a parser that still took the flag fail at
+        config validation, not serve.)"""
         with pytest.raises(SystemExit) as exited:
-            main(
-                [command, "--db", dbdir, "--shards", "0", "--executor-kind", "process"]
-            )
+            main([command, "--db", dbdir, "--shards", "0", flag, value])
         assert exited.value.code == 2
-        assert "unrecognized arguments: --executor-kind" in capsys.readouterr().err
+        assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

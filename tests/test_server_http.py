@@ -117,15 +117,54 @@ class TestServerMetrics:
         for i in range(100):
             metrics.request_started()
             metrics.request_finished("GET /x", float(i), error=False)
-        snap = metrics.snapshot(include_samples=True)
+        snap = metrics.snapshot()
         # Constant memory: the sample never outgrows the reservoir, but
         # the observation count, mean, and max stay exact over all 100.
         assert snap["latency_seconds"]["sampled"] == 10
-        assert len(snap["latency_seconds"]["samples"]) == 10
+        assert len(metrics._samples) == 10
         assert snap["latency_seconds"]["count"] == 100
         assert snap["latency_seconds"]["max"] == 99.0
         assert snap["latency_seconds"]["mean"] == sum(range(100)) / 100
         assert snap["requests_total"] == 100
+
+
+def _fill(metrics, latencies, route="GET /v1/explain"):
+    for seconds in latencies:
+        metrics.request_started()
+        metrics.request_finished(route, seconds, error=False)
+
+
+class TestReservoir:
+    def test_exhaustive_percentiles_are_exact(self):
+        metrics = ServerMetrics(reservoir=1000, seed=0)
+        _fill(metrics, [i / 100 for i in range(1, 101)])
+        latency = metrics.snapshot()["latency_seconds"]
+        assert latency["count"] == 100
+        assert latency["sampled"] == 100
+        assert latency["p50"] == 0.50
+        assert latency["p90"] == 0.90
+        assert latency["p99"] == 0.99
+        assert latency["max"] == 1.00
+        assert latency["mean"] == pytest.approx(0.505)
+
+    def test_overflow_keeps_constant_memory_and_exact_extremes(self):
+        metrics = ServerMetrics(reservoir=16, seed=1)
+        _fill(metrics, [float(i) for i in range(1000)])
+        latency = metrics.snapshot()["latency_seconds"]
+        assert latency["count"] == 1000
+        assert latency["sampled"] == 16
+        assert len(metrics._samples) == 16
+        assert latency["max"] == 999.0  # exact, not sampled
+        assert latency["mean"] == pytest.approx(499.5)  # exact, not sampled
+        assert set(metrics._samples) <= {float(i) for i in range(1000)}
+
+    def test_seeded_sampling_is_deterministic(self):
+        runs = []
+        for _ in range(2):
+            metrics = ServerMetrics(reservoir=8, seed=42)
+            _fill(metrics, [float(i) for i in range(200)])
+            runs.append(list(metrics._samples))
+        assert runs[0] == runs[1]
 
 
 class TestPercentile:
@@ -345,7 +384,7 @@ class TestProtocol:
             client.healthz()  # the connection now idles in read_request()
             if drain:
                 asyncio.run_coroutine_threadsafe(
-                    server.stop_async(drain=True, close_api=False), server._loop
+                    server.stop_async(drain=True), server._loop
                 ).result(timeout=10)
             server.close()
         assert [r.getMessage() for r in caplog.records if r.name == "asyncio"] == []

@@ -625,14 +625,7 @@ def render_routes():
     ]
     for endpoint in ENDPOINTS:
         paths = ", ".join(f"`{path}`" for path in endpoint.paths)
-        notes = "; ".join(
-            note
-            for note, applies in (
-                ("NDJSON stream", endpoint.streaming),
-                ("write: 501 on a fleet", endpoint.writes),
-            )
-            if applies
-        )
+        notes = "NDJSON stream" if endpoint.streaming else ""
         lines.append(
             f"| {endpoint.method} | {paths} | `{endpoint.kind}` | {notes} |"
         )
