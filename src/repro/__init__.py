@@ -10,8 +10,8 @@ A complete, from-scratch reproduction of the paper's system:
   weighted-modularity clustering);
 * :mod:`repro.ehr` — a synthetic CareWeb-like hospital substituting for
   the University of Michigan Health System data;
-* :mod:`repro.audit` — hand-crafted templates, the patient portal, and
-  misuse-detection reports;
+* :mod:`repro.audit` — hand-crafted templates, NL rendering and the
+  streaming access monitor;
 * :mod:`repro.evalx` — metrics and one experiment per paper figure/table.
 
 The **public API** lives in :mod:`repro.api` — a unified, thread-safe
@@ -23,9 +23,9 @@ one :class:`~repro.api.AuditConfig` object::
     with AuditService.open("hospital/") as service:
         print(service.report(limit=10).summary())
 
-The engine-level classes (``ExplanationEngine``, ``AccessMonitor``,
-``PatientPortal``, ``ComplianceAuditor``, the miners) are imported from
-the subpackages that define them (:mod:`repro.core`, :mod:`repro.audit`).
+The engine-level classes (``ExplanationEngine``, ``AccessMonitor``, the
+miners) are imported from the subpackages that define them
+(:mod:`repro.core`, :mod:`repro.audit`).
 """
 
 from .core import (

@@ -28,8 +28,8 @@ Quickstart::
         print(service.explain(17).to_dict())
 
 The engine-level classes underneath (``ExplanationEngine``,
-``AccessMonitor``, ``PatientPortal``, ``ComplianceAuditor``, the miners)
-are imported from :mod:`repro.core` and :mod:`repro.audit`.
+``AccessMonitor``, the miners) are imported from :mod:`repro.core` and
+:mod:`repro.audit`.
 """
 
 # the explanation-template toolchain

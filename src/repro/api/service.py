@@ -36,10 +36,14 @@ The service owns a writer-preferring readers-writer lock
 (:class:`~repro.api.locks.RWLock`): queries run concurrently as readers
 against the delta-maintained caches, while ingest, mining and template
 registration serialize as writers.  With the default
-``AuditConfig.eager_warm``, every writer leaves the aggregate caches warm
-before releasing the lock, so readers only ever *read* shared state.
-Readers wait for the lock, except ``explain(request, wait=False)``: it
-answers only if the read lock is free of writers right now
+``AuditConfig.eager_warm``, every writer leaves the prepared probes and
+the aggregate caches warm before releasing the lock.  Readers still
+mutate one kind of shared state: the first reader that needs a ``Table``
+access structure (a hash or projection index, a distinct projection, a
+key structure) builds it, under the read lock (ROADMAP.md, "Declared
+access structures").  Readers wait for the lock, except
+``explain(request, wait=False)``: it answers only if the read lock is
+free of writers right now
 (:meth:`~repro.api.locks.RWLock.try_acquire_read`), and returns None
 otherwise — the HTTP server's event loop then hands the request to its
 thread pool as an ordinary waiting ``explain``.
@@ -325,29 +329,6 @@ class AuditService:
         service._given = source
         return service
 
-    @classmethod
-    def from_engine(
-        cls, engine: ExplanationEngine, config: AuditConfig | None = None
-    ) -> "AuditService":
-        """Wrap an existing engine as a one-shard service (how the
-        engine-level ``PatientPortal`` and ``ComplianceAuditor`` reach the
-        service).
-
-        The engine's executor, caches, and template set are used as-is;
-        nothing is eagerly warmed.
-        """
-        if config is None:
-            config = AuditConfig(
-                log_table=engine.log_table,
-                log_id_attr=engine.log_id_attr,
-                eager_warm=False,
-            )
-        service = cls.__new__(cls)
-        service._attach(
-            engine.db, config, None, ShardState(0, engine.db, config, engine)
-        )
-        return service
-
     def close(self) -> None:
         """End the lifecycle; subsequent calls raise RuntimeError.  Every
         shard database the service opened closes with it; the database
@@ -409,8 +390,9 @@ class AuditService:
 
     def _warm(self) -> None:
         """Prepare the point probes and materialize the aggregate caches
-        (explained set, unexplained queue) on every shard, so subsequent
-        readers never mutate shared state."""
+        (explained set, unexplained queue) on every shard.  Table access
+        structures the readers need but the warm pass did not read are
+        still built by the first reader that asks."""
         self._scatter("warm")
 
     def _whole_memory_db(self, what: str, hint: str) -> Database:

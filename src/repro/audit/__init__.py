@@ -1,5 +1,7 @@
-"""Application layer: hand-crafted templates, NL rendering, patient portal,
-and compliance (misuse-detection) reporting."""
+"""Application layer: hand-crafted templates, NL rendering and the
+streaming access monitor.  The patient portal and the compliance report
+are :meth:`repro.api.AuditService.patient_report` and
+:meth:`repro.api.AuditService.report`."""
 
 from .handcrafted import (
     all_event_user_templates,
@@ -12,18 +14,12 @@ from .handcrafted import (
     same_department_templates,
 )
 from .nl import TABLE_PHRASES, describe_careweb_path, with_careweb_description
-from .portal import AccessReportEntry, PatientPortal
-from .report import ComplianceAuditor, UnexplainedAccess
 from .streaming import AccessMonitor, StreamedAccess
 
 __all__ = [
     "AccessMonitor",
-    "AccessReportEntry",
-    "ComplianceAuditor",
     "StreamedAccess",
-    "PatientPortal",
     "TABLE_PHRASES",
-    "UnexplainedAccess",
     "all_event_user_templates",
     "dataset_a_doctor_templates",
     "describe_careweb_path",

@@ -231,7 +231,8 @@ class ExplanationEngine:
         Probes hold names, never tables or indexes, so they survive
         :meth:`invalidate_cache` and any amount of log growth; preparing
         them builds no index.  A service forces this from :meth:`warm`,
-        under its write lock, so readers only ever call them.
+        under its write lock; the first reader to run a probe still builds
+        the table structures it reads.
         """
         if self._prepared is None:
             self._prepared = tuple(self._prepare(t) for t in self.templates)
@@ -256,10 +257,11 @@ class ExplanationEngine:
         )
 
     def warm(self) -> None:
-        """Build everything a reader would otherwise build on first use:
-        the prepared probes and the aggregate caches (explained set,
-        unexplained queue).  Writers call this before releasing their
-        lock, so concurrent readers never mutate shared state."""
+        """Build the prepared probes and the aggregate caches (explained
+        set, unexplained queue).  Writers call this before releasing their
+        lock.  It does not build every ``Table`` structure a reader reads:
+        the first point probe that needs one (a projection index, a key
+        structure) still builds it."""
         self._probes()
         self.unexplained_lids()
 

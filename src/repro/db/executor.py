@@ -177,30 +177,30 @@ class _Source:
     def _restricted_rows(
         self, table: Table, attr: str, values: set | frozenset
     ) -> list[tuple]:
-        """Materialize ``attr IN values`` through the batch probe APIs.
+        """Materialize ``attr IN values`` through the batch probes.
 
-        Small binding sets probe by set intersection (scalar-keyed
-        projection index, no per-value tuple allocation); large ones scan
-        the columnar mirror — the typed ``array('q')`` one for clean int
-        columns.  ``values`` never contains NULL (stripped by the caller:
-        NULL never joins).
+        Small binding sets probe by set intersection (the projection
+        index, keyed by bare values); large ones scan the columnar mirror.
+        ``values`` never contains NULL (stripped by the caller: NULL never
+        joins).
         """
         attrs = self.attrs
         small = len(values) * INDEX_JOIN_RATIO < max(1, len(table))
         if self.reduce:
             if small:
-                probed = table.projection_probe_scalar(attrs, attr, values)
+                probed = table.projection_probe(attrs, (attr,), values)
                 return [t for entries in probed.values() for t in entries]
             pos = attrs.index(attr)
             return [t for t in table.project_distinct(attrs) if t[pos] in values]
         getter = table.row_getter(attrs)
         if small:
             return list(map(getter, table.lookup_many(attr, values)))
-        col_vals = table.int_column_array(attr)
-        if col_vals is None:
-            col_vals = table.column_array(attr)
         rows = table.rows()
-        return [getter(rows[i]) for i, v in enumerate(col_vals) if v in values]
+        return [
+            getter(rows[i])
+            for i, v in enumerate(table.column_array(attr))
+            if v in values
+        ]
 
 
 class _Stage(NamedTuple):
@@ -733,13 +733,13 @@ class Executor:
         live tables with one call's literals (and semijoin binding set).
 
         Tables and their indexes are fetched by name on every run, so a
-        compiled pipeline never outlives an index a
-        ``Table.invalidate_caches()``/``clear()`` dropped.  The loops are
+        compiled pipeline never outlives an index ``Table.clear()`` (or a
+        table replaced in the catalog) dropped.  The loops are
         batch-at-a-time:
 
         * probe keys come from one ``itemgetter`` per step (or a bare
-          column read for single-attribute joins, probing a scalar-keyed
-          hashmap — no per-row key-tuple allocation);
+          column read for single-attribute joins, probing a hashmap keyed
+          by bare values — no per-row key-tuple allocation);
         * NULL probe keys need no explicit skip — neither the projection
           indexes, the key sets, the extremum maps nor the hashmaps built
           here ever contain a NULL-bearing key, so a NULL probe simply
@@ -794,15 +794,10 @@ class Executor:
                 if source.indexed:
                     # Probe the table's delta-maintained projection index —
                     # the cached hash map this join would otherwise build
-                    # per call (scalar-keyed for single-attribute joins).
-                    if single:
-                        hashmap: dict = table.projection_index_scalar(
-                            source.attrs, stage.key_attrs[0]
-                        )
-                    else:
-                        hashmap = table.projection_index(
-                            source.attrs, stage.key_attrs
-                        )
+                    # per call (keyed like the one built here).
+                    hashmap: dict = table.projection_index(
+                        source.attrs, stage.key_attrs
+                    )
                 else:
                     hashmap = {}
                     build = stage.build

@@ -118,9 +118,7 @@ class SqlTable:
 
     The in-memory table's cache-building internals (columnar mirrors,
     hash indexes, projection indexes) have no equivalent here — the
-    database's own B-tree indexes play that role, and
-    :meth:`invalidate_caches` is a no-op because there is nothing to
-    invalidate.
+    database's own B-tree indexes play that role.
     """
 
     def __init__(self, driver: SqliteDriver, schema: TableSchema) -> None:

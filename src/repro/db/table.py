@@ -15,10 +15,10 @@ access structures matter for the auditing workload:
   support of a path only needs the distinct combinations of the attributes
   the path touches, so each tuple variable is reduced to a deduplicated
   projection before joining;
-* **projection indexes** (``join-key tuple -> [distinct projected
-  tuples]``), hash indexes *over* a distinct projection, which let the
-  executor run index-nested-loop joins when the probe side is tiny (the
-  streaming per-access point queries); and
+* **projection indexes** (``join key -> [distinct projected tuples]``),
+  hash indexes *over* a distinct projection, which let the executor run
+  index-nested-loop joins when the probe side is tiny (the streaming
+  per-access point queries); and
 * **key structures** — the NULL-free key set of some columns
   (:meth:`key_set`), the per-key minimum or maximum of a column
   (:meth:`key_extremum`), and the per-key list of a column's values
@@ -27,10 +27,13 @@ access structures matter for the auditing workload:
   "is there one whose column beats this value?", and "which rows carry
   this key?".
 
-Hash and projection indexes also expose **batch probe APIs**
-(:meth:`probe_many`, :meth:`lookup_many`, :meth:`projection_probe_scalar`)
-so the executor can resolve a whole set of binding values in one call —
-the storage-level primitive behind batch semijoin evaluation.
+Projection indexes and key structures share one key convention
+(:meth:`_key_of`): a bare value for one key column, a value tuple for
+several, and a key holding a NULL is left out (NULL never joins).  Hash
+and projection indexes also expose **batch probes** (:meth:`lookup_many`,
+:meth:`projection_probe`) so the executor can resolve a whole set of
+binding values in one call — the storage-level primitive behind batch
+semijoin evaluation.
 
 Delta maintenance contract
 --------------------------
@@ -50,17 +53,12 @@ after any interleaving of inserts, rejected batches and reads.
 from __future__ import annotations
 
 import operator
-from array import array
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from itertools import chain, islice
 from typing import Any
 
 from .errors import CapacityError, IntegrityError, UnknownColumnError
-from .schema import ColumnType, TableSchema
-
-#: Sentinel for "no typed mirror possible" in the int-array cache, so a
-#: column that once saw a NULL/overflow is not re-scanned on every call.
-_NO_TYPED_MIRROR = object()
+from .schema import TableSchema
 
 #: Rows per batch of a CSV load or ``insert_many``: small, so a batch's
 #: temporaries die young (docs/architecture.md, "Loading an extract").
@@ -166,21 +164,10 @@ class Table:
         self._column_store: dict[str, list[Any]] = {}
         self._indexes: dict[str, dict[Any, list[int]]] = {}
         self._distinct_cache: dict[tuple[str, ...], set[tuple]] = {}
-        self._ndv_cache: dict[str, int] = {}
-        #: (attrs, key_attrs) -> {key tuple -> [distinct projected tuples]}
+        #: (attrs, key_attrs) -> {key -> [distinct projected tuples]}
         self._proj_index_cache: dict[
-            tuple[tuple[str, ...], tuple[str, ...]], dict[tuple, list[tuple]]
+            tuple[tuple[str, ...], tuple[str, ...]], dict[Any, list[tuple]]
         ] = {}
-        #: (attrs, key_attr) -> {scalar key -> [distinct projected tuples]}
-        #: — the single-key-column variant of the projection index, keyed
-        #: by the bare value instead of a 1-tuple so the join pipeline's
-        #: probes never allocate per-row key tuples.
-        self._proj_scalar_cache: dict[
-            tuple[tuple[str, ...], str], dict[Any, list[tuple]]
-        ] = {}
-        #: column -> array('q') mirror, or _NO_TYPED_MIRROR when the
-        #: column is not cleanly int-typed (NULLs, non-INT type, overflow).
-        self._int_arrays: dict[str, Any] = {}
         #: column names -> row projector (schema-only, so never invalidated)
         self._row_getters: dict[tuple[str, ...], Callable[[tuple], tuple]] = {}
         #: key columns -> non-NULL keys (bare values for one column)
@@ -191,9 +178,8 @@ class Table:
         self._key_groups: dict[tuple[tuple[str, ...], str], dict[Any, list]] = {}
         #: every cached structure an append patches (cleared, never rebound)
         self._structures: tuple[dict, ...] = (
-            self._column_store, self._indexes, self._distinct_cache, self._ndv_cache,
-            self._proj_index_cache, self._proj_scalar_cache, self._int_arrays,
-            self._key_sets, self._extrema, self._key_groups,
+            self._column_store, self._indexes, self._distinct_cache,
+            self._proj_index_cache, self._key_sets, self._extrema, self._key_groups,
         )
 
     # ------------------------------------------------------------------
@@ -232,15 +218,8 @@ class Table:
     def clear(self) -> None:
         """Remove all rows (destructive: drops every cached structure)."""
         self._rows.clear()
-        self._invalidate()
-
-    def invalidate_caches(self) -> None:
-        """Drop every lazily built structure; rows are untouched.
-
-        Never needed after :meth:`insert`/:meth:`insert_many` (those
-        delta-maintain in place) — this exists for callers that mutate
-        rows out-of-band."""
-        self._invalidate()
+        for structure in self._structures:
+            structure.clear()
 
     def _apply_insert(self, pos: int, tup: tuple) -> None:
         """Patch every cached structure with one appended row (delta insert)."""
@@ -249,60 +228,20 @@ class Table:
             values.append(tup[col_idx(column)])
         for column, mapping in self._indexes.items():
             mapping.setdefault(tup[col_idx(column)], []).append(pos)
-        # Distinct projections first, recording which projected tuples are
-        # new — NDV stats and projection indexes key off that novelty.
-        fresh: dict[tuple[str, ...], bool] = {}
-        proj_of: dict[tuple[str, ...], tuple] = {}
-        for key, cache in self._distinct_cache.items():
-            proj = tuple(tup[col_idx(c)] for c in key)
-            proj_of[key] = proj
+        # Distinct projections first: a projection index gains an entry
+        # only when its projection gains a tuple.
+        fresh: dict[tuple[str, ...], tuple | None] = {}
+        for attrs, cache in self._distinct_cache.items():
+            proj = self.row_getter(attrs)(tup)
             if proj in cache:
-                fresh[key] = False
+                fresh[attrs] = None
             else:
                 cache.add(proj)
-                fresh[key] = True
-        for column in list(self._ndv_cache):
-            key = (column,)
-            if key in fresh:
-                if fresh[key] and proj_of[key][0] is not None:
-                    self._ndv_cache[column] += 1
-            else:
-                # No maintained single-column projection to consult (cannot
-                # happen via ndv(), which warms it); rebuild on next read.
-                del self._ndv_cache[column]
+                fresh[attrs] = proj
         for (attrs, key_attrs), index in self._proj_index_cache.items():
-            if attrs in fresh:
-                if not fresh[attrs]:
-                    continue  # projection already present: index row exists
-                proj = proj_of[attrs]
-            else:  # defensive: projection cache was never built
-                proj = tuple(tup[col_idx(c)] for c in attrs)
-            attr_pos = {a: i for i, a in enumerate(attrs)}
-            key = tuple(proj[attr_pos[a]] for a in key_attrs)
-            if None in key:
-                continue  # NULL never joins
-            index.setdefault(key, []).append(proj)
-        for (attrs, key_attr), index in self._proj_scalar_cache.items():
-            if attrs in fresh:
-                if not fresh[attrs]:
-                    continue
-                proj = proj_of[attrs]
-            else:
-                proj = tuple(tup[col_idx(c)] for c in attrs)
-            key = proj[attrs.index(key_attr)]
-            if key is None:
-                continue  # NULL never joins
-            index.setdefault(key, []).append(proj)
-        for column, arr in self._int_arrays.items():
-            if arr is _NO_TYPED_MIRROR:
-                continue
-            value = tup[col_idx(column)]
-            try:
-                arr.append(value)
-            except (TypeError, OverflowError):
-                # A NULL (or out-of-range) value arrived: the typed
-                # mirror can no longer represent the column; tombstone it.
-                self._int_arrays[column] = _NO_TYPED_MIRROR
+            proj = fresh[attrs]
+            if proj is not None and (key := self._key_of(key_attrs, tup)) is not None:
+                index.setdefault(key, []).append(proj)
         for attrs, keys in self._key_sets.items():
             key = self._key_of(attrs, tup)
             if key is not None:
@@ -318,10 +257,6 @@ class Table:
             key, value = self._key_of(attrs, tup), tup[col_idx(column)]
             if key is not None and value is not None:
                 groups.setdefault(key, []).append(value)
-
-    def _invalidate(self) -> None:
-        for structure in self._structures:
-            structure.clear()
 
     # ------------------------------------------------------------------
     # access
@@ -370,39 +305,15 @@ class Table:
         """All values of one column, in row order (a fresh copy)."""
         return list(self.column_array(column))
 
-    def int_column_array(self, column: str) -> array | None:
-        """A typed ``array('q')`` mirror of an INT column, or None.
-
-        Available only while the column is declared INT and every stored
-        value fits a signed 64-bit slot with no NULLs — the moment a NULL
-        (or overflowing) value is appended the mirror is dropped for good
-        (callers fall back to :meth:`column_array`).  Delta-maintained on
-        append like every other cached structure; treat as read-only.
-        The contiguous buffer also supports zero-copy ``memoryview``
-        slicing for consumers that want it.
-        """
-        cached = self._int_arrays.get(column)
-        if cached is None:  # never built
-            col = self.schema.columns[self.schema.column_index(column)]
-            if col.ctype is not ColumnType.INT:
-                cached = _NO_TYPED_MIRROR
-            else:
-                try:
-                    cached = array("q", self.column_array(column))
-                except (TypeError, OverflowError):
-                    cached = _NO_TYPED_MIRROR
-            self._int_arrays[column] = cached
-        return None if cached is _NO_TYPED_MIRROR else cached
-
     def distinct_values(self, column: str) -> set:
         """Distinct values of one column (NULLs excluded)."""
         return {t[0] for t in self.project_distinct((column,)) if t[0] is not None}
 
     def ndv(self, column: str) -> int:
-        """Number of distinct non-NULL values; cached (optimizer statistic)."""
-        if column not in self._ndv_cache:
-            self._ndv_cache[column] = len(self.distinct_values(column))
-        return self._ndv_cache[column]
+        """Number of distinct non-NULL values (optimizer statistic), read
+        off the column's distinct projection."""
+        d = self.project_distinct((column,))
+        return len(d) - ((None,) in d)
 
     def index_for(self, column: str) -> dict[Any, list[int]]:
         """Hash index ``value -> [row positions]``, built lazily and cached."""
@@ -429,51 +340,35 @@ class Table:
 
     def projection_index(
         self, attrs: Sequence[str], key_attrs: Sequence[str]
-    ) -> dict[tuple, list[tuple]]:
-        """Hash index over ``project_distinct(attrs)`` keyed by ``key_attrs``.
+    ) -> dict[Any, list[tuple]]:
+        """Hash index over ``project_distinct(attrs)`` keyed by ``key_attrs``
+        (keys as in :meth:`key_set`: bare values for one key column).
 
-        Maps each non-NULL combination of the key attributes to the list of
-        distinct projected tuples carrying it.  The executor probes this for
-        index-nested-loop joins when the other side of a join is tiny (e.g.
-        a single log row selected by a point predicate), so a per-access
-        explanation query touches O(matches) rows instead of hashing the
-        whole relation.  Built lazily; delta-maintained on append.
+        Maps each non-NULL key to the list of distinct projected tuples
+        carrying it.  The executor probes this for index-nested-loop joins
+        when the other side of a join is tiny (e.g. a single log row
+        selected by a point predicate), so a per-access explanation query
+        touches O(matches) rows instead of hashing the whole relation.
+        Built lazily; delta-maintained on append.
         """
         cache_key = (tuple(attrs), tuple(key_attrs))
-        if cache_key not in self._proj_index_cache:
-            attr_pos = {a: i for i, a in enumerate(cache_key[0])}
-            key_of = tuple_getter([attr_pos[a] for a in cache_key[1]])
-            index: dict[tuple, list[tuple]] = {}
-            for proj in self.project_distinct(attrs):
-                key = key_of(proj)
-                if None in key:
-                    continue  # NULL never joins
+        index = self._proj_index_cache.get(cache_key)
+        if index is None:
+            distinct = self.project_distinct(attrs)
+            key_of = operator.itemgetter(*map(cache_key[0].index, cache_key[1]))
+            index = {}
+            for key, proj in _non_null(map(key_of, distinct), distinct, cache_key[1]):
                 index.setdefault(key, []).append(proj)
             self._proj_index_cache[cache_key] = index
-        return self._proj_index_cache[cache_key]
+        return index
 
     def projection_index_scalar(
         self, attrs: Sequence[str], key_attr: str
     ) -> dict[Any, list[tuple]]:
-        """:meth:`projection_index` specialized to a single key column.
-
-        Maps each non-NULL *bare value* of ``key_attr`` (no 1-tuple
-        wrapping) to the distinct projected tuples carrying it, so the
-        semijoin probe hashes scalars instead of allocating a key tuple
-        per probe row.  Built lazily; delta-maintained on
-        append exactly like the tuple-keyed variant.
-        """
-        cache_key = (tuple(attrs), key_attr)
-        if cache_key not in self._proj_scalar_cache:
-            pos = cache_key[0].index(key_attr)
-            index: dict[Any, list[tuple]] = {}
-            for proj in self.project_distinct(attrs):
-                key = proj[pos]
-                if key is None:
-                    continue  # NULL never joins
-                index.setdefault(key, []).append(proj)
-            self._proj_scalar_cache[cache_key] = index
-        return self._proj_scalar_cache[cache_key]
+        # A delegate, not an API: perfbench's traced run patches this method
+        # by name (perfbench/layers.py), so it stays until that tracer reads
+        # spans from the library.  Nothing in the library calls it.
+        return self.projection_index(attrs, (key_attr,))
 
     # ------------------------------------------------------------------
     # key structures (a join whose columns are dropped right after it)
@@ -542,12 +437,11 @@ class Table:
 
     def _keyed_values(self, attrs: tuple[str, ...], column: str) -> Iterator[tuple]:
         """``(key, value)`` per row, rows with a NULL in either left out."""
-        values = self.column_array(column)
         if len(attrs) == 1:
-            pairs = zip(self.column_array(attrs[0]), values)
-            return ((k, v) for k, v in pairs if k is not None and v is not None)
-        keyed = zip(zip(*[self.column_array(a) for a in attrs]), values)
-        return ((k, v) for k, v in keyed if None not in k and v is not None)
+            keys: Iterable = self.column_array(attrs[0])
+        else:
+            keys = zip(*[self.column_array(a) for a in attrs])
+        return _non_null(keys, self.column_array(column), attrs)
 
     def _key_of(self, attrs: tuple[str, ...], row: tuple) -> Any:
         """One row's key as the key structures store it, None if NULL."""
@@ -563,46 +457,44 @@ class Table:
     # ------------------------------------------------------------------
     # batch probes (the storage primitive behind semijoin evaluation)
     # ------------------------------------------------------------------
-    def probe_many(self, column: str, values: Iterable[Any]) -> dict[Any, list[int]]:
-        """Batch hash-index probe: ``value -> [row positions]`` for every
-        probe value that matches at least one row.
+    def lookup_many(self, column: str, values: Iterable[Any]) -> list[tuple]:
+        """Rows where ``column`` matches any probe value (full multiplicity,
+        grouped by probe value in first-seen order; NULLs never match).
 
-        NULL probe values are skipped (SQL semantics: NULL never joins).
         The whole batch resolves with one C-level keys-view set
         intersection against the hash index (NULL discarded afterwards —
         the index does carry a NULL bucket).
         """
-        index = self.index_for(column)
-        if isinstance(values, (set, frozenset)):
-            hits = index.keys() & values
-            hits.discard(None)
-            return {v: index[v] for v in hits}
-        ordered = dict.fromkeys(values)  # dedup, first-seen order kept
-        hits = index.keys() & ordered
+        index, rows = self.index_for(column), self._rows
+        if not isinstance(values, (set, frozenset)):
+            values = dict.fromkeys(values)  # dedup, first-seen order kept
+        hits = index.keys() & values
         hits.discard(None)
-        return {v: index[v] for v in ordered if v in hits}
+        return [rows[p] for v in values if v in hits for p in index[v]]
 
-    def lookup_many(self, column: str, values: Iterable[Any]) -> list[tuple]:
-        """Rows where ``column`` matches any probe value (full multiplicity,
-        grouped by probe value; NULLs never match)."""
-        rows = self._rows
-        probed = self.probe_many(column, values)
-        return [rows[p] for positions in probed.values() for p in positions]
-
-    def projection_probe_scalar(
-        self, attrs: Sequence[str], key_attr: str, values: Iterable[Any]
+    def projection_probe(
+        self, attrs: Sequence[str], key_attrs: Sequence[str], values: Iterable[Any]
     ) -> dict[Any, list[tuple]]:
-        """Batch probe of :meth:`projection_index_scalar`: ``value ->
-        [distinct projected tuples]`` for every probe value with a match.
-
-        Bare values in, bare-value keys out, one set intersection for the
-        whole batch.  NULL probe values never match (the scalar index has
-        no NULL key).
+        """Batch probe of :meth:`projection_index`: ``key -> [distinct
+        projected tuples]`` for every probe key with a match, by one set
+        intersection for the whole batch.  NULL-bearing probe keys never
+        match (the index has no such key).
         """
-        index = self.projection_index_scalar(attrs, key_attr)
+        index = self.projection_index(attrs, key_attrs)
         if not isinstance(values, (set, frozenset)):
             values = set(values)
         return {v: index[v] for v in index.keys() & values}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return f"<Table {self.schema.name} rows={len(self._rows)}>"
+
+
+def _non_null(
+    keys: Iterable, values: Iterable, key_attrs: Sequence[str]
+) -> Iterator[tuple]:
+    """``(key, value)`` pairs, those with a NULL in either left out; a key
+    is a bare value for one key column, a tuple for several."""
+    pairs = zip(keys, values)
+    if len(key_attrs) == 1:
+        return ((k, v) for k, v in pairs if k is not None and v is not None)
+    return ((k, v) for k, v in pairs if None not in k and v is not None)

@@ -377,22 +377,11 @@ class TestDeprecationShims:
                 getattr(repro, name)
 
     def test_old_entry_points_match_service(self, hospital_db):
-        """The shimmed classes and the service agree on every output."""
-        from repro.audit.portal import PatientPortal
-        from repro.audit.report import ComplianceAuditor
-
+        """The engine and the service agree on every explanation."""
         templates = _templates(hospital_db)
         engine = ExplanationEngine(hospital_db, templates)
         service = AuditService.open(hospital_db, templates=templates)
 
-        assert PatientPortal(engine).render("Alice") == (
-            service.render_patient_report("Alice")
-        )
-        auditor = ComplianceAuditor(engine)
-        report = service.report()
-        assert auditor.summary() == report.summary()
-        assert [e.lid for e in auditor.queue()] == [e.lid for e in report.queue]
-        assert auditor.user_risk_ranking() == list(report.user_risk)
         for lid in (100, 116, 127, 130, 900):
             assert [i.render() for i in engine.explain(lid)] == [
                 v.text for v in service.explain(lid).explanations

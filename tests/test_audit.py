@@ -1,11 +1,11 @@
-"""Tests for the audit layer: hand-crafted templates, NL rendering,
-patient portal, compliance reporting — on a tiny simulated hospital."""
+"""Tests for the audit layer: hand-crafted templates, NL rendering, and
+the service's patient portal and compliance report — on a tiny simulated
+hospital."""
 
 import pytest
 
+from repro.api import AuditService
 from repro.audit import (
-    ComplianceAuditor,
-    PatientPortal,
     all_event_user_templates,
     dataset_a_doctor_templates,
     describe_careweb_path,
@@ -152,68 +152,58 @@ class TestNaturalLanguage:
 
 
 @pytest.fixture(scope="module")
-def engine(db, graph):
+def service(db, graph):
     templates = dataset_a_doctor_templates(graph)
     templates.append(repeat_access_template(graph))
     templates.extend(group_templates(graph, depth=1))
     templates.extend(all_event_user_templates(graph))
-    return ExplanationEngine(db, templates)
+    with AuditService.open(db, templates=templates) as service:
+        yield service
 
 
 class TestPortal:
-    def test_report_covers_all_accesses(self, engine, db):
+    def test_report_covers_all_accesses(self, service, db):
         patient = next(iter(db.table("Log").distinct_values("Patient")))
-        portal = PatientPortal(engine)
-        entries = portal.access_report(patient)
-        assert len(entries) == len(portal.accesses_of(patient))
+        entries = service.patient_report(patient).entries
+        assert len(entries) == len(db.table("Log").lookup("Patient", patient))
 
-    def test_entries_sorted_by_time(self, engine, db):
+    def test_entries_sorted_by_time(self, service, db):
         patient = sorted(db.table("Log").distinct_values("Patient"))[0]
-        entries = PatientPortal(engine).access_report(patient)
+        entries = service.patient_report(patient).entries
         dates = [e.date for e in entries]
         assert dates == sorted(dates)
 
-    def test_render_contains_headlines(self, engine, db):
-        patient = sorted(db.table("Log").distinct_values("Patient"))[0]
-        text = PatientPortal(engine).render(patient, limit=5)
-        assert f"patient {patient}" in text
-
-    def test_suspicious_flag(self, engine, sim):
-        portal = PatientPortal(engine)
+    def test_suspicious_flag(self, service, sim):
         snoops = sim.lids_tagged("snoop")
         if not snoops:
             pytest.skip("no snooping incidents in this seed")
         lid = next(iter(snoops))
         log = sim.db.table("Log")
         row = [r for r in log.rows() if r[0] == lid][0]
-        entries = portal.access_report(row[3])
+        entries = service.patient_report(row[3]).entries
         flagged = {e.lid for e in entries if e.suspicious}
         assert lid in flagged or lid in {
             e.lid for e in entries if not e.explanations
         }
 
 
-class TestComplianceAuditor:
-    def test_queue_sorted_and_unexplained(self, engine):
-        auditor = ComplianceAuditor(engine)
-        queue = auditor.queue()
-        unexplained = engine.unexplained_lids()
-        assert {e.lid for e in queue} == unexplained
+class TestComplianceReport:
+    def test_queue_sorted_and_unexplained(self, service):
+        queue = service.report().queue
+        assert {e.lid for e in queue} == service.unexplained_lids()
         dates = [e.date for e in queue]
         assert dates == sorted(dates)
 
-    def test_snoops_in_queue(self, engine, sim):
-        auditor = ComplianceAuditor(engine)
-        queue_lids = {e.lid for e in auditor.queue()}
+    def test_snoops_in_queue(self, service, sim):
+        queue_lids = {e.lid for e in service.report().queue}
         snoops = sim.lids_tagged("snoop")
         # scripted snooping incidents must surface in the review queue
         assert snoops <= queue_lids
 
-    def test_risk_ranking_descending(self, engine):
-        ranking = ComplianceAuditor(engine).user_risk_ranking()
-        counts = [n for _, n in ranking]
+    def test_risk_ranking_descending(self, service):
+        counts = [n for _, n in service.report().user_risk]
         assert counts == sorted(counts, reverse=True)
 
-    def test_summary_format(self, engine):
-        text = ComplianceAuditor(engine).summary()
+    def test_summary_format(self, service):
+        text = service.summary()
         assert "review queue" in text and "explained" in text

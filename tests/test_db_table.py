@@ -152,14 +152,19 @@ class TestColumnarStore:
 
 
 class TestBatchProbes:
-    def test_probe_many_groups_positions(self, table):
-        out = table.probe_many("Doctor", ["Dave", "Mike", "Nobody"])
-        assert out == {"Dave": [0, 2, 3], "Mike": [1]}
+    def test_lookup_many_groups_by_probe_value(self, table):
+        assert table.index_for("Doctor") == {"Dave": [0, 2, 3], "Mike": [1]}
+        assert table.lookup_many("Doctor", ["Dave", "Mike", "Nobody"]) == [
+            ("Alice", "Dave", 1),
+            ("Alice", "Dave", 3),
+            ("Carol", "Dave", 1),
+            ("Bob", "Mike", 2),
+        ]
 
-    def test_probe_many_skips_null(self, table):
+    def test_lookup_many_skips_null(self, table):
         table.insert((None, "Dave", 4))
-        assert None not in table.probe_many("Patient", [None, "Bob"])
-        assert table.probe_many("Patient", [None]) == {}
+        assert table.lookup_many("Patient", [None, "Bob"]) == [("Bob", "Mike", 2)]
+        assert table.lookup_many("Patient", [None]) == []
 
     def test_lookup_many_full_multiplicity(self, table):
         rows = table.lookup_many("Patient", ["Alice", "Carol"])
@@ -168,19 +173,20 @@ class TestBatchProbes:
         )
         assert table.lookup_many("Patient", []) == []
 
-    def test_probe_many_delta_maintained(self, table):
-        table.probe_many("Doctor", ["Dave"])  # warm the index
+    def test_lookup_many_delta_maintained(self, table):
+        table.lookup_many("Doctor", ["Dave"])  # warm the index
         table.insert(("Zoe", "Dave", 5))
-        assert table.probe_many("Doctor", ["Dave"])["Dave"] == [0, 2, 3, 4]
+        assert table.index_for("Doctor")["Dave"] == [0, 2, 3, 4]
+        assert table.lookup_many("Doctor", ["Dave"])[-1] == ("Zoe", "Dave", 5)
 
     def test_projection_index(self, table):
         out = table.projection_index(("Patient", "Doctor"), ("Doctor",))
-        assert set(out) == {("Dave",), ("Mike",)}
-        assert sorted(out[("Dave",)]) == [("Alice", "Dave"), ("Carol", "Dave")]
-        assert ("Nobody",) not in out
+        assert set(out) == {"Dave", "Mike"}  # one key column: bare keys
+        assert sorted(out["Dave"]) == [("Alice", "Dave"), ("Carol", "Dave")]
+        assert "Nobody" not in out
 
     def test_projection_index_skips_null_keys(self, table):
         table.insert((None, None, 4))
         out = table.projection_index(("Patient", "Doctor"), ("Doctor",))
-        assert (None,) not in out
-        assert out[("Mike",)] == [("Bob", "Mike")]
+        assert None not in out
+        assert out["Mike"] == [("Bob", "Mike")]

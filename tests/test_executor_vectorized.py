@@ -1,8 +1,8 @@
 """Differential tests: the batch-at-a-time pipeline vs row-at-a-time oracles.
 
 The executor's join pipeline and the table-level batch probes
-(``probe_many`` / ``lookup_many`` / the projection indexes and their
-scalar-keyed variants) replace per-row dict probes with C-level
+(``lookup_many`` / ``projection_probe`` over the projection indexes,
+keyed by bare values for one key column) replace per-row dict probes with C-level
 keys-view set intersections, specialized filter comprehensions, and
 ``itemgetter`` projections.  Every one of those paths must give exactly
 what a row-at-a-time evaluation gives — same multisets of projected rows,
@@ -80,17 +80,30 @@ def assert_vectorized_matches(db, query, **executor_kw) -> None:
         )
 
 
-def scan_positions(table, column, values) -> dict:
-    """``probe_many`` computed row by row: per non-NULL probe value, the
-    positions of the rows holding it."""
+def scan_rows(table, column, values) -> list:
+    """``lookup_many`` computed row by row: per distinct non-NULL probe
+    value in first-seen order, the rows holding it."""
     col = table.schema.column_index(column)
-    out = {}
-    for value in values:
-        if value is None:
+    return [
+        row
+        for value in dict.fromkeys(values)
+        if value is not None
+        for row in table.rows()
+        if row[col] == value
+    ]
+
+
+def scan_projection(table, attrs, key_attrs) -> dict:
+    """``projection_index`` computed row by row: per non-NULL key (a bare
+    value for one key column), the set of distinct projected tuples."""
+    out: dict = {}
+    for row in table.rows():
+        named = dict(zip(table.schema.column_names, row))
+        key = tuple(named[a] for a in key_attrs)
+        if None in key:
             continue
-        hits = [i for i, row in enumerate(table.rows()) if row[col] == value]
-        if hits:
-            out[value] = hits
+        key = key[0] if len(key) == 1 else key
+        out.setdefault(key, set()).add(tuple(named[a] for a in attrs))
     return out
 
 
@@ -186,7 +199,7 @@ def test_batch_semijoin_vectorized_matches_rowwise(seed):
 # ----------------------------------------------------------------------
 # table-level batch probes
 # ----------------------------------------------------------------------
-class TestProbeMany:
+class TestLookupMany:
     def _table(self):
         db = _mixed_db()
         return db.table("Visits")
@@ -194,22 +207,22 @@ class TestProbeMany:
     def test_matches_per_value_loop_with_nulls(self):
         table = self._table()
         for values in ([1, None, 4, 99], {1, None, 4, 99}, [], [None]):
-            got = table.probe_many("uid", values)
-            assert got == scan_positions(table, "uid", values)
-            assert None not in got
+            got = table.lookup_many("uid", values)
+            assert got == scan_rows(table, "uid", values)
+            assert all(row[0] is not None for row in got)
 
     def test_null_probe_never_matches_null_rows(self):
         table = self._table()
         # the index has a NULL bucket (row 2); the probe must not see it
         assert None in table.index_for("uid")
-        assert table.probe_many("uid", [None, 1]) == {
-            1: table.index_for("uid")[1]
-        }
+        assert table.lookup_many("uid", [None, 1]) == [
+            table.row(p) for p in table.index_for("uid")[1]
+        ]
 
     def test_duplicate_probe_values_collapse(self):
         table = self._table()
-        assert table.probe_many("uid", [1, 1, 2, 1]) == table.probe_many(
-            "uid", {1, 2}
+        assert table.lookup_many("uid", [1, 1, 2, 1]) == table.lookup_many(
+            "uid", [1, 2]
         )
 
     def test_lookup_many_matches_rowwise(self):
@@ -223,81 +236,60 @@ class TestProbeMany:
 
     def test_probe_after_ingest_sees_delta(self):
         table = self._table()
-        before = table.probe_many("uid", [77])
-        assert before == {}
+        assert table.lookup_many("uid", [77]) == []
         table.insert((77, "icu"))
-        got = table.probe_many("uid", [77])
-        assert got == scan_positions(table, "uid", [77])
-        assert got == {77: [len(table.rows()) - 1]}
+        got = table.lookup_many("uid", [77])
+        assert got == scan_rows(table, "uid", [77])
+        assert got == [(77, "icu")]
 
 
 class TestProjectionProbes:
     def _table(self):
         return _mixed_db().table("Visits")
 
-    def test_tuple_keys_match_rowwise(self):
+    def test_one_key_matches_rowwise(self):
         table = self._table()
         index = table.projection_index(("uid", "ward"), ("uid",))
-        expected: dict = {}
-        for uid, ward in table.rows():
-            if uid is not None:
-                expected.setdefault((uid,), set()).add((uid, ward))
-        assert {k: set(v) for k, v in index.items()} == expected
-        assert (None,) not in index
-        assert index  # non-vacuous: uid 1 and 4 match
+        assert {k: set(v) for k, v in index.items()} == scan_projection(
+            table, ("uid", "ward"), ("uid",)
+        )
+        assert None not in index
+        assert set(index) == {1, 2, 4}  # bare keys, NULL left out
 
-    def test_scalar_probe_matches_tuple_probe(self):
+    def test_two_keys_match_rowwise(self):
         table = self._table()
-        values = {1, 2, None, 123}
-        scalar = table.projection_probe_scalar(("uid", "ward"), "uid", values)
-        tupled = table.projection_index(("uid", "ward"), ("uid",))
-        assert {(k,): v for k, v in scalar.items()} == {
-            k: v for k, v in tupled.items() if k[0] in values
-        }
-        assert None not in scalar
+        index = table.projection_index(("uid", "ward"), ("ward", "uid"))
+        assert {k: set(v) for k, v in index.items()} == scan_projection(
+            table, ("uid", "ward"), ("ward", "uid")
+        )
+        assert not any(None in k for k in index)
+        assert set(index) == {("icu", 1), ("icu", 2), ("er", 4)}
 
-    def test_scalar_index_is_delta_maintained(self):
+    def test_probe_matches_rowwise(self):
         table = self._table()
-        warm = table.projection_probe_scalar(("uid", "ward"), "uid", {1})
+        for key_attrs, values in (
+            (("uid",), {1, 2, None, 123}),
+            (("ward", "uid"), [("icu", 1), ("er", None), ("er", 4), ("er", 9)]),
+        ):
+            got = table.projection_probe(("uid", "ward"), key_attrs, values)
+            expected = scan_projection(table, ("uid", "ward"), key_attrs)
+            assert {k: set(v) for k, v in got.items()} == {
+                k: v for k, v in expected.items() if k in set(values)
+            }
+            assert got  # non-vacuous
+
+    def test_index_is_delta_maintained(self):
+        table = self._table()
+        warm = table.projection_probe(("uid", "ward"), ("uid",), {1})
         assert set(warm) == {1}
         assert set(warm[1]) == {(1, "icu"), (1, None)}
         table.insert((1, "er"))
         table.insert((None, "morgue"))  # NULL key: must not enter the index
-        after = table.projection_probe_scalar(
-            ("uid", "ward"), "uid", {1, None}
-        )
+        after = table.projection_probe(("uid", "ward"), ("uid",), {1, None})
         assert set(after) == {1}
         assert after[1][-1] == (1, "er")  # the delta appends in place
         assert set(after[1]) == {(1, "icu"), (1, None), (1, "er")}
-
-
-class TestIntColumnArray:
-    def test_int_column_with_null_has_no_mirror(self):
-        table = _mixed_db().table("Users")
-        assert table.int_column_array("uid") is None  # NULL in column
-        assert table.int_column_array("dept") is None  # STR column
-
-    def test_mirror_tracks_ingest_and_tombstones_on_null(self):
-        db = Database("ints")
-        table = db.create_table(
-            TableSchema.build("T", [("a", ColumnType.INT)])
+        index = table.projection_index(("uid", "ward"), ("uid",))
+        assert {k: set(v) for k, v in index.items()} == scan_projection(
+            table, ("uid", "ward"), ("uid",)
         )
-        table.insert_many([(1,), (2,)])
-        mirror = table.int_column_array("a")
-        assert list(mirror) == [1, 2]
-        table.insert((3,))
-        assert list(table.int_column_array("a")) == [1, 2, 3]
-        table.insert((None,))  # NULL kills the typed mirror for good
-        assert table.int_column_array("a") is None
-        assert table.column_array("a") == [1, 2, 3, None]
-
-    def test_overflow_tombstones_mirror(self):
-        db = Database("ints")
-        table = db.create_table(
-            TableSchema.build("T", [("a", ColumnType.INT)])
-        )
-        table.insert((1,))
-        assert list(table.int_column_array("a")) == [1]
-        table.insert((2**80,))  # does not fit array('q')
-        assert table.int_column_array("a") is None
-        assert table.column_array("a") == [1, 2**80]

@@ -5,8 +5,8 @@ ground truth."""
 
 import pytest
 
+from repro.api import AuditService
 from repro.audit import (
-    ComplianceAuditor,
     all_event_user_templates,
     group_templates,
     repeat_access_template,
@@ -87,8 +87,8 @@ class TestFullPipeline:
         templates = all_event_user_templates(graph)
         templates.append(repeat_access_template(graph))
         templates.extend(group_templates(graph, depth=1))
-        engine = ExplanationEngine(study.db, templates)
-        queue = {e.lid for e in ComplianceAuditor(engine).queue()}
+        with AuditService.open(study.db, templates=templates) as service:
+            queue = {e.lid for e in service.report().queue}
         snoops = study.sim.lids_tagged("snoop")
         assert snoops, "fixture must script snooping incidents"
         assert snoops <= queue

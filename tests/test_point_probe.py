@@ -168,9 +168,6 @@ def test_probe_survives_cache_drops_reloads_and_growth(hospital_db, hospital_gra
             _assert_fresh(probe, executor, query, pin, values)
 
     check()  # first use builds the indexes the probes read
-    for table in hospital_db.tables():
-        table.invalidate_caches()
-    check()
     rows = list(log.rows())
     log.clear()
     assert all(probe(130) == [] for _, _, probe in held)
@@ -202,7 +199,6 @@ def test_engine_probes_follow_add_templates_and_invalidation(hospital_db, hospit
     }
     prepared = service.engine._probes()
     service.engine.invalidate_cache()
-    hospital_db.table("Log").invalidate_caches()
     assert service.engine._probes() is prepared  # names only: nothing to drop
     fresh = ExplanationEngine(hospital_db, [appt, repeat])
     for lid in (100, 116, 130, 900):
@@ -229,7 +225,6 @@ def test_warm_prepares_probes_without_building_indexes(hospital_db, hospital_gra
                 set(t._indexes),
                 set(t._distinct_cache),
                 set(t._proj_index_cache),
-                set(t._proj_scalar_cache),
             )
             for t in hospital_db.tables()
         }
