@@ -143,9 +143,6 @@ def bench_sharded_explain_speedup(report):
             "speedup": speedup,
             "min_speedup": MIN_SPEEDUP,
         },
-        throughput={
-            "sharded_accesses_per_second": total / sharded_seconds,
-        },
     )
 
     # differential: the partition must not depend on the execution layout

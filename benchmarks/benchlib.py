@@ -2,21 +2,17 @@
 
 Every ``benchmarks/bench_*.py`` emits its results through one writer
 (:func:`make_record` via ``PaperReport.json`` in ``conftest.py``), so
-the CI regression gate (``compare_bench.py``) and cross-PR trajectory
-comparisons are always apples-to-apples:
+records from different runs and machines read alike:
 
-* ``schema_version`` — bump when the envelope shape changes; the gate
-  refuses to compare across versions;
+* ``schema_version`` — bump when the envelope shape changes;
 * ``machine`` — git SHA, CPU count, Python version, platform — enough to
   judge whether two records are comparable;
 * ``smoke`` — whether the run used the CI-sized workload
-  (``REPRO_BENCH_SMOKE=1``); the gate only compares like with like;
-* ``throughput`` — the *gated* metrics, a flat ``{name: value}`` mapping
-  where higher is better.  Names ending in ``_speedup`` or ``_ratio``
-  are machine-portable (same-machine ratios) and are always gated;
-  anything else is an absolute rate and is only gated when the baseline
-  was recorded on a machine with the same CPU count;
+  (``REPRO_BENCH_SMOKE=1``);
 * ``results`` — the benchmark's own payload, unconstrained.
+
+These records are artifacts, not a gate: the performance gate is
+``perfbench`` (``BENCHMARK.json``).
 """
 
 from __future__ import annotations
@@ -25,13 +21,9 @@ import json
 import os
 import platform
 import subprocess
-from typing import Any
 
-#: Bump when the envelope shape changes (the gate refuses cross-version
-#: comparisons rather than guessing).
-BENCH_SCHEMA_VERSION = 2
-
-_SUFFIXES_PORTABLE = ("_speedup", "_ratio")
+#: Bump when the envelope shape changes.
+BENCH_SCHEMA_VERSION = 3
 
 
 def git_sha() -> str:
@@ -64,21 +56,13 @@ def is_smoke() -> bool:
     return os.environ.get("REPRO_BENCH_SMOKE") == "1"
 
 
-def make_record(
-    name: str, payload: dict, throughput: dict[str, float] | None = None
-) -> dict:
+def make_record(name: str, payload: dict) -> dict:
     """The shared envelope around one benchmark's payload."""
-    clean: dict[str, float] = {}
-    for key, value in (throughput or {}).items():
-        if value is None:
-            continue
-        clean[str(key)] = float(value)
     return {
         "schema_version": BENCH_SCHEMA_VERSION,
         "name": name,
         "smoke": is_smoke(),
         "machine": bench_environment(),
-        "throughput": clean,
         "results": payload,
     }
 
@@ -89,31 +73,3 @@ def write_record(path: str, record: dict) -> str:
         json.dump(record, fh, indent=2, sort_keys=True, default=str)
         fh.write("\n")
     return path
-
-
-def load_record(path: str) -> dict:
-    with open(path) as fh:
-        return json.load(fh)
-
-
-def is_portable_metric(name: str) -> bool:
-    """Machine-portable metrics (same-run ratios) are gated across any
-    two machines; absolute rates only across matching CPU counts."""
-    return name.endswith(_SUFFIXES_PORTABLE)
-
-
-def record_summary(record: dict) -> str:
-    machine = record.get("machine", {})
-    return (
-        f"{record.get('name', '?')} "
-        f"[schema v{record.get('schema_version', '?')}, "
-        f"{'smoke' if record.get('smoke') else 'full'}, "
-        f"{machine.get('cpu_count', '?')} cpus, "
-        f"py {machine.get('python_version', '?')}, "
-        f"sha {machine.get('git_sha', '?')}]"
-    )
-
-
-def throughput_of(record: dict) -> dict[str, float]:
-    out: dict[str, Any] = record.get("throughput") or {}
-    return {k: float(v) for k, v in out.items()}

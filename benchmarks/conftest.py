@@ -9,11 +9,8 @@ with output capturing on.
 Each benchmark additionally emits a machine-readable
 ``benchmarks/BENCH_<name>.json`` via :meth:`PaperReport.json`.  Every
 record shares one schema (``benchlib.make_record``): a versioned
-envelope with machine metadata (git SHA, CPU count, Python version), a
-smoke-mode flag, and an optional ``throughput`` mapping of gated
-higher-is-better metrics — what ``compare_bench.py`` diffs against the
-committed ``benchmarks/baselines/`` to fail CI on regressions.  The
-fresh artifacts are gitignored; the baselines are committed.
+envelope with machine metadata (git SHA, CPU count, Python version) and
+a smoke-mode flag.  The artifacts are gitignored.
 """
 
 from __future__ import annotations
@@ -41,22 +38,15 @@ class PaperReport:
         block.extend(str(line) for line in lines)
         _REPORT_SECTIONS.append("\n".join(block))
 
-    def json(
-        self,
-        name: str,
-        payload: dict,
-        throughput: dict[str, float] | None = None,
-    ) -> str:
+    def json(self, name: str, payload: dict) -> str:
         """Write ``BENCH_<name>.json`` in the shared schema.
 
         ``payload`` carries the benchmark's config, timings, and headline
-        numbers (non-JSON values are stringified); ``throughput`` lists
-        the gated higher-is-better metrics the CI regression gate
-        compares (None values are dropped, e.g. a pytest-benchmark mean
-        under ``--benchmark-disable``).  Returns the path written.
+        numbers (non-JSON values are stringified).  Returns the path
+        written.
         """
         path = os.path.join(_BENCH_DIR, f"BENCH_{name}.json")
-        return write_record(path, make_record(name, payload, throughput))
+        return write_record(path, make_record(name, payload))
 
     @staticmethod
     def fmt_bars(values: dict, width: int = 40) -> list[str]:

@@ -2,9 +2,8 @@
 
 A stdlib-``ast`` checker suite enforcing the invariants the compiler
 never sees: the wire error contract (RL002), fork safety (RL004),
-benchmark envelope conformance (RL005), flow-sensitive RWLock
-discipline (RL006), and no blocking calls reachable from server
-coroutines (RL008).
+flow-sensitive RWLock discipline (RL006), and no blocking calls
+reachable from server coroutines (RL008).
 
 Run it as ``python -m repro.analysis``; extend it by registering a
 checker class — see ``src/repro/analysis/README.md``.

@@ -27,8 +27,7 @@ def build_parser() -> argparse.ArgumentParser:
         description=(
             "AST- and dataflow-based invariant checks for the repro tree: "
             "flow-sensitive lock discipline, the wire error contract, fork "
-            "safety, transitive blocking in server coroutines, and bench "
-            "envelopes."
+            "safety, and transitive blocking in server coroutines."
         ),
     )
     parser.add_argument(
@@ -36,7 +35,7 @@ def build_parser() -> argparse.ArgumentParser:
         nargs="*",
         help=(
             "files or directories to lint, relative to --root "
-            "(default: src and benchmarks)"
+            "(default: src)"
         ),
     )
     parser.add_argument(

@@ -86,7 +86,7 @@ class Project:
     # ------------------------------------------------------------------
     def _discover(self, paths: tuple[str, ...]) -> dict[str, bool]:
         selected: dict[str, bool] = {}  # rel -> explicit
-        targets = paths or ("src", "benchmarks")
+        targets = paths or ("src",)
         for raw in targets:
             path = (self.root / raw).resolve()
             if path.is_file():
@@ -96,7 +96,7 @@ class Project:
                     selected.setdefault(self._rel(found), False)
             elif paths:
                 # A typo'd explicit path must not read as a clean tree;
-                # the default src/benchmarks targets may simply be absent.
+                # the default src target may simply be absent.
                 raise ValueError(f"path does not exist: {raw}")
         return dict(sorted(selected.items()))
 

@@ -36,7 +36,7 @@ class LintResult:
 
 
 def run_lint(root: str | Path, paths: tuple[str, ...] = ()) -> LintResult:
-    """Lint ``paths`` (default ``src``+``benchmarks``) under ``root``."""
+    """Lint ``paths`` (default ``src``) under ``root``."""
     project = Project(root, paths)
     active = resolve_checkers()
     found: list[Diagnostic] = [

@@ -60,6 +60,7 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
+from ..audit.streaming import log_row
 from ..core.engine import BatchExplanation, ExplanationEngine
 from ..core.graph import SchemaGraph
 from ..core.instance import rank_instances
@@ -72,6 +73,7 @@ from ..db.database import Database
 from ..db.optimizer import PlanCache
 from ..db.sharding import partition_by_patient, shard_of
 from ..db.sqlbackend import SqlDatabase, open_sql_database
+from ..db.table import check_rows
 from .config import AuditConfig
 from .errors import UnsupportedOperationError
 from .locks import RWLock
@@ -760,7 +762,12 @@ class AuditService:
         """Ingest a batch of ``(user, patient, date)`` accesses: global
         ids and timestamps are assigned in input order, each owning shard
         appends its rows in ONE maintenance pass (strategy chosen by
-        batch size), and results return in input order."""
+        batch size), and results return in input order.
+
+        The whole batch is checked against the log schema first: a batch
+        with a row the log rejects raises its
+        :class:`~repro.db.errors.IntegrityError` having landed nothing on
+        any shard and spent no log id."""
         self._check_open()
         accesses = list(accesses)
         if not accesses:
@@ -768,15 +775,26 @@ class AuditService:
         with self._lock.write_locked():
             if self._next_lid is None:
                 self._next_lid = max(self._scatter("next_lid"))
+            clock, first = self._clock, self._next_lid
+            batch = [
+                (first + i, clock() if date is None else date, user, patient)
+                for i, (user, patient, date) in enumerate(accesses)
+            ]
+            lid_attr = self.config.log_id_attr
+            _, error = check_rows(
+                self.db.table(self.config.log_table).schema,
+                [log_row(lid_attr, *row) for row in batch],
+            )
+            if error is not None:
+                raise error
+            self._next_lid += len(batch)
             routed: dict[int, list[tuple]] = {}
             order: list[tuple[int, int]] = []  # (shard, position in shard)
-            for user, patient, date in accesses:
-                shard = self.shard_for(patient)
+            for row in batch:
+                shard = self.shard_for(row[3])  # the patient
                 rows = routed.setdefault(shard, [])
                 order.append((shard, len(rows)))
-                stamp = date if date is not None else self._clock()
-                rows.append((self._next_lid, stamp, user, patient))
-                self._next_lid += 1
+                rows.append(row)
             self._last_ingest = tuple(routed)
             if len(routed) == 1:
                 ((shard, rows),) = routed.items()

@@ -81,6 +81,13 @@ class StreamedAccess:
 AlertHandler = Callable[[StreamedAccess], None]
 
 
+def log_row(log_id_attr: str, lid: Any, stamp: Any, user: Any, patient: Any) -> dict:
+    """The one place an audit-log row dict is built: what a monitor
+    appends, and what :meth:`repro.api.AuditService.ingest_many` checks
+    against the log schema before routing a batch."""
+    return {log_id_attr: lid, "Date": stamp, "User": user, "Patient": patient}
+
+
 class AccessMonitor:
     """Appends accesses to the audit log and explains them immediately."""
 
@@ -139,16 +146,6 @@ class AccessMonitor:
             self.last_ingest_seconds = time.perf_counter() - started
             self.total_queries += self.last_ingest_queries
             self.total_seconds += self.last_ingest_seconds
-
-    def _log_row(self, lid: Any, stamp: Any, user: Any, patient: Any) -> dict:
-        """The one place an audit-log row dict is built (both ingest
-        paths must append identical rows)."""
-        return {
-            self.engine.log_id_attr: lid,
-            "Date": stamp,
-            "User": user,
-            "Patient": patient,
-        }
 
     def ingest(
         self, user: Any, patient: Any, date: dt.datetime | None = None
@@ -222,8 +219,7 @@ class AccessMonitor:
             log = self.engine.db.table(self.engine.log_table)
             try:
                 log.insert_many(
-                    self._log_row(lid, stamp, user, patient)
-                    for lid, stamp, user, patient in rows
+                    log_row(self.engine.log_id_attr, *row) for row in rows
                 )
             except DatabaseError:
                 # insert_many keeps the rows before the rejected one

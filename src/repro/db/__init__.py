@@ -37,7 +37,6 @@ from .optimizer import (
     PlanCache,
     QueryPlan,
     build_plan,
-    extract_point_predicates,
     query_shape,
     shared_plan_cache,
 )
@@ -102,7 +101,6 @@ __all__ = [
     "shard_db_path",
     "canonical_query_signature",
     "explain_query",
-    "extract_point_predicates",
     "load_database",
     "partition_by_patient",
     "query_shape",

@@ -23,14 +23,12 @@ error changes performance but never the mined output.
 
 Besides cardinalities, this module hosts the executor's *query planner*:
 
-* :func:`extract_point_predicates` splits a query's WHERE clause into
-  per-alias single-variable literal equalities (``L.Lid = 42``-style
-  point predicates, which the executor pushes down to hash-index probes
-  before the join pipeline) and the residual join/filter conditions;
 * :func:`build_plan` turns a query into a :class:`QueryPlan` — the
-  needed-attribute projection per tuple variable, the pushdown split,
-  and the greedy join order — everything the executor previously
-  re-derived on every call;
+  needed-attribute projection per tuple variable, the pushdown split
+  (per-alias literal equalities such as ``L.Lid = 42``, which the
+  executor pushes down to hash-index probes before the join pipeline,
+  versus the residual join/filter conditions), and the greedy join
+  order — everything the executor previously re-derived on every call;
 * :class:`PlanCache` memoizes those plans keyed on *query shape*
   (:func:`query_shape`): literal values are abstracted away, so the
   thousands of per-access point queries a streamed template generates,
@@ -48,36 +46,10 @@ from typing import Any
 
 from .database import Database
 from .errors import QueryError
-from .query import AttrRef, Condition, ConjunctiveQuery, Literal, cond_attr_refs
+from .query import AttrRef, ConjunctiveQuery, Literal, cond_attr_refs
 
 #: Default selectivity charged to each inequality (decoration) condition.
 INEQUALITY_SELECTIVITY = 1.0 / 3.0
-
-
-def extract_point_predicates(
-    query: ConjunctiveQuery,
-) -> tuple[dict[str, list[Condition]], list[Condition]]:
-    """Split conditions into pushable point predicates and the residual.
-
-    Returns ``(pushable, residual)`` where ``pushable`` maps each tuple
-    variable alias to its literal-equality conditions (``alias.attr =
-    constant``) and ``residual`` preserves every other condition in order.
-    ``attr = NULL`` is never pushable: SQL comparison semantics make it
-    unsatisfiable, while an index probe for ``None`` would wrongly return
-    the NULL rows — the executor's ordinary filter path rejects it.
-    """
-    pushable: dict[str, list[Condition]] = {}
-    residual: list[Condition] = []
-    for cond in query.conditions:
-        if (
-            cond.op == "="
-            and isinstance(cond.right, Literal)
-            and cond.right.value is not None
-        ):
-            pushable.setdefault(cond.left.alias, []).append(cond)
-        else:
-            residual.append(cond)
-    return pushable, residual
 
 
 @dataclass(frozen=True)
@@ -244,6 +216,9 @@ def build_plan(
         needed[ref.alias].add(ref.attr)
     needed_attrs = {alias: tuple(sorted(attrs)) for alias, attrs in needed.items()}
 
+    # ``attr = NULL`` is never pushable: SQL comparison semantics make it
+    # unsatisfiable, while an index probe for ``None`` would wrongly return
+    # the NULL rows — the ordinary filter path rejects it.
     pushable: dict[str, list[int]] = {}
     residual: list[int] = []
     for i, cond in enumerate(conditions):

@@ -2,10 +2,9 @@
 
 One :class:`ServerMetrics` instance per server, updated around every
 dispatched request and served verbatim by ``GET /metrics``.  The
-snapshot follows the benchlib convention: flat counters plus a
-``throughput`` mapping of higher-is-better rates, so a benchmark (or an
-external scraper) can lift the numbers straight into the shared
-``benchmarks/benchlib.py`` record envelope.
+snapshot is flat counters plus a ``throughput`` mapping of
+higher-is-better rates, so an external scraper can lift the numbers
+as they are.
 
 Latency percentiles come from a fixed-size **reservoir sample**
 (Vitter's Algorithm R): every observation is kept until the reservoir
@@ -92,8 +91,8 @@ class ServerMetrics:
 
     def snapshot(self) -> dict:
         """The ``GET /metrics`` payload: counters, per-route breakdown,
-        latency percentiles over the reservoir, and benchlib-style
-        ``throughput`` rates."""
+        latency percentiles over the reservoir, and ``throughput``
+        rates."""
         with self._lock:
             uptime = time.monotonic() - self._started_monotonic
             ordered = sorted(self._samples)

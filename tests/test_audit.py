@@ -17,7 +17,8 @@ from repro.audit import (
     same_department_templates,
     with_careweb_description,
 )
-from repro.core import ExplanationEngine
+from repro.core import ExplanationEngine, SupportEvaluator
+from repro.db import AttrRef, Executor
 from repro.ehr import SimulationConfig, build_careweb_graph, simulate
 from repro.groups import build_groups_table, hierarchy_from_log
 
@@ -111,6 +112,25 @@ class TestTemplateSemantics:
             explained |= engine.explained_lids(t)
         team_lids = sim.lids_tagged("care-team")
         assert len(explained & team_lids) / len(team_lids) > 0.4
+
+    def test_support_query_counts_the_explained_set(self, db, graph):
+        """``COUNT(DISTINCT L.Lid)`` of a length-2, a length-4 group and
+        the log self-join template is the size of its explained set, none
+        empty; a repeated support lookup is answered from the cache."""
+        engine = ExplanationEngine(db)
+        executor = Executor(db)
+        for template in (
+            event_user_template(graph, "Appointments", "Doctor"),
+            event_group_template(graph, "Appointments", "Doctor", depth=1),
+            repeat_access_template(graph),
+        ):
+            count = executor.count_distinct(template.support_query())
+            assert count == len(engine.explained_lids(template)) > 0
+        evaluator = SupportEvaluator(db)
+        query = event_user_template(graph, "Labs", "Performer").support_query()
+        first = evaluator.support_of_query(query, AttrRef("L", "Lid"))
+        assert evaluator.support_of_query(query, AttrRef("L", "Lid")) == first
+        assert evaluator.stats.cache_hits == 1
 
     def test_snooping_not_explained_by_direct_templates(self, sim, db, graph):
         engine = ExplanationEngine(db)

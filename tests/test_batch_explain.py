@@ -15,7 +15,7 @@ import random
 
 import pytest
 
-from repro.audit import AccessMonitor
+from repro.audit import AccessMonitor, all_event_user_templates
 from repro.audit.handcrafted import (
     event_group_template,
     event_user_template,
@@ -23,8 +23,9 @@ from repro.audit.handcrafted import (
 )
 from repro.core import ExplanationEngine
 from repro.core.engine import SEMIJOIN_BATCH_MIN, BatchExplanation
-from repro.db import ColumnType, Database, TableSchema
+from repro.db import AttrRef, ColumnType, Database, Executor, TableSchema
 from repro.db.optimizer import PlanCache
+from repro.ehr import SimulationConfig, build_careweb_graph, simulate
 
 USERS = ["Dave", "Nick", "Ron", "Eve", "Sam", "Zed"]
 PATIENTS = ["Alice", "Bob", "Carol"]
@@ -207,6 +208,28 @@ def test_explain_batch_partition_tiles_batch():
     assert not result.explained & result.unexplained
     assert len(result) == len(batch)
     assert result.coverage == pytest.approx(len(result.explained) / len(batch))
+
+
+def test_batch_equals_per_access_point_queries_on_a_simulated_world():
+    """On a simulated log with the ten event-user templates plus repeat
+    access, one batch semijoin partitions the first accesses exactly as
+    pinning each support query to one log id at a time does."""
+    db = simulate(SimulationConfig.tiny(seed=7)).db
+    graph = build_careweb_graph(db)
+    templates = all_event_user_templates(graph) + [repeat_access_template(graph)]
+    lids = sorted(db.table("Log").distinct_values("Lid"))[:300]
+    batch = ExplanationEngine(db, templates).explain_batch(lids)
+    assert batch.explained | batch.unexplained == set(lids)
+    assert not batch.explained & batch.unexplained
+    assert batch.explained and batch.unexplained
+    executor, pin = Executor(db), AttrRef("L", "Lid")
+    queries = [t.support_query() for t in templates]
+    point = {
+        lid
+        for lid in lids
+        if any(executor.distinct_values(q.pinned(pin, lid), pin) for q in queries)
+    }
+    assert point == batch.explained
 
 
 def test_batch_and_point_engine_paths_agree():

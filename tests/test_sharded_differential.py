@@ -39,6 +39,7 @@ from repro.api import (
 from repro.api.service import format_patient_report
 from repro.audit.streaming import AccessMonitor
 from repro.core.engine import SEMIJOIN_BATCH_MIN, ExplanationEngine
+from repro.db import shard_of
 from repro.ehr import SimulationConfig, simulate
 
 SHARD_COUNTS = (1, 2, 7)
@@ -354,38 +355,67 @@ def test_sharded_batch_semijoin_ingest_identical(shards):
 
 
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-@pytest.mark.parametrize("shards", SHARD_COUNTS)
-def test_failed_mid_batch_ingest_keeps_engine_in_step_with_log(shards, backend):
-    """Row 3 of 4 is rejected: rows 1-2 stay in the log table, so the
-    engine must hear of them — coverage, the lid universe and the
-    unexplained queue all count them — before the error propagates."""
+@pytest.mark.parametrize("shards", (1, 2))
+def test_schema_rejected_batch_lands_nothing_and_burns_no_lid(shards, backend):
+    """Row 3 of 4 is one the log schema rejects: the service checks the
+    whole batch before routing it, so no row lands on any shard, no
+    alert fires for the unexplained row before it, and no id is spent."""
     from repro.db.errors import IntegrityError
 
     config = AuditConfig(shards=shards, backend=backend)
     with open_service(_fresh_db(), config=config) as service:
+        alerts = []
+        service.on_alert(alerts.append)
         before = service.stats()["log_rows"]
-        patient = _sample_patients(_fresh_db(), k=1)[0]  # one owning shard
+        unexplained = service.unexplained_lids()
+        # one patient per shard of a two-shard service
+        sample = _sample_patients(_fresh_db(), k=8)
+        patients = [next(p for p in sample if shard_of(p, 2) == i) for i in (0, 1)]
         when = dt.datetime(2026, 7, 1)
         batch = [
-            ("u0001", patient, when),
-            ("intruder", patient, when + dt.timedelta(minutes=1)),
-            ("u0002", patient, "not-a-date"),
-            ("u0003", patient, when + dt.timedelta(minutes=2)),
+            ("u0001", patients[0], when),
+            ("intruder", patients[1], when + dt.timedelta(minutes=1)),
+            ("u0002", patients[0], "not-a-date"),
+            ("u0003", patients[1], when + dt.timedelta(minutes=2)),
         ]
-        with pytest.raises(IntegrityError):
+        with pytest.raises(IntegrityError, match="Log.Date"):
             service.ingest_many(batch)
-        assert service.stats()["log_rows"] == before + 2
-        assert service.report().total == before + 2
-        partition = service.explain_all()
-        assert len(partition) == before + 2
-        assert before + 1 in partition.explained | partition.unexplained
-        assert before + 2 in service.unexplained_lids()  # the intruder
-        assert service.stats()["ingest"]["seen"] == 2
-        # the service keeps working, and the rejected ids are not reused
-        later = service.ingest("intruder", patient, when + dt.timedelta(minutes=3))
-        assert later.lid == before + 5
-        assert not later.suspicious  # a repeat of the landed intruder row
-        assert service.report().total == before + 3
+        assert service.stats()["log_rows"] == before
+        assert service.report().total == before
+        assert service.unexplained_lids() == unexplained
+        assert service.stats()["ingest"]["seen"] == 0
+        assert alerts == []
+        # the next ingest gets the id the rejected batch would have begun at
+        later = service.ingest("intruder", patients[1], when)
+        assert later.lid == before + 1
+        assert later.alerted and alerts == [later]
+
+
+def test_monitor_failed_mid_batch_keeps_engine_in_step_with_log():
+    """A bare monitor appends as far as the log accepts: rows 1-2 of a
+    batch whose row 3 is rejected stay in the table, so the engine must
+    hear of them — coverage, the lid universe and the unexplained queue
+    all count them — before the error propagates."""
+    from repro.db.errors import IntegrityError
+
+    reference = Reference()
+    before = reference.log_rows()
+    patient = _sample_patients(reference.db, k=1)[0]
+    when = dt.datetime(2026, 7, 1)
+    batch = [
+        ("u0001", patient, when),
+        ("intruder", patient, when + dt.timedelta(minutes=1)),
+        ("u0002", patient, "not-a-date"),
+        ("u0003", patient, when + dt.timedelta(minutes=2)),
+    ]
+    with pytest.raises(IntegrityError):
+        reference.monitor.ingest_many(batch)
+    assert reference.log_rows() == before + 2
+    partition = reference.explain_all()
+    assert len(partition) == len(reference.engine.all_lids()) == before + 2
+    assert before + 1 in partition.explained | partition.unexplained
+    assert before + 2 in reference.unexplained_lids()  # the intruder
+    assert reference.monitor.seen == 2
 
 
 def test_capacity_error_mid_batch_keeps_engine_in_step_with_log():

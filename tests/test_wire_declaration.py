@@ -680,6 +680,13 @@ def test_malformed_ingest_is_typed_400_and_lands_nothing(shards, backend):
             # is the service's IntegrityError, also a 400
             with pytest.raises(InvalidRequestError, match="Log.User"):
                 client.ingest(5, "p00035")
+            # ...and lands none of its batch, not even the rows before it
+            bad_date = {**good, "date": 5}
+            with pytest.raises(InvalidRequestError, match="Log.Date"):
+                client._request(
+                    "POST", "/v1/ingest/batch", {"accesses": [good, bad_date]}
+                )
+            assert service.stats()["log_rows"] == rows
             client.ingest("u0004", "p00035")  # the service still serves
     finally:
         service.close()
