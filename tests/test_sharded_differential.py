@@ -355,7 +355,7 @@ def test_sharded_batch_semijoin_ingest_identical(shards):
 
 
 @pytest.mark.parametrize("backend", ("memory", "sqlite"))
-@pytest.mark.parametrize("shards", (1, 2))
+@pytest.mark.parametrize("shards", SHARD_COUNTS)
 def test_schema_rejected_batch_lands_nothing_and_burns_no_lid(shards, backend):
     """Row 3 of 4 is one the log schema rejects: the service checks the
     whole batch before routing it, so no row lands on any shard, no
@@ -389,6 +389,51 @@ def test_schema_rejected_batch_lands_nothing_and_burns_no_lid(shards, backend):
         later = service.ingest("intruder", patients[1], when)
         assert later.lid == before + 1
         assert later.alerted and alerts == [later]
+
+
+@pytest.mark.parametrize("backend", ("memory", "sqlite"))
+@pytest.mark.parametrize(
+    "bad_at, bad_field",
+    [(0, "Date"), (3, "Date"), (1, "User")],
+    ids=["first-date", "last-date", "second-user"],
+)
+def test_rejected_row_anywhere_in_batch_lands_nothing(bad_at, bad_field, backend):
+    """Wherever the bad row sits and whichever column it breaks, a
+    two-shard service rejects the batch before any shard sees a row,
+    and a good batch after it starts at the next unspent id."""
+    from repro.db.errors import IntegrityError
+
+    config = AuditConfig(shards=2, backend=backend)
+    with open_service(_fresh_db(), config=config) as service:
+        before = service.stats()["log_rows"]
+        sample = _sample_patients(_fresh_db(), k=8)
+        patients = [next(p for p in sample if shard_of(p, 2) == i) for i in (0, 1)]
+        when = dt.datetime(2026, 7, 1)
+        batch = [
+            (f"u000{i + 1}", patients[i % 2], when + dt.timedelta(minutes=i))
+            for i in range(4)
+        ]
+        user, patient, date = batch[bad_at]
+        batch[bad_at] = (
+            (user, patient, "not-a-date") if bad_field == "Date" else (5, patient, date)
+        )
+        with pytest.raises(IntegrityError, match=f"Log.{bad_field}"):
+            service.ingest_many(batch)
+        assert service.stats()["log_rows"] == before
+        assert service.stats()["ingest"]["seen"] == 0
+        good = [(f"u000{i + 1}", patients[i % 2], when) for i in range(4)]
+        results = service.ingest_many(good)
+        assert [r.lid for r in results] == [before + 1 + i for i in range(4)]
+        assert service.stats()["log_rows"] == before + 4
+
+
+def test_empty_batch_lands_nothing_and_spends_no_lid():
+    with open_service(_fresh_db(), config=AuditConfig(shards=2)) as service:
+        before = service.stats()["log_rows"]
+        assert service.ingest_many([]) == []
+        assert service.stats()["log_rows"] == before
+        patient = _sample_patients(_fresh_db(), k=1)[0]
+        assert service.ingest("u0001", patient, None).lid == before + 1
 
 
 def test_monitor_failed_mid_batch_keeps_engine_in_step_with_log():
