@@ -59,12 +59,13 @@ mining and streaming performance:
    Neither fans out nor builds a projection index.
 8. **Key-driven whole-log semijoins** — ``distinct_values_in(q, L.Lid,
    L.Lid, batch)`` over a batch at least a quarter of the log's size,
-   where ``L.Lid`` appears in no condition and every other ``L``
-   attribute only in equality joins, runs the pipeline once over the
-   log's distinct join keys (:meth:`Table.project_distinct`, shared by
-   every such template) and maps the surviving keys back to ids through
-   :meth:`Table.key_groups`.  An ``L`` attribute in any other condition
-   (the repeat-access ``Date``) keeps the pipeline on the rows.
+   where ``L.Lid`` is in no condition and every other ``L`` attribute
+   only in equality joins, runs over the log's distinct join keys (the
+   keys of :meth:`Table.key_groups`); a key set stage over key tuples
+   is one set intersection, and surviving keys expand to ids at their
+   group's positions.  One ``L.c op X.d`` whose ``X`` joins on exactly
+   the keys drops ``X``: an id is kept when its ``c`` beats its key's
+   :meth:`Table.key_extremum` of ``d``, in one pass over the rows.
 
 Correctness of both multiplicity settings (``distinct_reduction`` on and
 off; point, probe and batch entry points) is pinned to a nested-loop
@@ -75,6 +76,8 @@ from __future__ import annotations
 
 import operator
 from collections.abc import Callable, Sequence
+from dataclasses import replace
+from itertools import chain, compress, repeat
 from typing import Any, NamedTuple
 
 from .database import Database
@@ -109,6 +112,15 @@ INDEX_JOIN_RATIO = 4
 _EMPTY: tuple = ()
 
 
+class _Never:
+    """The threshold of a key that has none: all its comparisons are false."""
+
+    __lt__ = __le__ = __gt__ = __ge__ = lambda self, other: False  # noqa: E731
+
+
+_NEVER = _Never()
+
+
 class _Source:
     """One tuple variable's input to the join pipeline, compiled.
 
@@ -120,7 +132,9 @@ class _Source:
     run.
     """
 
-    __slots__ = ("table", "attrs", "cols", "reduce", "point", "in_attr", "indexed")
+    __slots__ = (
+        "table", "attrs", "cols", "reduce", "point", "in_attr", "indexed", "keyed"
+    )
 
     def __init__(
         self,
@@ -130,6 +144,7 @@ class _Source:
         point: list[tuple[str, int]],
         reduce_rows: bool,
         in_attr: str | None,
+        keyed: bool = False,
     ) -> None:
         self.table = table
         self.attrs = attrs
@@ -142,6 +157,7 @@ class _Source:
         #: True when rows are exactly the table's distinct projection: a
         #: join then probes the table's cached projection index.
         self.indexed = reduce_rows and not point and in_attr is None
+        self.keyed = keyed
 
     def rows(
         self,
@@ -168,6 +184,9 @@ class _Source:
             return rows
         if self.in_attr is not None:
             return self._restricted_rows(table, self.in_attr, in_values)
+        if self.keyed:
+            groups = table.key_groups(attrs)
+            return list(groups) if len(attrs) > 1 else [(k,) for k in groups]
         if self.reduce:
             return list(table.project_distinct(attrs))
         if attrs == table.schema.column_names:
@@ -284,33 +303,60 @@ def _literals(query: ConjunctiveQuery) -> list[Any]:
     ]
 
 
+class _KeyDrive(NamedTuple):
+    """What :func:`_drive_keys` found (module docstring, 8)."""
+
+    keys: tuple[str, ...]  # sorted
+    dated: tuple[Condition, tuple[str, ...]] | None  # own op X.d, X's key columns
+
+
 def _drive_keys(
     query: ConjunctiveQuery, attr: AttrRef, in_attr: AttrRef
-) -> tuple[str, ...] | None:
-    """The join keys a semijoin on ``in_attr`` can run on instead of its
-    rows (sorted), or None.
-
-    They exist when ``attr`` is ``in_attr``, no condition mentions it,
-    and every other attribute of its variable appears only in equality
-    joins with other variables (and in the projection only as such a
-    key): then a row is selected exactly when its keys are, so the
-    distinct keys stand in for the rows.
-    """
+) -> _KeyDrive | None:
+    """How a semijoin on ``in_attr`` can run on its variable's join keys
+    instead of its rows, or None: when ``attr`` is ``in_attr``, no
+    condition mentions it, and its variable's other attributes appear
+    only in equality joins (in the projection only as keys) but for one
+    ``own op X.d`` (``<``, ``<=``, ``>``, ``>=``) at most, whose ``X``
+    joins on exactly the keys and nothing else.  A row is then selected
+    exactly when its key is and its ``own`` beats the key's min or max
+    of ``X.d``."""
     if attr != in_attr:
         return None
     alias = in_attr.alias
     keys: set[str] = set()
+    dated: list[Condition] = []
     for cond in query.conditions:
         mine = [r for r in cond_attr_refs(cond) if r.alias == alias]
         if not mine:
             continue
-        if not cond.is_join or in_attr in mine:
+        if in_attr in mine:
             return None
-        keys.update(r.attr for r in mine)
+        if cond.is_join:
+            keys.update(r.attr for r in mine)
+        elif cond.op in ("<", "<=", ">", ">=") and len(cond.aliases()) == 2:
+            dated.append(cond)
+        else:
+            return None
     projected = {r.attr for r in query.projection if r.alias == alias}
-    if not keys or not projected <= keys | {in_attr.attr}:
+    if not keys or not projected <= keys | {in_attr.attr} or len(dated) > 1:
         return None
-    return tuple(sorted(keys))
+    order = tuple(sorted(keys))
+    if not dated:
+        return _KeyDrive(order, None)
+    (x,) = dated[0].aliases() - {alias}
+    joined: dict[str, str] = {}  # own key -> X column
+    for cond in query.conditions:
+        refs = {r.alias: r.attr for r in cond_attr_refs(cond)}
+        if cond is dated[0] or x not in refs:
+            continue
+        if not cond.is_join or alias not in refs or refs[alias] in joined:
+            return None
+        joined[refs[alias]] = refs[x]
+    if set(joined) != keys or any(r.alias == x for r in query.projection):
+        return None
+    own_left = dated[0] if dated[0].left.alias == alias else dated[0].flipped()
+    return _KeyDrive(order, (own_left, tuple(joined[k] for k in order)))
 
 
 class QueryResult:
@@ -435,22 +481,40 @@ class Executor:
             values = {v for v in in_values if v is not None}
         if not values:
             return set()
-        pipeline, keys = self._semijoin_pipeline(query, attr, in_attr, len(values))
-        if keys is None:
+        pipeline, drive = self._semijoin_pipeline(query, attr, in_attr, len(values))
+        if drive is None:
             rows = self._run_pipeline(pipeline, _literals(query), values)
             pos = pipeline.cols.index(attr)
             return {row[pos] for row in rows}
         rows = self._run_pipeline(pipeline, _literals(query), None)
-        # a bare value for one key, a tuple for several: as key_groups keys
-        key_of = operator.itemgetter(
-            *[pipeline.cols.index(AttrRef(in_attr.alias, k)) for k in keys]
-        )
+        refs = [AttrRef(in_attr.alias, k) for k in drive.keys]
+        if pipeline.cols != refs or len(refs) == 1:
+            # a bare value for one key, a tuple for several: as key_groups keys
+            rows = map(operator.itemgetter(*map(pipeline.cols.index, refs)), rows)
         table = self.db.table(query.var(in_attr.alias).table)
-        groups = table.key_groups(keys, in_attr.attr).get
-        out: set = set()
-        for key in map(key_of, rows):
-            out.update(groups(key, _EMPTY))
-        return out & values
+        ids = table.column_array(in_attr.attr)
+        if drive.dated is None:
+            positions = map(table.key_groups(drive.keys).__getitem__, rows)
+            out = set(map(ids.__getitem__, chain.from_iterable(positions)))
+        else:
+            # one pass in row order: keep an id whose own value beats its
+            # key's threshold (if the key survived and has a non-NULL X.d)
+            cond, other_keys = drive.dated
+            own, op, other = cond.left, cond.op, cond.right
+            best = self.db.table(query.var(other.alias).table).key_extremum(
+                other_keys, other.attr, op in ("<", "<=")
+            )
+            limits = {k: best[k] for k in rows if k in best}
+            column, cmp = table.column_array(own.attr), _OPS[op]
+            if None in column:
+                cmp = lambda v, e, cmp=cmp: v is not None and cmp(v, e)  # noqa: E731
+            arrays = [table.column_array(k) for k in drive.keys]
+            keys = arrays[0] if len(arrays) == 1 else zip(*arrays)
+            limit = map(limits.get, keys, repeat(_NEVER))
+            out = set(compress(ids, map(cmp, column, limit)))
+        out.discard(None)
+        out &= values
+        return out
 
     # ------------------------------------------------------------------
     # internals
@@ -519,31 +583,33 @@ class Executor:
 
     def _semijoin_pipeline(
         self, query: ConjunctiveQuery, attr: AttrRef, in_attr: AttrRef, batch: int
-    ) -> tuple[_Pipeline, tuple[str, ...] | None]:
+    ) -> tuple[_Pipeline, _KeyDrive | None]:
         """The pipeline ``distinct_values_in`` runs for a batch of
-        ``batch`` values, and the join keys it is driven by (None when it
+        ``batch`` values, and the key drive it runs under (None when it
         is driven by the restricted rows).
 
         Keys drive when :func:`_drive_keys` finds them and the batch is
         not small next to the table (the size test of
         :meth:`_Source._restricted_rows`): a small batch is cheaper to
-        resolve through index probes than the whole log's keys.
+        resolve through index probes than the whole log's keys.  That
+        pipeline is the row plan narrowed to the keys, without ``X``.
         """
         plan = self._plan_for(query, (attr, in_attr), in_attr)
-        reduce_rows = self.distinct_reduction and query.distinct
-        keys = _drive_keys(query, attr, in_attr) if reduce_rows else None
-        if keys is not None:
-            table = self.db.table(query.var(in_attr.alias).table)
-            if batch * INDEX_JOIN_RATIO >= len(table):
-                refs = [AttrRef(in_attr.alias, k) for k in keys]
-                pipeline = self._compile_pipeline(
-                    query, plan, refs, None, reduce_rows, drop=in_attr
-                )
-                return pipeline, keys
-        pipeline = self._compile_pipeline(
-            query, plan, (attr, in_attr), in_attr, reduce_rows
+        reduce = self.distinct_reduction and query.distinct
+        drive = _drive_keys(query, attr, in_attr) if reduce else None
+        table = self.db.table(query.var(in_attr.alias).table)
+        if drive is None or batch * INDEX_JOIN_RATIO < len(table):
+            return self._compile_pipeline(query, plan, (attr, in_attr), in_attr, reduce), None
+        x = drive.dated[0].right.alias if drive.dated else None
+        kept = [i for i in plan.residual_idx if x not in query.conditions[i].aliases()]
+        plan = replace(
+            plan,
+            needed={**plan.needed, in_attr.alias: drive.keys},
+            residual_idx=tuple(kept),
+            steps=tuple(step for step in plan.steps if step.alias != x),
         )
-        return pipeline, None
+        refs = [AttrRef(in_attr.alias, k) for k in drive.keys]
+        return self._compile_pipeline(query, plan, refs, None, reduce, in_attr.alias), drive
 
     def _compile_pipeline(
         self,
@@ -552,28 +618,23 @@ class Executor:
         needed_extra: Sequence[AttrRef],
         in_attr: AttrRef | None,
         reduce_rows: bool,
-        drop: AttrRef | None = None,
+        keyed: str | None = None,
     ) -> _Pipeline:
         """Resolve everything about a plan that no literal value and no
         table content can change: per-variable sources, which conditions
         become applicable after which step and at which row positions,
         the kind of each join (hash join, semijoin, extremum test),
-        join-key extractors, and the prune projections.
-
-        ``drop`` names an attribute the pipeline leaves out although the
-        plan reads it — the id of a key-driven semijoin, whose variable
-        then contributes only its join keys.
+        join-key extractors, and the prune projections.  ``keyed`` names
+        a key drive's variable: its rows are its distinct non-NULL keys.
         """
         conditions = query.conditions
-        keep_always = (set(query.projection) | set(needed_extra)) - {drop}
+        keep_always = set(query.projection) | set(needed_extra)
         pending = list(plan.residual_idx)
         table_names = {v.alias: v.table for v in query.tuple_vars}
 
         def source(alias: str) -> _Source:
             name = table_names[alias]
             attrs = plan.needed[alias] or self.db.table(name).schema.column_names[:1]
-            if drop is not None and alias == drop.alias:
-                attrs = tuple(a for a in attrs if a != drop.attr)
             return _Source(
                 name,
                 alias,
@@ -584,6 +645,7 @@ class Executor:
                 ],
                 reduce_rows,
                 in_attr.attr if in_attr and in_attr.alias == alias else None,
+                alias == keyed,
             )
 
         def take_ready(pos: dict[AttrRef, int]) -> list[int]:
@@ -622,10 +684,10 @@ class Executor:
             when the step needs the joined rows themselves."""
             if not (reduce_rows and joined.indexed) or still_needed() & set(joined.cols):
                 return None
-            # key columns sorted like the planner's projection, so the key
-            # set derives from the distinct projection planning built
-            pairs = sorted(pairs, key=lambda pair: pair[0].attr)
             pos = {c: i for i, c in enumerate(cols)}
+            # key columns in the bound row's order: when the row is the key,
+            # the stage is one set intersection
+            pairs = sorted(pairs, key=lambda pair: pos[pair[1]])
             # a joined key column reads as the bound value it equals
             pos.update((key, pos[bound]) for key, bound in pairs)
             plain = [
@@ -656,7 +718,11 @@ class Executor:
                 kind = "extremum(max)" if largest else "extremum(min)"
                 extremum = (column.attr, largest, _OPS[op], pos[bound])
             probe_pos = [pos[bound] for _, bound in pairs]
-            probe = probe_pos[0] if len(pairs) == 1 else operator.itemgetter(*probe_pos)
+            probe: Any = probe_pos[0]
+            if len(pairs) > 1:
+                identity = probe_pos == list(range(len(cols))) and not extremum
+                # None: the bound row is the key
+                probe = None if identity else operator.itemgetter(*probe_pos)
             filters = [_compile_filter(conditions[i], i, pos) for i in plain]
             prune, cols = pruned(cols)
             stage = _Stage(
@@ -763,7 +829,9 @@ class Executor:
                 return rows  # nothing left to join: the result is empty
             elif stage.kind == "semijoin":
                 keys = table.key_set(stage.key_attrs)
-                if single:
+                if probe is None:
+                    rows = list(keys.intersection(rows))
+                elif single:
                     rows = [row for row in rows if row[probe] in keys]
                 else:
                     rows = [row for row in rows if probe(row) in keys]
@@ -907,8 +975,8 @@ def explain_query(
     runs; with it, the whole-table batch semijoin
     ``distinct_values_in(query, drive, drive, <every value>)`` — the
     pass ``explain_all`` makes per template.  It names the driving
-    relation, whether that relation is reduced to its join keys, and the
-    kind of every later stage.
+    relation, whether that relation is reduced to its join keys, the
+    kind of every later stage, and a key drive's per-key threshold.
     """
     executor = Executor(db)
     executor._validate(query)
@@ -925,8 +993,12 @@ def explain_query(
     )
     first, *rest = pipeline.stages
     driver = first.source.cols[0].alias
-    driven = f"keys ({', '.join(keys)})" if keys else "rows"
+    driven = f"keys ({', '.join(keys.keys)})" if keys else "rows"
     stages = "".join(f", {s.source.cols[0].alias} {s.kind}" for s in rest)
+    if keys and keys.dated:
+        c = keys.dated[0]
+        best = "max" if c.op in ("<", "<=") else "min"
+        stages += f", ids by {c.left} {c.op} {best}({c.right})"
     return (
         f"join pipeline over {len(query.tuple_vars)} vars "
         f"({sizes}); {len(query.join_conditions())} joins, "

@@ -40,13 +40,14 @@ Besides cardinalities, this module hosts the executor's *query planner*:
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass
 from typing import Any
 
 from .database import Database
 from .errors import QueryError
-from .query import AttrRef, ConjunctiveQuery, Literal, cond_attr_refs
+from .query import AttrRef, ConjunctiveQuery, Literal, TupleVar, cond_attr_refs
 
 #: Default selectivity charged to each inequality (decoration) condition.
 INEQUALITY_SELECTIVITY = 1.0 / 3.0
@@ -233,24 +234,25 @@ def build_plan(
 
     # Ranks for the greedy order: point-predicate and semijoin-restricted
     # relations are assumed tiny; everything else ranks by its (distinct)
-    # size at plan time.
+    # size at plan time, computed only when a choice compares it.
     reduce_rows = distinct_reduction and query.distinct
 
-    def rank(alias: str, table_name: str) -> tuple:
-        if alias in pushable:
+    @functools.cache
+    def rank(var: TupleVar) -> tuple:
+        if var.alias in pushable:
             return (0, 0)
-        if alias == in_alias:
+        if var.alias == in_alias:
             return (0, 1)
-        table = db.table(table_name)
-        attrs = needed_attrs[alias] or (table.schema.column_names[0],)
+        table = db.table(var.table)
+        attrs = needed_attrs[var.alias] or (table.schema.column_names[0],)
         if reduce_rows and size_by_projection:
             return (1, len(table.project_distinct(attrs)))
         return (1, len(table))
 
     tuple_vars = list(query.tuple_vars)
-    ranks = {v.alias: rank(v.alias, v.table) for v in tuple_vars}
-    start_i = min(range(len(tuple_vars)), key=lambda i: (ranks[tuple_vars[i].alias], i))
-    start = tuple_vars[start_i]
+    # a tiny relation starts whatever the others' sizes (ties: the first)
+    tiny = [v for v in tuple_vars if v.alias in pushable or v.alias == in_alias]
+    start = min(tiny or tuple_vars, key=rank)
 
     bound = {start.alias}
     pending = list(residual)
@@ -286,7 +288,7 @@ def build_plan(
                 )
             ]
             if join_idx:
-                candidates.append((ranks[var.alias], var.alias, var, join_idx))
+                candidates.append((var, join_idx))
         if not candidates:
             if not allow_cartesian:
                 raise QueryError(
@@ -294,9 +296,10 @@ def build_plan(
                     "required); pass allow_cartesian=True to permit it"
                 )
             var, join_idx = remaining[0], []
+        elif len(candidates) == 1:
+            var, join_idx = candidates[0]
         else:
-            candidates.sort(key=lambda t: (t[0], t[1]))
-            _, _, var, join_idx = candidates[0]
+            var, join_idx = min(candidates, key=lambda c: (rank(c[0]), c[0].alias))
         steps.append(PlanStep(var.alias, tuple(join_idx)))
         bound.add(var.alias)
         remaining = [v for v in remaining if v.alias != var.alias]

@@ -21,11 +21,11 @@ access structures matter for the auditing workload:
   per-access point queries); and
 * **key structures** — the NULL-free key set of some columns
   (:meth:`key_set`), the per-key minimum or maximum of a column
-  (:meth:`key_extremum`), and the per-key list of a column's values
+  (:meth:`key_extremum`), and the per-key list of row positions
   (:meth:`key_groups`).  They answer a join whose columns are dropped
   right after it without fanning out: "is there a row with this key?",
   "is there one whose column beats this value?", and "which rows carry
-  this key?".
+  this key?" (any column, read from the column arrays at the positions).
 
 Projection indexes and key structures share one key convention
 (:meth:`_key_of`): a bare value for one key column, a value tuple for
@@ -174,8 +174,8 @@ class Table:
         self._key_sets: dict[tuple[str, ...], set] = {}
         #: (key columns, column, largest) -> {key -> min/max of column}
         self._extrema: dict[tuple[tuple[str, ...], str, bool], dict] = {}
-        #: (key columns, column) -> {key -> [column values]}
-        self._key_groups: dict[tuple[tuple[str, ...], str], dict[Any, list]] = {}
+        #: key columns -> {key -> row positions}
+        self._key_groups: dict[tuple[str, ...], dict[Any, tuple[int, ...]]] = {}
         #: every cached structure an append patches (cleared, never rebound)
         self._structures: tuple[dict, ...] = (
             self._column_store, self._indexes, self._distinct_cache,
@@ -253,10 +253,10 @@ class Table:
             current = best.get(key)
             if current is None or (value > current if largest else value < current):
                 best[key] = value
-        for (attrs, column), groups in self._key_groups.items():
-            key, value = self._key_of(attrs, tup), tup[col_idx(column)]
-            if key is not None and value is not None:
-                groups.setdefault(key, []).append(value)
+        for attrs, groups in self._key_groups.items():
+            key = self._key_of(attrs, tup)
+            if key is not None:
+                groups[key] = groups.get(key, ()) + (pos,)
 
     # ------------------------------------------------------------------
     # access
@@ -306,8 +306,11 @@ class Table:
         return list(self.column_array(column))
 
     def distinct_values(self, column: str) -> set:
-        """Distinct values of one column (NULLs excluded)."""
-        return {t[0] for t in self.project_distinct((column,)) if t[0] is not None}
+        """Distinct values of one column (NULLs excluded), read off the
+        column array — or off its 1-column projection, if one is cached."""
+        cached = self._distinct_cache.get((column,))
+        values = {t[0] for t in cached} if cached else set(self.column_array(column))
+        return values - {None} if None in values else values
 
     def ndv(self, column: str) -> int:
         """Number of distinct non-NULL values (optimizer statistic), read
@@ -409,39 +412,41 @@ class Table:
         if best is None:
             best = {}
             get = best.get
-            for key, value in self._keyed_values(cache_key[0], column):
+            for key, value in self._keyed(cache_key[0], column):
                 current = get(key)
                 if current is None or (value > current if largest else value < current):
                     best[key] = value
             self._extrema[cache_key] = best
         return best
 
-    def key_groups(self, attrs: Sequence[str], column: str) -> dict[Any, list]:
-        """``key -> [column values]`` over the rows whose key (as in
-        :meth:`key_set`) and ``column`` are non-NULL — e.g. the log ids
-        of each ``(Patient, User)`` pair.  Built lazily from the columnar
-        mirror; delta-maintained on append.
+    def key_groups(self, attrs: Sequence[str]) -> dict[Any, tuple[int, ...]]:
+        """``key -> row positions`` over the rows whose key (as in
+        :meth:`key_set`) is non-NULL — e.g. the accesses of each
+        ``(Patient, User)`` pair.  Built lazily from the columnar mirror;
+        delta-maintained on append.  A group is a tuple (the cyclic
+        garbage collector untracks it; a list per key it would scan on
+        every full collection), so an append rebuilds the key's group.
         """
-        cache_key = (tuple(attrs), column)
-        groups = self._key_groups.get(cache_key)
+        key = tuple(attrs)
+        groups = self._key_groups.get(key)
         if groups is None:
             groups = {}
-            for key, value in self._keyed_values(cache_key[0], column):
-                group = groups.get(key)
-                if group is None:
-                    groups[key] = [value]
-                else:
-                    group.append(value)
-            self._key_groups[cache_key] = groups
+            get = groups.get
+            for k, pos in self._keyed(key):
+                groups[k] = get(k, ()) + (pos,)
+            self._key_groups[key] = groups
         return groups
 
-    def _keyed_values(self, attrs: tuple[str, ...], column: str) -> Iterator[tuple]:
-        """``(key, value)`` per row, rows with a NULL in either left out."""
-        if len(attrs) == 1:
-            keys: Iterable = self.column_array(attrs[0])
-        else:
-            keys = zip(*[self.column_array(a) for a in attrs])
-        return _non_null(keys, self.column_array(column), attrs)
+    def _keyed(self, attrs: tuple[str, ...], column: str = "") -> Iterator[tuple]:
+        """``(key, value)`` per row — the value of ``column``, else the
+        row's position — rows with a NULL key or value left out (tested
+        row by row only when a column read holds a NULL)."""
+        arrays = [self.column_array(a) for a in attrs]
+        values = self.column_array(column) if column else range(len(self._rows))
+        keys: Iterable = arrays[0] if len(attrs) == 1 else zip(*arrays)
+        if any(None in a for a in arrays) or (column and None in values):
+            return _non_null(keys, values, attrs)
+        return zip(keys, values)
 
     def _key_of(self, attrs: tuple[str, ...], row: tuple) -> Any:
         """One row's key as the key structures store it, None if NULL."""

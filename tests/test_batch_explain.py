@@ -232,6 +232,26 @@ def test_batch_equals_per_access_point_queries_on_a_simulated_world():
     assert point == batch.explained
 
 
+def test_cold_pass_builds_only_patient_user_key_structures():
+    """The whole-log pass runs at ``(Patient, User)`` granularity: after a
+    cold ``explain_all`` the log holds no id- or date-wide projection, and
+    every key structure it built is keyed by ``(Patient, User)``; the
+    partition is the point path's."""
+    from repro.api import AuditConfig, AuditService
+
+    db = simulate(SimulationConfig.tiny(seed=3)).db
+    with AuditService.open(db, config=AuditConfig(eager_warm=False)) as service:
+        partition = service.explain_all()
+        log = db.table("Log")
+        wide = [k for k in log._distinct_cache if {"Lid", "Date"} & set(k)]
+        assert not wide, wide
+        keyed = {*log._key_sets, *log._key_groups, *(k for k, _, _ in log._extrema)}
+        assert keyed == {("Patient", "User")}, keyed
+        explained = {lid for lid in log.column_array("Lid") if service.engine.explain(lid)}
+        assert set(partition.explained) == explained
+        assert set(partition.unexplained) == set(log.column_array("Lid")) - explained
+
+
 def test_batch_and_point_engine_paths_agree():
     """The whole-log semijoin pass equals the union of every template's
     own full evaluation, and the aggregates built from it agree."""

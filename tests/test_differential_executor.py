@@ -43,6 +43,7 @@ distinct reduction.
 
 from __future__ import annotations
 
+import datetime as dt
 import itertools
 import operator
 import random
@@ -64,7 +65,9 @@ from repro.db import (
     open_sql_database,
 )
 from repro.db.executor import explain_query
-from repro.db.query import FLIPPED
+from repro.db.optimizer import build_plan
+from repro.db.query import FLIPPED, cond_attr_refs
+from repro.ehr import SimulationConfig, simulate
 
 _OPS = {
     "=": operator.eq,
@@ -280,6 +283,31 @@ def test_random_queries_match_reference(seed):
     for _ in range(10):
         query = random_query(rng, db)
         assert_matches_reference(db, query)
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_lazy_planning_equals_planning_with_projections_prebuilt(seed):
+    """The planner sizes a relation only when a join-order choice compares
+    it; the plans it builds on tables with no projection equal those it
+    builds once every relation's projection exists, for every choice of
+    batch-restricted alias."""
+    rng = random.Random(6000 + seed)
+    source = random_database(rng)
+    for _ in range(10):
+        query = random_query(rng, source)
+        lazy, warm = Database("lazy"), Database("warm")
+        for table in source.tables():
+            for db in (lazy, warm):
+                db.create_table(table.schema).insert_many(table.rows())
+        for var in query.tuple_vars:
+            refs = [r for c in query.conditions for r in cond_attr_refs(c)]
+            attrs = sorted({r.attr for r in [*refs, *query.projection] if r.alias == var.alias})
+            table = warm.table(var.table)
+            table.project_distinct(attrs or table.schema.column_names[:1])
+        for in_alias in (None, *(v.alias for v in query.tuple_vars)):
+            assert build_plan(lazy, query, in_alias=in_alias) == build_plan(
+                warm, query, in_alias=in_alias
+            ), (in_alias, query)
 
 
 @pytest.mark.parametrize("seed", range(5))
@@ -782,7 +810,11 @@ def test_extremum_stage_matches_reference(
     query = semi_query(keys, extra=(cond,))
     kind = "max" if bound_op in ("<", "<=") else "min"
     plan = explain_query(semi_db, query, AID)
-    assert plan.endswith(f"drives from A rows, E extremum({kind})"), plan
+    assert plan.endswith(
+        f"drives from A keys ({', '.join(keys)}), ids by A.t {bound_op} {kind}(E.t)"
+    ), plan
+    # the row path (a pinned id, a small batch) keeps the extremum stage
+    assert explain_query(semi_db, query.pinned(AID, 1)).endswith(f"E extremum({kind})")
     assert_rewrite_matches(semi_db, query, backend, distinct_reduction, delta)
 
 
@@ -847,12 +879,17 @@ def test_key_drive_needs_equality_only_joins_and_a_large_batch(semi_db):
     executor = Executor(semi_db)
     ids = all_ids(semi_db) - {None}
     query = semi_query(("k2", "k1"))
-    drive = lambda q, n: executor._semijoin_pipeline(q, AID, AID, n)[1]  # noqa: E731
+
+    def drive(q, n):
+        found = executor._semijoin_pipeline(q, AID, AID, n)[1]
+        return found and found.keys
+
     assert drive(query, len(ids)) == ("k1", "k2")
     assert drive(query, 1) is None  # a small batch probes the id index
-    ranged = semi_query(extra=(Condition(AttrRef("A", "t"), ">", AttrRef("E", "t")),))
-    assert drive(ranged, len(ids)) is None
-    filtered = semi_query(extra=(Condition(AttrRef("A", "t"), "=", Literal(5)),))
+    a_t, e_t = AttrRef("A", "t"), AttrRef("E", "t")
+    ranged = semi_query(extra=(Condition(a_t, ">", e_t),))
+    assert drive(ranged, len(ids)) == ("k1",)
+    filtered = semi_query(extra=(Condition(a_t, "=", Literal(5)),))
     assert drive(filtered, len(ids)) is None
     on_key = semi_query(("k1",))
     assert drive(on_key, len(ids)) == ("k1",)
@@ -864,6 +901,175 @@ def test_key_drive_needs_equality_only_joins_and_a_large_batch(semi_db):
     assert got == {1, 2, 3, 4, 7} == reference_distinct_in(semi_db, query, AID, AID, values)
     # the caller's set is read, never narrowed in place
     assert values == {1, 2, 3, 4, 7, None, 99}
+
+
+def dated_query(op, keys=("k1", "k2")):
+    return semi_query(keys, extra=(Condition(AttrRef("A", "t"), op, AttrRef("E", "t")),))
+
+
+@pytest.mark.parametrize("op", [">", ">=", "<", "<="])
+@pytest.mark.parametrize("distinct_reduction", CONFIGS)
+def test_key_driven_dated_shape_edge_cases(semi_db, op, distinct_reduction):
+    """The dated key drive (``A.t op E.t`` with ``E`` joined on exactly
+    the keys) keeps an id when its own ``t`` beats its key's threshold:
+    a NULL ``A.t`` never does, a NULL ``E.t`` is no threshold, a key whose
+    ``E.t`` are all NULL has none, ties separate the strict from the loose
+    operators, and a back-dated append after the structures were built
+    moves the threshold."""
+    # id 12's key (1, 2) has only a NULL E.t
+    semi_db.table("Acc").insert((12, 1, 2, 3))
+    executor = Executor(semi_db, distinct_reduction=distinct_reduction)
+    query = dated_query(op)
+    drive = executor._semijoin_pipeline(query, AID, AID, 99)[1]
+    assert (drive is not None) == distinct_reduction
+    ids = all_ids(semi_db) | {None}
+
+    def check() -> set:
+        got = executor.distinct_values_in(query, AID, AID, ids)
+        assert got == reference_distinct_in(semi_db, query, AID, AID, ids), op
+        return got
+
+    got = check()
+    assert 4 not in got and 12 not in got
+    # ties: id 1's t 5 is key (1, 1)'s max; id 3's t 7 is (2, 1)'s min and max
+    assert (1 in got) == (op != "<"), got
+    assert (3 in got) == (op in (">=", "<=")), got
+    assert (7 in got) == (op in ("<", "<=")), got  # t 2 under (1, 1)'s min 3
+    # back-dated rows after the structures were built: key (1, 1)'s min
+    # drops to 0 (its max stays 5); ids 10 (t 1) and 11 (NULL t) join it
+    semi_db.table("Ev").insert_many([(1, 1, 0, 0), (1, 1, None, 0)])
+    semi_db.table("Acc").insert_many([(10, 1, 1, 1), (11, 1, 1, None)])
+    ids |= {10, 11}
+    got = check()
+    assert {7, 10} <= got and 11 not in got, got
+    assert (1 in got) == (op != "<"), got
+    # a second partner F (no Ev row has z = 2) drops key (2, 1) before its
+    # threshold is read: id 9 (t 8 against 7) goes; F pinned by a literal
+    # drives the plan, and the keyed A joins it later
+    for pin in ((), (Condition(AttrRef("F", "k1"), "=", Literal(1)),)):
+        narrowed = ConjunctiveQuery.build(
+            [ACC, EV, TupleVar("F", "Ev")],
+            [*query.conditions, Condition(AttrRef("A", "k1"), "=", AttrRef("F", "z")), *pin],
+            [AID],
+        )
+        got = executor.distinct_values_in(narrowed, AID, AID, ids)
+        assert got == reference_distinct_in(semi_db, narrowed, AID, AID, ids), op
+        assert 9 not in got and (1 in got) == (op != "<"), got
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_random_dated_key_drives_match_reference(seed):
+    """Random ``Acc``/``Ev`` data with NULLs and ties: every dated shape
+    (one or two keys, each operator, either side written first) agrees
+    with the reference under both multiplicity settings, before and after
+    a back-dated append lands on the structures the first call built."""
+    rng = random.Random(5000 + seed)
+    db = Database("dated")
+    cols = lambda *names: [(n, ColumnType.INT) for n in names]  # noqa: E731
+    acc = db.create_table(TableSchema.build("Acc", cols("id", "k1", "k2", "t")))
+    ev = db.create_table(TableSchema.build("Ev", cols("k1", "k2", "t", "z")))
+    small = [0, 1, 2, None]
+    row = lambda first: (first, rng.choice(small), rng.choice(small), rng.choice([0, 1, 2, 3, None]))  # noqa: E731
+    acc.insert_many([row(rng.choice([*range(12), None])) for _ in range(14)])
+    ev.insert_many([row(rng.choice(small)) for _ in range(10)])
+    a_t, e_t = AttrRef("A", "t"), AttrRef("E", "t")
+    queries = [
+        semi_query(keys, extra=(cond,))
+        for keys in (("k1",), ("k1", "k2"))
+        for op in ("<", "<=", ">", ">=")
+        for cond in (Condition(a_t, op, e_t), Condition(e_t, op, a_t))
+    ]
+    # a second partner F narrows the keys that survive before the threshold
+    queries += [
+        ConjunctiveQuery.build(
+            [ACC, EV, TupleVar("F", "Ev")],
+            [
+                *(Condition(AttrRef("A", k), "=", AttrRef("E", k)) for k in ("k1", "k2")),
+                Condition(AttrRef("A", "k1"), "=", AttrRef("F", "z")),
+                Condition(a_t, op, e_t),
+            ],
+            [AID],
+        )
+        for op in ("<", ">=")
+    ]
+    executors = [Executor(db, distinct_reduction=r) for r in CONFIGS]
+    for late in (False, True):
+        if late:
+            acc.insert_many([row(20 + i) for i in range(4)])
+            ev.insert_many([row(rng.choice(small)) for _ in range(3)])
+        ids = all_ids(db) | {None}
+        for query in queries:
+            assert executors[0]._semijoin_pipeline(query, AID, AID, len(ids))[1]
+            expected = reference_distinct_in(db, query, AID, AID, ids)
+            for executor in executors:
+                got = executor.distinct_values_in(query, AID, AID, ids)
+                assert got == expected, f"late={late} {query}"
+
+
+@pytest.mark.parametrize(
+    "case", ["two_inequalities", "partial_keys", "x_filtered", "x_projected", "own_pair"]
+)
+def test_dated_shapes_that_stay_on_rows(semi_db, case):
+    """The dated key drive needs exactly one ``own op X.d`` whose ``X``
+    joins on every key and touches nothing else; anything more keeps the
+    row drive, and still agrees with the reference."""
+    a_t, e_t = AttrRef("A", "t"), AttrRef("E", "t")
+    if case == "two_inequalities":
+        extra = (Condition(a_t, ">", e_t), Condition(AttrRef("A", "k2"), "<", e_t))
+        query = semi_query(("k1",), extra=extra)
+    elif case == "partial_keys":  # F joins A on k2, E only on k1
+        query = ConjunctiveQuery.build(
+            [ACC, EV, TupleVar("F", "Ev")],
+            [
+                Condition(AttrRef("A", "k1"), "=", AttrRef("E", "k1")),
+                Condition(AttrRef("A", "k2"), "=", AttrRef("F", "k2")),
+                Condition(a_t, ">", e_t),
+            ],
+            [AID],
+        )
+    elif case == "x_filtered":
+        query = semi_query(extra=(Condition(a_t, ">", e_t), Condition(AttrRef("E", "z"), "=", Literal(0))))
+    elif case == "x_projected":
+        query = semi_query(extra=(Condition(a_t, ">", e_t),), projection=(AID, e_t))
+    else:
+        query = semi_query(extra=(Condition(a_t, ">", AttrRef("A", "k2")),))
+    executor = Executor(semi_db)
+    ids = all_ids(semi_db) | {None}
+    assert executor._semijoin_pipeline(query, AID, AID, len(ids))[1] is None
+    for label, executor in all_executors(semi_db):
+        got = executor.distinct_values_in(query, AID, AID, ids)
+        assert got == reference_distinct_in(semi_db, query, AID, AID, ids), label
+
+
+def test_world_key_drives_equal_the_row_path():
+    """On a simulated world every standard template's whole-log semijoin
+    (key-driven) equals its row-path ``distinct_values``, before and after
+    30 back-dated ingests land on the structures the first pass built."""
+    from repro.api import AuditConfig, AuditService, standard_templates
+
+    db = simulate(SimulationConfig.tiny(seed=5)).db
+    lid = AttrRef("L", "Lid")
+    queries = [t.support_query() for t in standard_templates(db)]
+    executor = Executor(db)
+
+    def check() -> None:
+        everything = db.table("Log").distinct_values("Lid")
+        for query in queries:
+            assert executor._semijoin_pipeline(query, lid, lid, len(everything))[1]
+            got = executor.distinct_values_in(query, lid, lid, everything)
+            assert got == executor.distinct_values(query, lid), query
+
+    check()
+    log = db.table("Log")
+    rng = random.Random(5)
+    pairs = sorted(set(zip(log.column_array("User"), log.column_array("Patient"))))
+    earliest, before = min(log.column_array("Date")), len(log)
+    with AuditService.open(db, config=AuditConfig(eager_warm=False)) as service:
+        for i in range(30):
+            user, patient = rng.choice(pairs)
+            service.ingest(user, patient, earliest - dt.timedelta(days=1 + i % 3))
+    assert len(log) == before + 30  # the service appends to this database
+    check()
 
 
 # ----------------------------------------------------------------------

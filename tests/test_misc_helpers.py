@@ -30,8 +30,9 @@ class TestExplainQueryHelper:
     def test_names_driver_and_stage_kinds(self, hospital_db):
         """``drive`` describes the whole-log batch semijoin of
         ``explain_all``: a chain template runs over the log's distinct
-        join keys with a semijoin stage; repeat-access keeps the rows (its
-        ``Date`` sits in an inequality) and compares with a per-key min."""
+        join keys with a semijoin stage; so does repeat-access, whose
+        ``Log_1`` is not joined at all: its ``Date`` inequality keeps the
+        ids whose date beats their key's minimum."""
         from repro.audit.handcrafted import event_user_template, repeat_access_template
         from repro.core import SchemaGraph
 
@@ -45,7 +46,7 @@ class TestExplainQueryHelper:
         repeat = repeat_access_template(graph)
         assert explain_query(hospital_db, repeat.support_query(), lid) == (
             "join pipeline over 2 vars (L:5, Log_1:5); 2 joins, 1 filters; "
-            "drives from L rows, Log_1 extremum(min)"
+            "drives from L keys (Patient, User), ids by L.Date > min(Log_1.Date)"
         )
 
 
