@@ -54,43 +54,3 @@ def walk_shallow(node: ast.AST) -> Iterator[ast.AST]:
         ):
             continue
         stack.extend(ast.iter_child_nodes(child))
-
-
-def bound_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
-    """Names bound inside a function/lambda (params + assignments)."""
-    out: set[str] = set()
-    args = node.args
-    for arg in (
-        *args.posonlyargs,
-        *args.args,
-        *args.kwonlyargs,
-        *([args.vararg] if args.vararg else []),
-        *([args.kwarg] if args.kwarg else []),
-    ):
-        out.add(arg.arg)
-    body = node.body if isinstance(node.body, list) else [node.body]
-    for stmt in body:
-        for child in ast.walk(stmt):
-            if isinstance(child, ast.Name) and isinstance(
-                child.ctx, (ast.Store, ast.Del)
-            ):
-                out.add(child.id)
-            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                out.add(child.name)
-    return out
-
-
-def free_names(node: ast.FunctionDef | ast.AsyncFunctionDef | ast.Lambda) -> set[str]:
-    """Names a closure reads but does not bind — its captures."""
-    bound = bound_names(node)
-    out: set[str] = set()
-    body = node.body if isinstance(node.body, list) else [node.body]
-    for stmt in body:
-        for child in ast.walk(stmt):
-            if (
-                isinstance(child, ast.Name)
-                and isinstance(child.ctx, ast.Load)
-                and child.id not in bound
-            ):
-                out.add(child.id)
-    return out

@@ -7,7 +7,6 @@ registration).  See ``src/repro/analysis/README.md`` for the recipe.
 
 from . import (  # noqa: F401  (imported for their registration side effect)
     rl002_wire,
-    rl004_forksafe,
     rl006_lockflow,
     rl008_asyncflow,
 )

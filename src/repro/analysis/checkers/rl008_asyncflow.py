@@ -1,11 +1,11 @@
 """RL008 — blocking calls reachable from server coroutines.
 
-RL004 used to flag ``time.sleep`` *written directly* inside an
-``async def``; the obvious dodge is one helper function of indirection.
-This rule owns the async-blocking discipline now and closes the dodge:
-every coroutine in ``src/repro/server`` is a root, and the project call
-graph is walked through plain (non-async) callees looking for blocking
-primitives — the RL004 tables plus whole module families (``sqlite3.*``,
+A ``time.sleep`` written directly inside an ``async def`` is the easy
+case; the obvious dodge is one helper function of indirection.  This
+rule closes the dodge: every coroutine in ``src/repro/server`` is a
+root, and the project call graph is walked through plain (non-async)
+callees looking for blocking primitives — the tables below plus whole
+module families (``sqlite3.*``,
 ``socket.*``, ``subprocess.*``, ``urllib.request.*``).  A hit is
 reported at the *root's* call site with the full chain, which is where
 the fix goes: hand the chain to ``loop.run_in_executor`` (function
@@ -22,9 +22,27 @@ from ..callgraph import CallGraph, FunctionInfo, get_callgraph
 from ..diagnostics import Diagnostic
 from ..project import Project, SourceFile
 from ..registry import register
-from .rl004_forksafe import BLOCKING_ATTRS, BLOCKING_CALLS
 
 SCOPE = ("src/repro/server",)
+
+#: ``dotted.name`` call patterns that block the event loop.
+BLOCKING_CALLS = frozenset(
+    {
+        "time.sleep",
+        "socket.create_connection",
+        "urllib.request.urlopen",
+        "subprocess.run",
+        "subprocess.call",
+        "subprocess.check_call",
+        "subprocess.check_output",
+        "subprocess.Popen",
+        "input",
+        "open",
+    }
+)
+
+#: http.client connection classes — sync HTTP inside an async body.
+BLOCKING_ATTRS = frozenset({"HTTPConnection", "HTTPSConnection"})
 
 #: Module families that are blocking wholesale — any call into them
 #: counts, without enumerating every function.

@@ -4,12 +4,11 @@ Everything an application (the CLI, the examples, a web tier) needs is
 importable from here:
 
 * :class:`AuditService` — the one thread-safe service (explain, ingest,
-  mine, report) with an explicit ``open(...)`` lifecycle, placed on one
-  in-process shard or scattered over patient-hash shards
-  (``AuditConfig.shards``); :func:`open_service` is the same call as a
+  mine, report) over one database and one engine, with an explicit
+  ``open(...)`` lifecycle; :func:`open_service` is the same call as a
   plain function;
 * :class:`AuditConfig` — the single frozen config object (log table,
-  plan-cache size, alert policy, backend, shards, scan budgets);
+  plan-cache size, alert policy, backend, scan budgets);
 * the typed request/response dataclasses of :mod:`repro.api.messages`,
   all JSON-ready via ``to_dict()``, and ``ENDPOINTS``, the declaration
   of the ``/v1/`` routes that serve them;

@@ -2,10 +2,8 @@
 
 :class:`AuditConfig` is a single frozen, serializable dataclass that
 :meth:`repro.api.AuditService.open` consumes — one place to read a
-deployment's layout (log table, backend, shards) and its bounds (plan
-cache, scan slices, table rows), one dict to put in a config file.
-The shard count is the whole placement: one shard runs inline, more
-run one worker process each.
+deployment's layout (log table, backend) and its bounds (plan cache,
+scan slices, table rows), one dict to put in a config file.
 """
 
 from __future__ import annotations
@@ -36,13 +34,6 @@ class AuditConfig:
     #: invoked (unexplained accesses are still counted and reported).
     alert_on_unexplained: bool = True
 
-    #: Placement of the one :class:`~repro.api.service.AuditService`:
-    #: the number of patient-hash shards.  1 is one in-process shard over
-    #: the database itself (no copy, no pool, ops called inline); >1
-    #: partitions the log and pins each shard database, with its own
-    #: indexes and plan cache, to its own worker process.
-    shards: int = 1
-
     #: Resumable-scan budgets (see :meth:`AuditService.scan`): the
     #: default row budget of one scan slice, and an optional wall-clock
     #: quantum in seconds after which a slice suspends early (None means
@@ -59,9 +50,8 @@ class AuditConfig:
     backend: str = "memory"
     #: SQLite database file for ``backend="sqlite"``.  None keeps the
     #: database in SQLite's private memory (no file, no restart
-    #: survival); a path persists state across process death, and a
-    #: service on more than one shard derives one file per shard from it
-    #: (``audit.shard0.db``, ...).  Ignored by the memory backend.
+    #: survival); a path persists state across process death.  Ignored
+    #: by the memory backend.
     db_path: str | None = None
     #: Row cap applied to every in-memory table loaded through the CLI
     #: (the memory backend's explicit RAM ceiling).  Exceeding it raises
@@ -84,8 +74,6 @@ class AuditConfig:
             raise ValueError("log_id_attr must be non-empty")
         if self.plan_cache_size < 1:
             raise ValueError("plan_cache_size must be >= 1")
-        if self.shards < 1:
-            raise ValueError("shards must be >= 1")
         if self.scan_page_rows < 1:
             raise ValueError("scan_page_rows must be >= 1")
         if self.backend not in ("memory", "sqlite"):

@@ -103,7 +103,7 @@ class PayloadTooLargeError(AuditApiError):
 
 class UnsupportedOperationError(AuditApiError, NotImplementedError):
     """The operation exists in the API but this deployment cannot run it
-    (e.g. mining on a sharded service).  Subclasses
+    (e.g. mining on the SQLite backend).  Subclasses
     ``NotImplementedError`` so pre-wire in-process callers keep working;
     the ``hint`` names the supported recipe.
     """

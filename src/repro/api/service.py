@@ -12,23 +12,16 @@ lifecycle::
         report = service.report()
         service.ingest("u0042", "p00017")
 
-Placements
+One engine
 ----------
-Every explanation joins a log row's patient and user, so each
-patient-hash shard explains its own part of the log, and one node is the
-one-shard case (:mod:`repro.api.sharded`).  Each facade method below is
-written once: a scatter of one shard op, then a merge (set union, count
-addition, a re-sort into ``(date, lid)`` order).  ``AuditConfig.shards``
-picks the placement:
-
-* ``shards == 1`` — one shard over the caller's database itself: no
-  partition copy, no pool, ops called inline, and the single gathered
-  result returned as-is.  Only this placement mines, builds groups, and
-  answers ``explain(wait=False)``;
-* ``shards > 1`` — patient-hash partitions, one worker process per
-  shard.  Log ids are assigned here, not by the shards, so ingest
-  results are byte-identical to the one-shard service; mining and group
-  inference rewrite the whole database and answer a typed 501.
+The service holds one database, one
+:class:`~repro.core.engine.ExplanationEngine` over it (with a private
+LRU plan cache) and, from the first ingest on, one
+:class:`~repro.audit.streaming.AccessMonitor`, and calls them directly
+on the calling thread.  Under ``AuditConfig.backend == "sqlite"`` the
+database is a :class:`~repro.db.sqlbackend.SqlDatabase` and every
+explanation query pushes down as SQL; mining and group inference
+rewrite the in-memory database and answer a typed 501 there.
 
 Concurrency model
 -----------------
@@ -60,24 +53,24 @@ from dataclasses import dataclass, field
 from collections.abc import Callable, Iterable, Iterator, Sequence
 from typing import Any
 
-from ..audit.streaming import log_row
+from ..audit.streaming import AccessMonitor, log_row
 from ..core.engine import BatchExplanation, ExplanationEngine
 from ..core.graph import SchemaGraph
-from ..core.instance import rank_instances
 from ..core.library import ReviewStatus, TemplateLibrary
 from ..core.mining import BridgedMiner, MiningConfig, OneWayMiner, TwoWayMiner
+from ..core.scan import LogScanner
 from ..core.template import ExplanationTemplate
-from ..db.backend import AnyDatabase
+from ..db.backend import AnyDatabase, AnyTable, make_executor
 from ..db.csvio import load_database
 from ..db.database import Database
 from ..db.optimizer import PlanCache
-from ..db.sharding import partition_by_patient, shard_of
 from ..db.sqlbackend import SqlDatabase, open_sql_database
 from ..db.table import check_rows
 from .config import AuditConfig
 from .errors import UnsupportedOperationError
 from .locks import RWLock
 from .messages import (
+    AccessView,
     AuditReport,
     ExplainRequest,
     ExplainResult,
@@ -95,7 +88,6 @@ from .messages import (
     assemble_report,
     jsonable,
 )
-from .sharded import LocalShard, ProcessShard, ShardState, build_shard_state, by_date
 
 #: Callback type for unexplained-access alerts.
 AlertHandler = Callable[[IngestResult], None]
@@ -167,35 +159,6 @@ def _views(rows: Sequence[tuple]) -> tuple[UnexplainedView, ...]:
     )
 
 
-def _union(sets: list[frozenset]) -> frozenset:
-    """Merge disjoint per-shard sets; one shard's set is returned as-is."""
-    return sets[0] if len(sets) == 1 else frozenset().union(*sets)
-
-
-def _merge_ingest(monitors: list[dict], last: list[dict]) -> dict:
-    """One ingest-counter dict from per-shard monitor stats: counts add,
-    rates and averages are recomputed from the sums, and the ``last_*``
-    pair describes the latest ingest (the shards it wrote to ran
-    concurrently, so its time is theirs at most)."""
-    seen = sum(m["seen"] for m in monitors)
-    alerts = sum(m["alerts"] for m in monitors)
-    queries = sum(m["total_queries"] for m in monitors)
-    seconds = sum(m["total_seconds"] for m in monitors)
-    return {
-        "seen": seen,
-        "alerts": alerts,
-        "alert_rate": alerts / seen if seen else 0.0,
-        "total_queries": queries,
-        "total_seconds": seconds,
-        "avg_ingest_queries": queries / seen if seen else 0.0,
-        "avg_ingest_seconds": seconds / seen if seen else 0.0,
-        "last_ingest_queries": sum(m["last_ingest_queries"] for m in last),
-        "last_ingest_seconds": max(
-            (m["last_ingest_seconds"] for m in last), default=0.0
-        ),
-    }
-
-
 @dataclass(frozen=True)
 class GroupsResult:
     """Outcome of :meth:`AuditService.build_groups`."""
@@ -218,8 +181,9 @@ class GroupsResult:
 
 
 class AuditService:
-    """The thread-safe facade over the whole auditing system, on one
-    shard or on many (see the module docstring)."""
+    """The thread-safe facade over the whole auditing system (see the
+    module docstring).  Build one with :meth:`open`; the constructor
+    audits the database it is given as-is."""
 
     def __init__(
         self,
@@ -228,59 +192,28 @@ class AuditService:
         config: AuditConfig,
         clock: Callable[[], Any] | None = None,
     ) -> None:
-        templates = list(templates)
-        if config.shards == 1:
-            self._attach(db, config, clock, build_shard_state(0, db, templates, config))
-        elif isinstance(db, SqlDatabase):
-            raise UnsupportedOperationError(
-                "a sharded AuditService cannot partition a SqlDatabase source",
-                hint="open it over the in-memory Database or CSV directory "
-                "with config.backend='sqlite': each shard converts its "
-                "partition into a private SQLite database",
-            )
-        else:
-            parts = partition_by_patient(
-                db, config.shards, log_table=config.log_table
-            )
-            procs = [ProcessShard(i, p, templates, config) for i, p in enumerate(parts)]
-            self._attach(db, config, clock, None, procs)
-        if config.eager_warm:
-            self._warm()
-        else:
-            # start every worker now, so open() surfaces shard
-            # construction errors rather than the first query
-            self._scatter("ping")
-
-    def _attach(
-        self,
-        db: AnyDatabase,
-        config: AuditConfig,
-        clock: Callable[[], Any] | None,
-        local: ShardState | None,
-        procs: Sequence[ProcessShard] = (),
-    ) -> None:
-        """The state every placement shares; ``local`` is the one shard of
-        a one-shard service (None when sharded), ``procs`` the worker
-        processes of a sharded one."""
-        #: On a sharded service, the unpartitioned source as of open time.
         self.db = db
-        self.config = config
-        self._local = local
-        self._procs = list(procs)
-        #: Every shard in index order: the inline one, or the processes.
-        self._shards: Sequence[LocalShard | ProcessShard] = (
-            [LocalShard(local)] if local is not None else self._procs
-        )
-        #: The database the caller handed in; close() closes every other.
+        #: The database the caller handed in; close() closes any other.
         self._given: object = db
+        self.config = config
+        self.engine = ExplanationEngine(
+            db,
+            templates,
+            log_table=config.log_table,
+            log_id_attr=config.log_id_attr,
+            executor=make_executor(
+                db, plan_cache=PlanCache(max_size=config.plan_cache_size)
+            ),
+        )
+        #: Built by the first ingest: a monitor reads the log's id set,
+        #: which a read-only service never needs.
+        self._monitor: AccessMonitor | None = None
         self._clock = clock if clock is not None else dt.datetime.now
         self._alert_handlers: list[AlertHandler] = []
         self._lock = RWLock()
         self._closed = False
-        #: The next global log id; read from the shards at the first ingest.
-        self._next_lid: int | None = None
-        #: The shards the latest ingest wrote to.
-        self._last_ingest: tuple[int, ...] = ()
+        if config.eager_warm:
+            self._warm()
 
     # ------------------------------------------------------------------
     # lifecycle
@@ -305,41 +238,35 @@ class AuditService:
         suggested ones when nothing is approved yet), or None for the
         standard hand-crafted CareWeb set.  Usable as a context manager.
 
-        With ``config.backend == "sqlite"`` and one shard, a path ``db``
-        is streamed into the SQLite file at ``config.db_path`` (reused
-        as-is when already ingested — the restart path) and every
-        explanation query pushes down as SQL; an in-memory ``db`` object
-        is copied in.  A :class:`~repro.db.sqlbackend.SqlDatabase` passed
-        directly is used as-is regardless of ``config.backend``.  With
-        more shards the source loads in memory (uncapped under SQLite,
-        where it is transient) and each shard converts its partition.
+        With ``config.backend == "sqlite"`` a path ``db`` is streamed into
+        the SQLite file at ``config.db_path`` (reused as-is when already
+        ingested — the restart path) and every explanation query pushes
+        down as SQL; an in-memory ``db`` object is copied in.  A
+        :class:`~repro.db.sqlbackend.SqlDatabase` passed directly is used
+        as-is regardless of ``config.backend``.
         """
         config = config if config is not None else AuditConfig()
         source = db
-        one_sqlite = config.backend == "sqlite" and config.shards == 1
         if isinstance(db, (str, os.PathLike)):
-            if one_sqlite:
+            if config.backend == "sqlite":
                 db = open_sql_database(str(db), config.db_path)
             else:
-                max_rows = (
-                    config.max_table_rows if config.backend == "memory" else None
-                )
-                db = load_database(str(db), max_rows=max_rows)
-        elif one_sqlite and not isinstance(db, SqlDatabase):
+                db = load_database(str(db), max_rows=config.max_table_rows)
+        elif config.backend == "sqlite" and not isinstance(db, SqlDatabase):
             db = open_sql_database(db, config.db_path)
         service = cls(db, resolve_templates(db, templates), config, clock=clock)
         service._given = source
         return service
 
     def close(self) -> None:
-        """End the lifecycle; subsequent calls raise RuntimeError.  Every
-        shard database the service opened closes with it; the database
-        its caller passed in stays open."""
+        """End the lifecycle; subsequent calls raise RuntimeError.  A
+        database the service opened closes with it; the database its
+        caller passed in stays open."""
         if self._closed:
             return
         self._closed = True
-        for shard in self._shards:
-            shard.close(self._given)
+        if self.db is not self._given:
+            self.db.close()
 
     def __enter__(self) -> "AuditService":
         return self
@@ -351,58 +278,24 @@ class AuditService:
         if self._closed:
             raise RuntimeError("AuditService is closed")
 
-    # ------------------------------------------------------------------
-    # placement
-    # ------------------------------------------------------------------
-    @property
-    def shards(self) -> int:
-        """Number of patient-hash shards."""
-        return len(self._shards)
-
-    def shard_for(self, patient: Any) -> int:
-        """The shard owning a patient's accesses."""
-        return shard_of(patient, len(self._shards))
-
-    @property
-    def engine(self) -> ExplanationEngine:
-        """The engine of a one-shard service."""
-        if self._local is None:
-            raise UnsupportedOperationError(
-                "a sharded AuditService has one engine per shard",
-                hint="read stats()['per_shard'] for per-shard counters",
-            )
-        return self._local.engine
-
     @property
     def plan_cache(self) -> PlanCache:
-        """The private LRU plan cache of a one-shard service (bounded by
-        the config; hit/miss counters surface through :meth:`stats`)."""
+        """The service's private LRU plan cache (bounded by the config;
+        hit/miss counters surface through :meth:`stats`)."""
         return self.engine.executor.plan_cache
-
-    def _scatter(self, op: str, *args: Any) -> list:
-        """Run one op on every shard; results arrive in shard order.  A
-        one-shard service calls the op inline: no pool, no Future."""
-        if self._local is not None:
-            return [self._shards[0].call(op, *args)]
-        futures = [shard.submit(op, *args) for shard in self._procs]
-        return [f.result() for f in futures]
-
-    def _on_shard(self, index: int, op: str, *args: Any) -> Any:
-        return self._shards[index].call(op, *args)
 
     def _warm(self) -> None:
         """Prepare the point probes and materialize the aggregate caches
-        (explained set, unexplained queue) on every shard.  Table access
-        structures the readers need but the warm pass did not read are
-        still built by the first reader that asks."""
-        self._scatter("warm")
+        (explained set, unexplained queue).  Table access structures the
+        readers need but the warm pass did not read are still built by the
+        first reader that asks."""
+        self.engine.warm()
 
-    def _whole_memory_db(self, what: str, hint: str) -> Database:
-        """The one in-memory database a whole-database writer rewrites."""
-        if self._local is None or isinstance(self.db, SqlDatabase):
-            where = "a sharded service" if self._local is None else "the SQLite backend"
+    def _memory_db(self, what: str, hint: str) -> Database:
+        """The in-memory database a whole-database writer rewrites."""
+        if isinstance(self.db, SqlDatabase):
             raise UnsupportedOperationError(
-                f"{what} is not available on {where}", hint=hint
+                f"{what} is not available on the SQLite backend", hint=hint
             )
         return self.db
 
@@ -425,8 +318,8 @@ class AuditService:
 
         Accepts an :class:`ExplainRequest` or a bare log id.  With
         ``wait=False`` the call answers only if it can start and finish
-        without waiting — one memory-backend shard, and a read lock free
-        of writers — and returns None otherwise (the HTTP event loop's
+        without waiting — the memory backend, and a read lock free of
+        writers — and returns None otherwise (the HTTP event loop's
         in-place attempt).
         """
         self._check_open()
@@ -434,23 +327,14 @@ class AuditService:
             request = ExplainRequest(lid=request)
         if wait:
             with self._lock.read_locked():
-                gathered = self._scatter("explain", request.lid)
-        elif (
-            self._local is None
-            or isinstance(self.db, SqlDatabase)
-            or not self._lock.try_acquire_read()
-        ):
+                instances = self.engine.explain(request.lid)
+        elif isinstance(self.db, SqlDatabase) or not self._lock.try_acquire_read():
             return None
         else:
             try:
-                gathered = self._scatter("explain", request.lid)
+                instances = self.engine.explain(request.lid)
             finally:
                 self._lock.release_read()
-        instances = (
-            gathered[0]
-            if len(gathered) == 1
-            else rank_instances([i for shard in gathered for i in shard])
-        )
         if request.limit is not None:
             instances = instances[: request.limit]
         return ExplainResult(
@@ -460,16 +344,42 @@ class AuditService:
             ),
         )
 
+    def _log_columns(self) -> tuple[AnyTable, tuple[int, int, int, int]]:
+        """The log table and its ``(lid, date, user, patient)`` column
+        positions."""
+        log = self.db.table(self.config.log_table)
+        schema = log.schema
+        return log, (
+            schema.column_index(self.config.log_id_attr),
+            schema.column_index("Date"),
+            schema.column_index("User"),
+            schema.column_index("Patient"),
+        )
+
     def patient_report(
         self, patient: Any, limit: int | None = None
     ) -> PatientReport:
         """Every access to one patient's record in time order, each with
-        ranked explanations (the portal screen, paper Example 1.1) — one
-        shard's work, whatever the shard count."""
+        ranked explanations (the portal screen, paper Example 1.1)."""
         self._check_open()
         with self._lock.read_locked():
-            entries = self._on_shard(
-                self.shard_for(patient), "patient_report", patient, limit
+            log, (lid_i, date_i, user_i, _patient_i) = self._log_columns()
+            rows = sorted(
+                log.lookup("Patient", patient),
+                key=lambda r: (r[date_i], r[lid_i]),
+            )
+            if limit is not None:
+                rows = rows[:limit]
+            entries = tuple(
+                AccessView(
+                    lid=row[lid_i],
+                    date=row[date_i],
+                    user=row[user_i],
+                    explanations=tuple(
+                        i.render() for i in self.engine.explain(row[lid_i])
+                    ),
+                )
+                for row in rows
             )
         return PatientReport(patient=patient, entries=entries)
 
@@ -481,14 +391,18 @@ class AuditService:
 
     def _unexplained_rows(self) -> tuple[int, list[tuple]]:
         """The log size and the unexplained ``(lid, date, user, patient)``
-        rows in ``(date, lid)`` order, merged over the shards."""
+        rows in ``(date, lid)`` order."""
         with self._lock.read_locked():
-            gathered = self._scatter("report_rows")
-        if len(gathered) == 1:
-            return gathered[0]
-        rows = [row for _, shard_rows in gathered for row in shard_rows]
-        rows.sort(key=by_date)
-        return sum(total for total, _ in gathered), rows
+            log, (lid_i, date_i, user_i, patient_i) = self._log_columns()
+            unexplained = self.engine.unexplained_lids()
+            rows = [
+                (r[lid_i], r[date_i], r[user_i], r[patient_i])
+                for r in log.rows()
+                if r[lid_i] in unexplained
+            ]
+            total = len(self.engine.all_lids())
+        rows.sort(key=lambda r: (r[1], r[0]))
+        return total, rows
 
     def unexplained_queue(self) -> tuple[UnexplainedView, ...]:
         """The unexplained review queue alone, oldest first (stable
@@ -524,17 +438,13 @@ class AuditService:
     def scan(self, request: ScanRequest | None = None) -> ScanPage:
         """One bounded slice of a resumable full-log scan.
 
-        Each shard scans for at most ``page_rows`` rows /
-        ``quantum_seconds`` of wall clock (request overrides, else the
-        config budgets) past the suspended position, under a single
-        short read-lock hold.  The merge sorts the disjoint per-shard
-        rows, cuts at the smallest position a quantum-suspended shard
-        reached (a row past it cannot be proven next in the global
-        order), and applies the global row budget.  Passing the page's
-        :class:`ScanState` back — to this service or to a *fresh* one
-        over the same log, at any shard count — continues the walk;
-        accumulating pages until ``done`` rebuilds the exact one-shot
-        :meth:`report`/:meth:`explain_all` artifacts.
+        Scans at most ``page_rows`` rows / ``quantum_seconds`` of wall
+        clock (request overrides, else the config budgets) past the
+        suspended position, in ``(date, lid)`` order, under a single
+        short read-lock hold.  Passing the page's :class:`ScanState`
+        back — to this service or to a *fresh* one over the same log —
+        continues the walk; accumulating pages until ``done`` rebuilds
+        the exact one-shot :meth:`report`/:meth:`explain_all` artifacts.
         """
         self._check_open()
         if request is None:
@@ -544,34 +454,22 @@ class AuditService:
         page_rows = request.page_rows or self.config.scan_page_rows
         quantum = request.quantum_seconds or self.config.scan_quantum_seconds
         with self._lock.read_locked():
-            gathered = self._scatter("scan_slice", state.after, page_rows, quantum)
-        merged: list[tuple] = []
-        cut: tuple | None = None
-        for rows, shard_done in gathered:
-            merged.extend(rows)
-            if not shard_done:
-                # A suspended shard always returns >= 1 row; it only
-                # vouches for the order up to its last scanned key.
-                last = by_date(rows[-1])
-                cut = last if cut is None or last < cut else cut
-        merged.sort(key=by_date)
-        eligible = (
-            merged if cut is None else [r for r in merged if by_date(r) <= cut]
+            result = LogScanner(self.engine).slice(state.after, page_rows, quantum)
+        unexplained = tuple(
+            UnexplainedView(lid=r.lid, date=r.date, user=r.user, patient=r.patient)
+            for r in result.rows
+            if not r.explained
         )
-        taken = eligible[:page_rows]
-        done = len(taken) == len(merged) and all(finished for _, finished in gathered)
-        # scan rows are (lid, date, user, patient, explained)
-        unexplained = _views([row[:4] for row in taken if not row[4]])
         return ScanPage(
-            rows=len(taken),
-            explained=tuple(row[0] for row in taken if row[4]),
+            rows=len(result.rows),
+            explained=tuple(r.lid for r in result.rows if r.explained),
             unexplained=unexplained,
             state=ScanState(
-                after=by_date(taken[-1]) if taken else state.after,
-                seen=state.seen + len(taken),
+                after=result.after,
+                seen=state.seen + len(result.rows),
                 unexplained=state.unexplained + len(unexplained),
             ),
-            done=done,
+            done=result.done,
         )
 
     def scan_pages(
@@ -618,10 +516,9 @@ class AuditService:
         return assemble_partition(self.scan_pages(page_rows, quantum_seconds))
 
     def _counts(self) -> tuple[int, int]:
-        """``(total, unexplained)`` log-id counts, added over the shards."""
+        """``(total, unexplained)`` log-id counts."""
         with self._lock.read_locked():
-            gathered = self._scatter("counts")
-        return sum(t for t, _ in gathered), sum(u for _, u in gathered)
+            return self.engine.coverage_counts()
 
     def summary(self) -> str:
         """The one-line coverage summary, from the warm aggregate caches
@@ -645,21 +542,14 @@ class AuditService:
         """Accesses no template explains — the candidate-misuse set."""
         self._check_open()
         with self._lock.read_locked():
-            return _union(self._scatter("unexplained"))
+            return frozenset(self.engine.unexplained_lids())
 
     def explain_all(self) -> BatchExplanation:
         """The whole-log explained/unexplained partition: one batch
-        semijoin per template on every shard, the disjoint per-shard
-        partitions unioned."""
+        semijoin per template."""
         self._check_open()
         with self._lock.read_locked():
-            gathered = self._scatter("explain_all")
-        if len(gathered) == 1:
-            return gathered[0]
-        return BatchExplanation(
-            _union([p.explained for p in gathered]),
-            _union([p.unexplained for p in gathered]),
-        )
+            return self.engine.explain_all()
 
     def explain_batch(self, lids: Iterable[Any]) -> BatchExplanation:
         """Partition a set of log ids into explained/unexplained in one
@@ -667,38 +557,30 @@ class AuditService:
         self._check_open()
         batch = frozenset(lids)
         with self._lock.read_locked():
-            gathered = self._scatter("explain_batch", batch)
-        if len(gathered) == 1:
-            return gathered[0]
-        explained = _union([p.explained for p in gathered])
-        return BatchExplanation(explained, batch - explained)
+            return self.engine.explain_batch(batch)
 
     def support_many(
         self, templates: Sequence[ExplanationTemplate]
     ) -> list[int]:
         """Distinct explained-access counts for the given (not necessarily
-        registered) templates: the mining *support*, additive over shards."""
+        registered) templates: the mining *support*."""
         self._check_open()
         templates = list(templates)
         with self._lock.read_locked():
-            gathered = self._scatter("support_counts", templates)
-        if len(gathered) == 1:
-            return gathered[0]
-        return [sum(counts[i] for counts in gathered) for i in range(len(templates))]
+            return self.engine.support_counts(templates)
 
     def explained_lids(self, template: ExplanationTemplate) -> frozenset:
         """Distinct log ids one template explains (evaluation helper; the
         template need not be registered with the service)."""
         self._check_open()
         with self._lock.read_locked():
-            return _union(self._scatter("explained_lids", template))
+            return frozenset(self.engine.explained_lids(template))
 
     def templates(self) -> tuple[ExplanationTemplate, ...]:
-        """The registered (deduplicated) template set (every shard holds
-        the same set; shard 0 answers)."""
+        """The registered (deduplicated) template set."""
         self._check_open()
         with self._lock.read_locked():
-            return self._on_shard(0, "templates")
+            return self.engine.templates
 
     def template_library(self) -> TemplateLibrary:
         """The registered templates as an all-approved library (they are
@@ -714,30 +596,20 @@ class AuditService:
         self.template_library().dump(path)
 
     def stats(self) -> dict:
-        """Operational counters in one shape at every shard count: summed
-        over the shards (``ingest`` is None before the first ingest), plus
-        the per-shard breakdown."""
+        """Operational counters (``ingest`` is None before the first
+        ingest)."""
         self._check_open()
         with self._lock.read_locked():
-            per_shard = self._scatter("stats")
-            lock = self._lock.stats()
-        monitors = [s["ingest"] for s in per_shard if s["ingest"] is not None]
-        last = [per_shard[i]["ingest"] for i in self._last_ingest]
-        return {
-            "shards": len(per_shard),
-            "executor_kind": "inline" if self._local is not None else "process",
-            "log_rows": sum(s["log_rows"] for s in per_shard),
-            "templates": per_shard[0]["templates"],
-            "queries_executed": sum(s["queries_executed"] for s in per_shard),
-            "plan_cache": {
-                key: sum(s["plan_cache"][key] for s in per_shard)
-                for key in per_shard[0]["plan_cache"]
-            },
-            "lock": lock,
-            "ingest": _merge_ingest(monitors, last) if monitors else None,
-            "per_shard": per_shard,
-            "config": self.config.to_dict(),
-        }
+            executor = self.engine.executor
+            return {
+                "log_rows": len(self.db.table(self.config.log_table)),
+                "templates": len(self.engine.templates),
+                "queries_executed": executor.queries_executed,
+                "plan_cache": executor.plan_cache.stats(),
+                "lock": self._lock.stats(),
+                "ingest": None if self._monitor is None else self._monitor.stats(),
+                "config": self.config.to_dict(),
+            }
 
     # ------------------------------------------------------------------
     # writers
@@ -759,23 +631,26 @@ class AuditService:
     def ingest_many(
         self, accesses: Sequence[tuple[Any, Any, dt.datetime | None]]
     ) -> list[IngestResult]:
-        """Ingest a batch of ``(user, patient, date)`` accesses: global
-        ids and timestamps are assigned in input order, each owning shard
-        appends its rows in ONE maintenance pass (strategy chosen by
-        batch size), and results return in input order.
+        """Ingest a batch of ``(user, patient, date)`` accesses: log ids
+        and timestamps are assigned in input order, the log appends the
+        rows in ONE maintenance pass (strategy chosen by batch size), and
+        results return in input order.
 
         The whole batch is checked against the log schema first: a batch
         with a row the log rejects raises its
-        :class:`~repro.db.errors.IntegrityError` having landed nothing on
-        any shard and spent no log id."""
+        :class:`~repro.db.errors.IntegrityError` having landed nothing
+        and spent no log id."""
         self._check_open()
         accesses = list(accesses)
         if not accesses:
             return []
         with self._lock.write_locked():
-            if self._next_lid is None:
-                self._next_lid = max(self._scatter("next_lid"))
-            clock, first = self._clock, self._next_lid
+            if self._monitor is None:
+                # reads the next free id from the log as it is now: a
+                # reopened SQLite file may hold rows ingested after the
+                # source was exported
+                self._monitor = AccessMonitor(self.engine)
+            clock, first = self._clock, self._monitor._next_lid
             batch = [
                 (first + i, clock() if date is None else date, user, patient)
                 for i, (user, patient, date) in enumerate(accesses)
@@ -787,31 +662,14 @@ class AuditService:
             )
             if error is not None:
                 raise error
-            self._next_lid += len(batch)
-            routed: dict[int, list[tuple]] = {}
-            order: list[tuple[int, int]] = []  # (shard, position in shard)
-            for row in batch:
-                shard = self.shard_for(row[3])  # the patient
-                rows = routed.setdefault(shard, [])
-                order.append((shard, len(rows)))
-                rows.append(row)
-            self._last_ingest = tuple(routed)
-            if len(routed) == 1:
-                ((shard, rows),) = routed.items()
-                gathered = {shard: self._on_shard(shard, "ingest_rows", rows)}
-            else:
-                futures = {
-                    shard: self._procs[shard].submit("ingest_rows", rows)
-                    for shard, rows in routed.items()
-                }
-                gathered = {shard: f.result() for shard, f in futures.items()}
+            streamed = self._monitor.ingest_prepared(batch)
             if self.config.eager_warm:
                 self._warm()
         results = [
             IngestResult.from_streamed(
                 a, a.suspicious and self.config.alert_on_unexplained
             )
-            for a in (gathered[shard][pos] for shard, pos in order)
+            for a in streamed
         ]
         self._dispatch_alerts(results)
         return results
@@ -819,17 +677,23 @@ class AuditService:
     def add_templates(
         self, templates: Iterable[ExplanationTemplate] | TemplateLibrary
     ) -> int:
-        """Register more templates on every shard (from an iterable or a
-        library's approved set); returns how many were offered."""
+        """Register more templates (from an iterable or a library's
+        approved set); returns how many were offered."""
         self._check_open()
         if isinstance(templates, TemplateLibrary):
             templates = templates.approved_templates()
         templates = list(templates)
         with self._lock.write_locked():
-            self._scatter("add_templates", templates)
-            if self.config.eager_warm:
-                self._warm()
+            self._register(templates)
         return len(templates)
+
+    def _register(self, templates: Sequence[ExplanationTemplate]) -> None:
+        """Add templates to the engine and re-warm; the caller holds the
+        write lock."""
+        for template in templates:
+            self.engine.add_template(template)
+        if self.config.eager_warm:
+            self._warm()
 
     def load_templates(self, path: str) -> int:
         """Register the approved templates of a saved library (JSON or
@@ -842,15 +706,15 @@ class AuditService:
         """Mine frequent explanation templates from the service's own
         database (paper Section 3).  ``graph`` defaults to the standard
         CareWeb explanation graph; pass one for other schemas.  With
-        ``request.register`` the mined templates join the engine.  Only a
-        one-shard memory-backend service mines (a typed 501 otherwise)."""
+        ``request.register`` the mined templates join the engine.  Only
+        the memory backend mines (a typed 501 on SQLite)."""
         self._check_open()
-        db = self._whole_memory_db(
+        db = self._memory_db(
             "mine()",
-            hint="mining counts support over the whole in-memory database; "
-            "run it on a one-shard AuditService.open(source) with the memory "
-            "backend over the same data, then register the mined templates "
-            "here with add_templates()",
+            hint="mining counts support over the in-memory database; run it "
+            "on AuditService.open(source) with the memory backend over the "
+            "same data, then register the mined templates here with "
+            "add_templates()",
         )
         with self._lock.write_locked():
             if graph is None:
@@ -871,9 +735,7 @@ class AuditService:
             }
             raw = miners[request.algorithm]().mine()
             if request.register:
-                self._scatter("add_templates", [m.template for m in raw.templates])
-                if self.config.eager_warm:
-                    self._warm()
+                self._register([m.template for m in raw.templates])
         return MineResult(
             algorithm=raw.algorithm,
             threshold=raw.threshold,
@@ -893,15 +755,13 @@ class AuditService:
     def build_groups(self, max_depth: int = 8) -> GroupsResult:
         """Infer collaborative groups from the access log (paper Section
         4) and materialize the Groups table in the service's database.
-        Only a one-shard memory-backend service does (a typed 501
-        otherwise)."""
+        Only the memory backend does (a typed 501 on SQLite)."""
         self._check_open()
-        db = self._whole_memory_db(
+        db = self._memory_db(
             "build_groups()",
             hint="group inference rewrites the in-memory Groups table; run "
-            "it on a one-shard AuditService.open(source) with the memory "
-            "backend, save the database, and reopen this service over the "
-            "updated source",
+            "it on AuditService.open(source) with the memory backend, save "
+            "the database, and reopen this service over the updated source",
         )
         from ..groups.hierarchy import build_groups_table, hierarchy_from_log
 
@@ -926,10 +786,7 @@ class AuditService:
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "closed" if self._closed else "open"
-        return (
-            f"<AuditService {state} db={self.db.name!r} "
-            f"shards={len(self._shards)}>"
-        )
+        return f"<AuditService {state} db={self.db.name!r}>"
 
 
 def open_service(*args: Any, **kwargs: Any) -> AuditService:

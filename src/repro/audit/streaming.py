@@ -84,7 +84,7 @@ AlertHandler = Callable[[StreamedAccess], None]
 def log_row(log_id_attr: str, lid: Any, stamp: Any, user: Any, patient: Any) -> dict:
     """The one place an audit-log row dict is built: what a monitor
     appends, and what :meth:`repro.api.AuditService.ingest_many` checks
-    against the log schema before routing a batch."""
+    against the log schema before ingesting a batch."""
     return {log_id_attr: lid, "Date": stamp, "User": user, "Patient": patient}
 
 
@@ -190,9 +190,9 @@ class AccessMonitor:
         self, rows: list[tuple[Any, Any, Any, Any]]
     ) -> list[StreamedAccess]:
         """Ingest ``(lid, date, user, patient)`` rows with *caller-assigned*
-        log ids — the shard-local half of a scatter-gather ingest, where a
-        routing layer owns the global lid sequence and each shard monitor
-        appends only the rows it was dealt.
+        log ids — what :meth:`repro.api.AuditService.ingest_many` calls
+        once it has assigned the ids and checked the batch against the
+        log schema.
 
         Maintenance matches :meth:`ingest_many`: one table append pass,
         one engine maintenance pass (strategy chosen by batch size),

@@ -191,7 +191,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
     — each slice its own short lock hold, the preemptable path a busy
     deployment serves over ``GET /v1/scan``.
     """
-    config = AuditConfig(shards=args.shards, **_backend_config(args))
+    config = AuditConfig(**_backend_config(args))
     with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
@@ -222,7 +222,7 @@ def cmd_audit(args: argparse.Namespace) -> int:
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
     """``evaluate``: the paper's headline coverage measurement."""
-    config = AuditConfig(shards=args.shards, **_backend_config(args))
+    config = AuditConfig(**_backend_config(args))
     with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
@@ -239,15 +239,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 def cmd_serve(args: argparse.Namespace) -> int:
     """``serve``: the v1 wire API over an opened service, in one process.
 
-    ``--shards N`` places the service on N process shards
-    transparently — the wire contract is identical.  ``--port 0``
+    ``--port 0``
     binds an ephemeral port; the ``listening on http://...`` line names
     it (scripts parse that line).  SIGINT/SIGTERM shut down cleanly
     (graceful drain: in-flight requests finish, new dials are refused).
     """
     from .server import serve
 
-    config = AuditConfig(shards=args.shards, **_backend_config(args))
+    config = AuditConfig(**_backend_config(args))
     with AuditService.open(
         args.db, templates=_templates_for(args.db, args.templates), config=config
     ) as service:
@@ -287,7 +286,7 @@ def _add_backend_args(p: argparse.ArgumentParser) -> None:
         default=None,
         help="SQLite database file for --backend sqlite (default: private "
         "in-memory SQLite); an existing audited file is reused without "
-        "re-ingesting, and a sharded service derives one file per shard",
+        "re-ingesting",
     )
     p.add_argument(
         "--max-table-rows",
@@ -306,18 +305,6 @@ def _backend_config(args: argparse.Namespace) -> dict:
         "db_path": args.db_path,
         "max_table_rows": args.max_table_rows,
     }
-
-
-def _add_sharding_args(p: argparse.ArgumentParser) -> None:
-    """The ``--shards`` flag shared by audit/evaluate/serve."""
-    p.add_argument(
-        "--shards",
-        type=int,
-        default=1,
-        help="hash-partition the log by patient into N shards, one worker "
-        "process each, and scatter-gather evaluation over them (1 = one "
-        "in-process shard over the database itself)",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -379,7 +366,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--db", required=True)
     p.add_argument("--limit", type=int, default=10)
     p.add_argument("--templates", help="reviewed SQL/JSON template library")
-    _add_sharding_args(p)
     _add_backend_args(p)
     p.add_argument(
         "--json", action="store_true", help="print the AuditReport as JSON"
@@ -409,7 +395,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evaluate", help="headline coverage measurement")
     p.add_argument("--db", required=True)
     p.add_argument("--templates", help="reviewed SQL/JSON template library")
-    _add_sharding_args(p)
     _add_backend_args(p)
     p.add_argument(
         "--json", action="store_true", help="print coverage as JSON"
@@ -426,7 +411,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="listening port (0 binds an ephemeral one, printed on stdout)",
     )
     p.add_argument("--templates", help="reviewed SQL/JSON template library")
-    _add_sharding_args(p)
     _add_backend_args(p)
     p.set_defaults(func=cmd_serve)
 

@@ -314,9 +314,8 @@ class ExplanationEngine:
         return (total - len(self.unexplained_lids())) / total
 
     def coverage_counts(self) -> tuple[int, int]:
-        """``(total, unexplained)`` log-id counts — the additive form of
-        :meth:`coverage`, so a scatter-gather layer can sum counts across
-        shards and divide once (shard logs are disjoint)."""
+        """``(total, unexplained)`` log-id counts — :meth:`coverage`
+        before the division."""
         return len(self.all_lids()), len(self.unexplained_lids())
 
     def support_counts(
@@ -326,9 +325,7 @@ class ExplanationEngine:
         mining *support* quantity, paper Section 3.1).
 
         The templates need not be registered; per-template caches are
-        shared with :meth:`explained_lids`.  Counts are additive across
-        patient-hash shards, so sharded mining support is the per-shard
-        sum."""
+        shared with :meth:`explained_lids`."""
         return [len(self.explained_lids(t)) for t in templates]
 
     # ------------------------------------------------------------------

@@ -48,8 +48,8 @@ def rank_instances(
     """Rank ascending by path length (shorter = more direct explanation),
     breaking ties by template display name, then by the witnessing
     bindings — a *total* deterministic order, so the ranking never
-    depends on the executor's row order (point vs batch plans, sharded
-    vs single-node tables all agree)."""
+    depends on the executor's row order (point and batch plans, memory
+    and SQLite tables all agree)."""
 
     def key(inst: ExplanationInstance):
         return (

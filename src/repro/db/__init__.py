@@ -49,7 +49,6 @@ from .query import (
     canonical_query_signature,
 )
 from .schema import Column, ColumnType, ForeignKey, TableSchema
-from .sharding import partition_by_patient, shard_of
 from .parser import parse_query, template_from_sql
 from .sql import render_query, render_query_reduced
 from .sqlbackend import (
@@ -57,7 +56,6 @@ from .sqlbackend import (
     SqlExecutor,
     SqlTable,
     open_sql_database,
-    shard_db_path,
 )
 from .table import Table
 from .csvio import load_database, read_table_csv, save_database, write_table_csv
@@ -98,13 +96,10 @@ __all__ = [
     "build_plan",
     "make_executor",
     "open_sql_database",
-    "shard_db_path",
     "canonical_query_signature",
     "explain_query",
     "load_database",
-    "partition_by_patient",
     "query_shape",
-    "shard_of",
     "shared_plan_cache",
     "parse_query",
     "read_table_csv",

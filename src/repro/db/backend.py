@@ -1,7 +1,6 @@
 """The pluggable-backend seam: executor and driver contracts.
 
-Every tier above the storage layer (engine, facade, sharded service,
-server) talks to storage through two small contracts defined here:
+Every tier above the storage layer (engine, facade, server) talks to storage through two small contracts defined here:
 
 * :class:`ExecutorProtocol` — the query surface.  Implemented by the
   in-memory :class:`~repro.db.executor.Executor` (compiled hash-join

@@ -4,11 +4,8 @@ This is the first implementation of the :class:`repro.db.backend.Driver`
 contract.  Design points that matter for the audit workload:
 
 * **Lazy connection** — the ``sqlite3`` connection is opened on first
-  use, never in ``__init__``.  A driver object can therefore be built in
-  a parent process and shipped to a shard worker (the process-sharded
-  service starts one worker process per shard, whose initializer builds
-  that shard's state);
-  the connection is only ever created in the process that uses it.
+  use, never in ``__init__``, so the connection is only ever created in
+  the process (and after any fork) that uses it.
 * **One connection, one lock** — the audit service serializes writers
   behind its own readers-writer lock, but readers run concurrently from
   a thread pool, so the driver guards its connection with an RLock and
@@ -65,7 +62,7 @@ class SqliteDriver:
 
     ``path`` of ``None`` opens a private in-memory database — same
     semantics as a file, zero filesystem footprint (used for unit tests
-    and for per-shard databases when no ``db_path`` is configured).
+    and for services with no ``db_path`` configured).
     """
 
     dialect = "sqlite"

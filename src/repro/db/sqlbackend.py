@@ -226,7 +226,7 @@ class SqlDatabase:
     Table schemas live in the driver's ``_repro_schema`` catalog table,
     so a :class:`SqlDatabase` reopened from a file (via
     :func:`open_sql_database`) restores the full typed catalog — that is
-    the restart-survival property the sharded service relies on.
+    the restart-survival property a reopened service relies on.
     """
 
     def __init__(
@@ -527,19 +527,6 @@ class SqlExecutor:
 # ----------------------------------------------------------------------
 # opening / building SQL-backed databases
 # ----------------------------------------------------------------------
-def shard_db_path(path: str | None, index: int) -> str | None:
-    """The per-shard database file derived from a configured ``db_path``.
-
-    ``audit.db`` becomes ``audit.shard0.db``, ``audit.shard1.db``, ... —
-    each shard owns a private file (private connection, private WAL).  A
-    ``None`` path stays ``None`` (private in-memory databases).
-    """
-    if path is None:
-        return None
-    root, ext = os.path.splitext(path)
-    return f"{root}.shard{index}{ext or '.db'}"
-
-
 def _register_name(driver: SqliteDriver, name: str) -> None:
     driver.execute(
         f"INSERT OR REPLACE INTO {quote_ident(SCHEMA_TABLE)} "
@@ -572,7 +559,7 @@ def open_sql_database(
        and the next open rebuilds from source.
 
     ``path=None`` opens a private in-memory SQLite database (tests, and
-    shards without a configured ``db_path``).
+    services without a configured ``db_path``).
     """
     driver = SqliteDriver(path)
     catalog = driver.load_schema_catalog()

@@ -1,8 +1,8 @@
 """``repro.server`` — the stdlib HTTP/NDJSON wire tier.
 
 A dependency-free asyncio HTTP server exposing an opened
-:class:`~repro.api.AuditService` (on one shard or many — the placement is
-invisible on the wire) as the versioned ``/v1/`` JSON wire API; the
+:class:`~repro.api.AuditService` as the versioned ``/v1/`` JSON wire
+API; the
 routes are declared in :data:`repro.api.messages.ENDPOINTS`.  The
 blocking counterpart lives in :mod:`repro.client`.
 

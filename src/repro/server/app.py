@@ -1,7 +1,7 @@
 """The versioned audit wire API: routes, dispatch, and server lifecycle.
 
-:class:`AuditAPI` binds an opened :class:`~repro.api.AuditService` — on
-one shard or many, transparently — to the routes declared in
+:class:`AuditAPI` binds an opened :class:`~repro.api.AuditService` to the routes
+declared in
 :data:`repro.api.messages.ENDPOINTS` (the README renders the same list):
 each endpoint's paths route to the handler it names, and ``METHOD path``
 is its metrics label.
@@ -10,17 +10,17 @@ Every response is a versioned envelope (``{"v": 1, "kind": ..., "data":
 ...}``); every failure is a typed wire error from
 :mod:`repro.api.errors` with its mapped HTTP status — including
 :class:`~repro.api.errors.UnsupportedOperationError` → 501 for
-operations a placement cannot host (mining on shards).
+operations a backend cannot host (mining on SQLite).
 
 Service calls are blocking (they take the service's RWLock), so they
 run in two tiers.  A point explain — ``GET``/``POST /v1/explain`` and
 each lid of ``/v1/explain/batch`` — is first tried on the event-loop
 thread as ``service.explain(request, wait=False)``, which answers only
-if the read can start and finish without waiting (a one-shard
-memory-backend service, no writer active or waiting).  A warm probe is pure
+if the read can start and finish without waiting (the memory backend,
+no writer active or waiting).  A warm probe is pure
 Python, so a pool thread would add two thread handoffs and no
 parallelism.  When the service declines (returns None: a writer
-pending, SQLite I/O, a shard scatter) — and for every other call — the
+pending, SQLite I/O) — and for every other call — the
 loop hands the call to a small thread pool, where it may wait on the
 lock while the loop keeps accepting connections.  The loop itself never
 waits on the lock.  :class:`AuditServer` owns the loop: ``serve()``

@@ -1,5 +1,5 @@
 """Seeded RL008 violations: a coroutine reaching sqlite3 through two
-plain helpers, and a direct time.sleep — the case RL004 used to own."""
+plain helpers, and a direct time.sleep."""
 
 import sqlite3
 import time

@@ -43,20 +43,10 @@ class TestSeededViolations:
         assert "'_fetch'" in diag.message
         assert "'self._cache'" in diag.message
 
-    def test_rl004_lock_closure_and_blocking_call(self):
-        # the direct blocking call on line 17 moved to RL008's
-        # jurisdiction when the transitive check subsumed RL004's
-        assert findings(f"{FIXTURES}/rl004_bad.py") == [
-            (f"{FIXTURES}/rl004_bad.py", 8, 8, "RL004"),
-            (f"{FIXTURES}/rl004_bad.py", 13, 44, "RL004"),
-            (f"{FIXTURES}/rl004_bad.py", 17, 5, "RL008"),
-        ]
-
     @pytest.mark.parametrize(
         "twin",
         [
             "rl001_clean.py",
-            "rl004_clean.py",
             "rl006_clean.py",
             "rl006_release_clean.py",
             "rl008_clean.py",
@@ -68,7 +58,6 @@ class TestSeededViolations:
     def test_each_violation_is_nonzero_exit(self):
         for bad in (
             "rl001_bad.py",
-            "rl004_bad.py",
             "rl006_bad.py",
             "rl006_direct_bad.py",
             "rl006_try_bad.py",
@@ -146,11 +135,11 @@ class TestFlowRules:
 # ----------------------------------------------------------------------
 # registry
 # ----------------------------------------------------------------------
-RULES = ["RL002", "RL004", "RL006", "RL008"]
+RULES = ["RL002", "RL006", "RL008"]
 
 
 class TestRegistry:
-    def test_registry_has_the_four_rules(self):
+    def test_registry_has_the_three_rules(self):
         assert sorted(CHECKERS) == RULES
 
     def test_every_run_runs_every_rule(self):
@@ -176,16 +165,12 @@ class TestCli:
 
     def test_json_output_shape(self, monkeypatch, capsys):
         monkeypatch.chdir(ROOT)
-        lint_main(["--output", "json", f"{FIXTURES}/rl004_bad.py"])
+        lint_main(["--output", "json", f"{FIXTURES}/rl008_bad.py"])
         payload = json.loads(capsys.readouterr().out)
         assert payload["version"] == 2
-        assert [f["code"] for f in payload["findings"]] == [
-            "RL004",
-            "RL004",
-            "RL008",
-        ]
-        assert payload["findings"][0]["line"] == 8
-        assert payload["stats"]["findings_by_code"] == {"RL004": 2, "RL008": 1}
+        assert [f["code"] for f in payload["findings"]] == ["RL008", "RL008"]
+        assert payload["findings"][0]["line"] == 22
+        assert payload["stats"]["findings_by_code"] == {"RL008": 2}
 
     @pytest.mark.parametrize("output", ["text", "json"])
     def test_github_actions_mirrors_findings_to_stderr(

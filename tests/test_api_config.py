@@ -23,7 +23,6 @@ class TestAuditConfig:
             log_id_attr="Id",
             plan_cache_size=7,
             alert_on_unexplained=False,
-            shards=3,
             scan_page_rows=64,
             backend="sqlite",
             db_path="audit.db",
@@ -49,13 +48,13 @@ class TestAuditConfig:
     def test_lenient_mode_warns_and_ignores_unknown_keys(self):
         with pytest.warns(UserWarning, match="ignoring unknown AuditConfig"):
             config = AuditConfig.from_dict(
-                {"shards": 3, "from_the_future": True}, strict=False
+                {"scan_page_rows": 3, "from_the_future": True}, strict=False
             )
-        assert config.shards == 3
+        assert config.scan_page_rows == 3
 
     def test_lenient_mode_still_validates_known_keys(self):
         with pytest.raises(ValueError):
-            AuditConfig.from_dict({"shards": 0}, strict=False)
+            AuditConfig.from_dict({"scan_page_rows": 0}, strict=False)
 
     def test_lenient_mode_without_unknown_keys_is_silent(self):
         import warnings
@@ -78,7 +77,6 @@ class TestAuditConfig:
         [
             {"log_table": ""},
             {"log_id_attr": ""},
-            {"shards": 0},
             {"plan_cache_size": 0},
         ],
     )
@@ -86,10 +84,12 @@ class TestAuditConfig:
         with pytest.raises(ValueError):
             AuditConfig(**kwargs)
 
-    def test_has_no_thread_placement_knobs(self):
+    def test_has_no_placement_knobs(self):
         names = {f.name for f in dataclasses.fields(AuditConfig)}
-        assert not names & {"executor_kind", "parallelism"}
-        assert not hasattr(AuditConfig(shards=4), "effective_parallelism")
+        assert not names & {"shards", "executor_kind", "parallelism"}
+        assert not hasattr(AuditConfig(), "effective_parallelism")
+        with pytest.raises(TypeError):
+            AuditConfig(shards=2)
 
     def test_frozen(self):
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -179,8 +179,8 @@ class TestConfigDrivesService:
 
 
 #: ``AuditConfig().to_dict()`` as stored by a build whose config still
-#: carried the seven evaluation-path toggles, the two thread-shard knobs
-#: and the serving-fleet width.
+#: carried the seven evaluation-path toggles, the three shard knobs and
+#: the serving-fleet width.
 STORED_21_KEY_CONFIG = {
     "log_table": "Log",
     "log_id_attr": "Lid",
@@ -212,6 +212,7 @@ REMOVED_TOGGLES = [
     "parallelism",
     "predicate_pushdown",
     "semijoin_batch_min",
+    "shards",
     "use_batch_path",
     "vectorized",
     "workers",
@@ -236,25 +237,42 @@ class TestStoredConfigCompatibility:
 
     @pytest.mark.parametrize(
         "key,value",
-        [("executor_kind", "process"), ("parallelism", 2), ("workers", 2)],
+        [
+            ("shards", 2),
+            ("executor_kind", "process"),
+            ("parallelism", 2),
+            ("workers", 2),
+        ],
     )
     def test_a_removed_shard_knob_alone_is_named_or_dropped(self, key, value):
-        stored = {"shards": 2, key: value}
+        stored = {"scan_page_rows": 64, key: value}
         with pytest.raises(ValueError, match=key):
             AuditConfig.from_dict(stored)
         with pytest.warns(UserWarning, match=key):
             config = AuditConfig.from_dict(stored, strict=False)
-        assert config == AuditConfig(shards=2)
+        assert config == AuditConfig(scan_page_rows=64)
 
-    def test_lenient_load_of_a_thread_shard_config_opens_process_shards(
+    def test_lenient_load_of_a_sharded_config_opens_one_engine(
         self, hospital_db
     ):
-        with pytest.warns(UserWarning, match="executor_kind"):
-            config = AuditConfig.from_dict(
-                {"shards": 4, "executor_kind": "thread"}, strict=False
-            )
-        assert config == AuditConfig(shards=4)
+        import warnings
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            config = AuditConfig.from_dict({"shards": 4}, strict=False)
+        assert config == AuditConfig()
+        assert len(caught) == 1 and "shards" in str(caught[0].message)
         with AuditService.open(hospital_db, templates=(), config=config) as service:
+            assert service.db is hospital_db
             stats = service.stats()
-        assert stats["executor_kind"] == "process"
-        assert stats["shards"] == len(stats["per_shard"]) == 4
+        assert tuple(stats) == (
+            "log_rows",
+            "templates",
+            "queries_executed",
+            "plan_cache",
+            "lock",
+            "ingest",
+            "config",
+        )
+        assert stats["log_rows"] == len(hospital_db.table("Log"))
+        assert stats["config"] == AuditConfig().to_dict()

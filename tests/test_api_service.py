@@ -326,12 +326,12 @@ class TestMine:
 
 
 # ----------------------------------------------------------------------
-# placements: one shard is the caller's database; more shards refuse the
+# the service audits the caller's database; SQLite refuses the
 # whole-database writers
 # ----------------------------------------------------------------------
 class TestPlacement:
-    def test_one_shard_serves_the_callers_database(self):
-        """(No pool and no partition copy: ``test_explain_dispatch``.)"""
+    def test_serves_the_callers_database(self):
+        """(Explains run on the calling thread: ``test_explain_dispatch``.)"""
         db = _build_hospital()
         service = AuditService.open(
             db, templates=(), config=AuditConfig(eager_warm=False)
@@ -346,12 +346,12 @@ class TestPlacement:
         assert len(service.templates()) == len(mined.templates) > 0
         groups = service.build_groups(max_depth=2)
         assert groups.group_rows == len(db.table("Groups")) > 0
-        assert service.stats()["executor_kind"] == "inline"
+        assert service.stats()["templates"] == len(mined.templates)
 
-    def test_sharded_refuses_whole_database_writers(self):
+    def test_sqlite_refuses_whole_database_writers(self):
         from repro.api import UnsupportedOperationError
 
-        config = AuditConfig(shards=2)
+        config = AuditConfig(backend="sqlite")
         with AuditService.open(
             _build_hospital(), templates=_templates(_build_hospital()), config=config
         ) as service:
@@ -360,6 +360,7 @@ class TestPlacement:
             with pytest.raises(UnsupportedOperationError) as grouped:
                 service.build_groups()
             assert mined.value.http_status == grouped.value.http_status == 501
+            assert "SQLite" in str(mined.value) and "SQLite" in str(grouped.value)
             assert service.explain(116, wait=False) is None
             assert service.explain(116).explained
 

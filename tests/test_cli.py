@@ -270,18 +270,22 @@ class TestParser:
     @pytest.mark.parametrize(
         "command,flag,value",
         [
+            pytest.param("audit", "--shards", "2", id="audit-shards"),
+            pytest.param("evaluate", "--shards", "2", id="evaluate-shards"),
+            pytest.param("serve", "--shards", "2", id="serve-shards"),
             pytest.param("audit", "--executor-kind", "process", id="audit"),
             pytest.param("evaluate", "--executor-kind", "process", id="evaluate"),
             pytest.param("serve", "--executor-kind", "process", id="serve"),
             pytest.param("serve", "--workers", "2", id="serve-workers"),
         ],
     )
-    def test_executor_kind_flag_is_gone(self, dbdir, command, flag, value, capsys):
-        """``--shards N`` alone picks process shards, and ``serve`` is one
-        process; there is no executor or worker flag left to pass.
-        (``--shards 0`` makes a parser that still took the flag fail at
-        config validation, not serve.)"""
+    def test_executor_kind_flag_is_gone(self, tmp_path, command, flag, value, capsys):
+        """One service runs one engine in one process; there is no shard,
+        executor or worker flag left to pass.  (The database directory
+        does not exist, so a parser that still took the flag fails
+        opening it instead of serving.)"""
+        missing = str(tmp_path / "no-such-db")
         with pytest.raises(SystemExit) as exited:
-            main([command, "--db", dbdir, "--shards", "0", flag, value])
+            main([command, "--db", missing, flag, value])
         assert exited.value.code == 2
         assert f"unrecognized arguments: {flag}" in capsys.readouterr().err

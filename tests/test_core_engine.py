@@ -133,3 +133,17 @@ class TestEngineManagement:
         hospital_db.table("Log").insert((131, 10, "Dave", "Alice"))
         engine.invalidate_cache()
         assert 131 in engine.explained_lids(templates[0])
+
+
+def test_engine_coverage_counts_and_support_counts(fig3_db, fig3_graph):
+    from repro.audit.handcrafted import event_user_template
+
+    template = event_user_template(fig3_graph, "Appointments", "Doctor")
+    engine = ExplanationEngine(fig3_db, [template])
+    total, unexplained = engine.coverage_counts()
+    assert total == len(engine.all_lids())
+    assert unexplained == len(engine.unexplained_lids())
+    if total:
+        assert engine.coverage() == (total - unexplained) / total
+    (count,) = engine.support_counts([template])
+    assert count == len(engine.explained_lids(template))

@@ -1,8 +1,8 @@
 """Where a point explain runs.
 
 ``explain(request, wait=False)`` answers only when it can start and
-finish without waiting — a one-shard memory-backend service, with no writer
-active or waiting on the service's RWLock — and returns None otherwise.
+finish without waiting — a memory-backend service, with no writer active
+or waiting on the service's RWLock — and returns None otherwise.
 The HTTP server calls it on its event-loop thread and sends a None to
 its worker pool as an ordinary ``explain``, so the loop never waits on
 the lock.
@@ -118,27 +118,22 @@ class TestNonWaitingExplain:
             assert svc.explain(3, wait=False) is None
             assert svc.explain(3).lid == 3
 
-    def test_declines_on_shards(self, tiny_db):
-        config = AuditConfig(shards=2)
-        with open_service(tiny_db, config=config) as svc:
-            assert svc.explain(3, wait=False) is None
-            assert svc.explain(3).lid == 3
-
-    def test_one_shard_answers_inline_without_a_pool(self, tiny_db, monkeypatch):
-        """One shard is the caller's database with its ops called on the
-        calling thread: no worker process, no partition copy."""
-        import repro.api.service as service_mod
-        import repro.api.sharded as sharded_mod
-
-        def forbidden(*args, **kwargs):
-            raise AssertionError("a one-shard service builds no pool or partition")
-
-        monkeypatch.setattr(service_mod, "partition_by_patient", forbidden)
-        monkeypatch.setattr(sharded_mod, "ProcessPoolExecutor", forbidden)
+    def test_answers_inline_over_the_callers_database(self, tiny_db, monkeypatch):
+        """The service's one engine runs over the caller's database, and
+        every explain runs on the calling thread."""
         with open_service(tiny_db) as svc:
-            assert svc.db is tiny_db
+            assert svc.db is tiny_db and svc.engine.db is tiny_db
+            threads = []
+            explain = svc.engine.explain
+
+            def recording(lid):
+                threads.append(threading.current_thread())
+                return explain(lid)
+
+            monkeypatch.setattr(svc.engine, "explain", recording)
             for lid in LIDS:
                 assert svc.explain(lid, wait=False) == svc.explain(lid)
+            assert threads == [threading.current_thread()] * (2 * len(LIDS))
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 The contract under test, end to end: the union of a scan's bounded
 slices must be **byte-identical** to the one-shot ``report()`` /
 ``explain_all()`` artifacts — for every page size, with and without a
-wall-clock quantum, at shard counts {1, 2}, through the facade and over
+wall-clock quantum, on both storage backends, through the facade and over
 the wire — and a scan suspended mid-walk must resume correctly on a
 *fresh* service or server instance (a replica) from nothing but the
 serialized cursor, even while back-dated ingest mutates the log.
@@ -46,26 +46,35 @@ from repro.server import (
     encode_scan_cursor,
 )
 
-SHARD_COUNTS = (1, 2)
+BACKENDS = ("memory", "sqlite")
+#: Both backends, warmed inside ``open()`` (the default) or cold, so the
+#: first slices build what they read.
+SHAPES = [(backend, warm) for backend in BACKENDS for warm in (True, False)]
 PAGE_SIZES = (1, 7, 10_000)
 
 #: Fixed clock so services opened at different times stamp identically.
 FROZEN_NOW = dt.datetime(2010, 1, 9, 12, 0, 0)
 
 
-def _open_service(shards: int):
+def _open_service(backend: str = "memory", warm: bool = True):
     """A service over the deterministic tiny hospital — two calls see
     byte-identical logs, which is what makes the fresh-replica resume
     tests honest."""
     db = simulate(SimulationConfig.tiny(seed=7)).db
     return open_service(
-        db, config=AuditConfig(shards=shards), clock=lambda: FROZEN_NOW
+        db,
+        config=AuditConfig(backend=backend, eager_warm=warm),
+        clock=lambda: FROZEN_NOW,
     )
 
 
-@pytest.fixture(scope="module", params=SHARD_COUNTS)
+@pytest.fixture(
+    scope="module",
+    params=SHAPES,
+    ids=[f"{b}-{'warm' if w else 'cold'}" for b, w in SHAPES],
+)
 def service(request):
-    svc = _open_service(request.param)
+    svc = _open_service(*request.param)
     yield svc
     svc.close()
 
@@ -104,9 +113,8 @@ class TestFacadeDifferential:
         pages = list(
             service.scan_pages(page_rows=10_000, quantum_seconds=1e-9)
         )
-        # each shard contributes at most one chunk per slice
-        bound = QUANTUM_CHECK_ROWS * service.config.shards
-        assert all(page.rows <= bound for page in pages)
+        # at most one chunk per slice
+        assert all(page.rows <= QUANTUM_CHECK_ROWS for page in pages)
         assert (
             assemble_report(pages).to_dict() == service.report().to_dict()
         )
@@ -129,7 +137,7 @@ class TestFacadeDifferential:
         state = ScanState.from_dict(
             json.loads(json.dumps(head[-1].state.to_dict()))
         )
-        fresh = _open_service(service.config.shards)
+        fresh = _open_service(service.config.backend, service.config.eager_warm)
         try:
             tail = list(fresh.scan_pages(page_rows=6, state=state))
         finally:
@@ -153,25 +161,12 @@ class TestFacadeDifferential:
             svc.close()
 
 
-def test_pages_identical_across_shard_counts():
-    """The merge-cut sharded scanner must emit the *same page stream*
-    as the single-node scanner — not just the same union."""
-    one = _open_service(shards=1)
-    two = _open_service(shards=2)
-    try:
-        pages_one = [p.to_dict() for p in one.scan_pages(page_rows=5)]
-        pages_two = [p.to_dict() for p in two.scan_pages(page_rows=5)]
-        assert pages_one == pages_two
-    finally:
-        one.close()
-        two.close()
-
-
-def test_scan_survives_backdated_ingest_mid_walk():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scan_survives_backdated_ingest_mid_walk(backend):
     """Key-based suspension: rows ingested *behind* the resume position
     are not part of this walk's snapshot — the assembled artifact equals
     the pre-ingest one-shot report, with no dupes and no skips."""
-    service = _open_service(shards=1)
+    service = _open_service(backend)
     try:
         before = service.report()
         walk = service.scan_pages(page_rows=4)
@@ -364,9 +359,8 @@ class TestScanCursor:
 # wire differential: /v1/scan must be facade-indistinguishable
 # ----------------------------------------------------------------------
 class ServedWorld:
-    def __init__(self, shards: int) -> None:
-        self.shards = shards
-        self.service = _open_service(shards)
+    def __init__(self, backend: str) -> None:
+        self.service = _open_service(backend)
         self.server = AuditServer(self.service, port=0).start()
         self.client = AuditClient(self.server.host, self.server.port)
 
@@ -376,7 +370,7 @@ class ServedWorld:
         self.service.close()
 
 
-@pytest.fixture(scope="module", params=SHARD_COUNTS)
+@pytest.fixture(scope="module", params=BACKENDS)
 def world(request):
     w = ServedWorld(request.param)
     yield w
@@ -476,11 +470,12 @@ class TestWireDifferential:
             )
 
 
-def test_scan_resumes_on_fresh_server_replica():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_scan_resumes_on_fresh_server_replica(backend):
     """Kill the server mid-walk; a *new* server over a *new* service
     instance (same log) must continue from the wire cursor alone and
     produce the exact one-shot artifact."""
-    first_service = _open_service(shards=2)
+    first_service = _open_service(backend)
     expected = first_service.report().to_dict()
     pages = []
     with (
@@ -492,7 +487,7 @@ def test_scan_resumes_on_fresh_server_replica():
         assert cursor is not None
     first_service.close()  # the original replica is gone
 
-    replica = _open_service(shards=2)
+    replica = _open_service(backend)
     try:
         with (
             AuditServer(replica, port=0) as server,
@@ -505,11 +500,12 @@ def test_scan_resumes_on_fresh_server_replica():
     assert assemble_report(pages).to_dict() == expected
 
 
-def test_wire_scan_survives_backdated_ingest():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_wire_scan_survives_backdated_ingest(backend):
     """The acceptance scenario end to end: suspend over the wire,
     back-date an unexplainable ingest, resume — the assembled report is
     the pre-ingest snapshot, the new row invisible to this walk."""
-    service = _open_service(shards=1)
+    service = _open_service(backend)
     try:
         with (
             AuditServer(service, port=0) as server,

@@ -1,11 +1,12 @@
 """Differential suite: the wire API must be indistinguishable from the
 in-process facade.
 
-For shard counts {1, 2} an :class:`~repro.server.AuditServer` is put in
-front of the exact service object the reference calls run on, so every
-``/v1/`` endpoint can be pinned **byte-identical** (same ``to_dict``
-payloads, and — for the raw-response tests — the same response bytes)
-to ``AuditService``/``ShardedAuditService``.  The cursor-paginated
+On both storage backends, warmed at open or cold, an
+:class:`~repro.server.AuditServer` is put in front of the exact service
+object the reference calls run on, so
+every ``/v1/`` endpoint can be pinned **byte-identical** (same
+``to_dict`` payloads, and — for the raw-response tests — the same
+response bytes) to ``AuditService``.  The cursor-paginated
 ``unexplained`` walk must reproduce the one-shot queue, NDJSON
 ``explain/batch`` must stream incrementally (first line on the wire
 before the last lid is evaluated), and ingest over the wire must match
@@ -28,26 +29,24 @@ from repro.client import AuditClient
 from repro.ehr import SimulationConfig, simulate
 from repro.server import AuditServer, dump_json
 
-SHARD_COUNTS = (1, 2)
+#: Every served storage backend (the sqlite world serves template-to-SQL
+#: pushdown executors).
+BACKENDS = ("memory", "sqlite")
 
-#: Every served deployment shape: shard counts {1, 2} on both storage
-#: backends (the sqlite worlds serve template-to-SQL pushdown executors).
-WORLDS = [
-    (shards, backend)
-    for backend in ("memory", "sqlite")
-    for shards in SHARD_COUNTS
-]
+#: Every served deployment shape: both backends, warmed inside ``open()``
+#: (the default) or cold, so the first requests build what they read.
+WORLDS = [(backend, warm) for backend in BACKENDS for warm in (True, False)]
 
 #: Fixed clock => both the served service and the in-process twin stamp
 #: ingested accesses identically.
 FROZEN_NOW = dt.datetime(2010, 1, 9, 12, 0, 0)
 
 
-def _open_service(shards: int, backend: str = "memory"):
+def _open_service(backend: str = "memory", warm: bool = True):
     db = simulate(SimulationConfig.tiny(seed=7)).db
     return open_service(
         db,
-        config=AuditConfig(shards=shards, backend=backend),
+        config=AuditConfig(backend=backend, eager_warm=warm),
         clock=lambda: FROZEN_NOW,
     )
 
@@ -55,11 +54,10 @@ def _open_service(shards: int, backend: str = "memory"):
 class World:
     """One served service + client + an identical in-process twin."""
 
-    def __init__(self, shards: int, backend: str) -> None:
-        self.shards = shards
+    def __init__(self, backend: str, warm: bool) -> None:
         self.backend = backend
-        self.service = _open_service(shards, backend)
-        self.twin = _open_service(shards, backend)
+        self.service = _open_service(backend, warm)
+        self.twin = _open_service(backend, warm)
         self.server = AuditServer(self.service, port=0).start()
         self.client = AuditClient(self.server.host, self.server.port)
 
@@ -73,7 +71,7 @@ class World:
 @pytest.fixture(
     scope="module",
     params=WORLDS,
-    ids=[f"shards{s}-{b}" for s, b in WORLDS],
+    ids=[f"{b}-{'warm' if w else 'cold'}" for b, w in WORLDS],
 )
 def world(request):
     w = World(*request.param)
@@ -250,11 +248,12 @@ class TestUnexplainedPagination:
         assert world.service.unexplained_queue() == world.service.report().queue
 
 
-def test_cursor_survives_backdated_ingest():
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_cursor_survives_backdated_ingest(backend):
     """Key-based cursors: a back-dated unexplained access ingested
     mid-walk must neither re-serve already-served items nor skip
     still-unserved ones."""
-    service = _open_service(shards=1)
+    service = _open_service(backend)
     try:
         with (
             AuditServer(service, port=0) as server,

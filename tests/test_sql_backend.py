@@ -16,8 +16,8 @@ directed surfaces around that core:
   plan-cache memoization;
 * the plan-shape tripwire: every template form runs index-driven, with
   nothing materialised per statement;
-* restart-reopen of file-backed databases — single-node and sharded
-  (per-shard files, global log-id reconciliation);
+* restart-reopen of file-backed databases (the log-id sequence
+  continues past rows ingested before the restart);
 * the memory backend's explicit row cap (:class:`~repro.db.CapacityError`)
   and the CLI path that audits past it with ``--backend sqlite``.
 """
@@ -57,7 +57,6 @@ from repro.db import (
     TupleVar,
     UnknownColumnError,
     make_executor,
-    shard_db_path,
 )
 from repro.db.dialect import (
     IN_MARKER,
@@ -520,7 +519,7 @@ class TestPlanShape:
 
 
 # ----------------------------------------------------------------------
-# open_sql_database lifecycle and sharded file layout
+# open_sql_database lifecycle
 # ----------------------------------------------------------------------
 class TestOpenSqlDatabase:
     def test_reopen_without_source(self, tmp_path):
@@ -585,10 +584,6 @@ class TestOpenSqlDatabase:
         with pytest.raises(SchemaError, match="no audited database"):
             open_sql_database(None, str(tmp_path / "absent.db"))
 
-    def test_shard_db_path_derivation(self):
-        assert shard_db_path(None, 3) is None
-        assert shard_db_path("a/audit.db", 1) == "a/audit.shard1.db"
-        assert shard_db_path("audit", 0) == "audit.shard0.db"
 
 
 # ----------------------------------------------------------------------
@@ -610,24 +605,6 @@ class TestServiceLifecycle:
             # …and the log-id sequence continues past it
             assert second.ingest("zz-nobody", "zz-ghost-2").lid == ghost.lid + 1
 
-    def test_sharded_restart_reopen(self, tmp_path):
-        db_dir = str(tmp_path / "hospital")
-        save_database(_fresh_db(), db_dir)
-        config = AuditConfig(
-            backend="sqlite", db_path=str(tmp_path / "audit.db"), shards=2
-        )
-        with open_service(db_dir, config=config) as first:
-            a = first.ingest("zz-nobody", "zz-ghost-a")
-            b = first.ingest("zz-nobody", "zz-ghost-b")
-            queue_before = {v.lid for v in first.report().queue}
-        for index in (0, 1):
-            assert (tmp_path / f"audit.shard{index}.db").exists()
-        with open_service(db_dir, config=config) as second:
-            assert {v.lid for v in second.report().queue} == queue_before
-            assert {a.lid, b.lid} <= queue_before
-            # the parent reconciles its id sequence with the shard files
-            assert second.ingest("zz-nobody", "zz-ghost-c").lid == b.lid + 1
-
     def test_mine_and_groups_raise_on_sqlite(self):
         config = AuditConfig(backend="sqlite", eager_warm=False)
         with AuditService.open(_fresh_db(), config=config) as service:
@@ -636,12 +613,6 @@ class TestServiceLifecycle:
             assert "memory backend" in excinfo.value.hint
             with pytest.raises(UnsupportedOperationError):
                 service.build_groups()
-
-    def test_sharded_rejects_sql_database_source(self):
-        sql_db = open_sql_database(_fresh_db(), None)
-        with pytest.raises(UnsupportedOperationError, match="partition"):
-            AuditService.open(sql_db, config=AuditConfig(shards=2))
-        sql_db.close()
 
     def test_capacity_error_points_at_sqlite(self):
         table = Table(MIXED_SCHEMA, max_rows=2)
